@@ -200,6 +200,18 @@ def load_raw(path, schema: FeatureSchema) -> RawTable:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"dataset file not found: {path}")
+    try:
+        return _read_table(path, schema)
+    except UnicodeDecodeError:
+        # the streaming decoder's offset is relative to its buffer; find the file offset
+        try:
+            path.read_bytes().decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DataError(f"{path}: byte {exc.start}: not valid UTF-8 ({exc.reason})") from None
+        raise
+
+
+def _read_table(path: Path, schema: FeatureSchema) -> RawTable:
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
@@ -314,6 +326,15 @@ def clean_and_encode(raw: RawTable, schema: FeatureSchema) -> Dataset:
         columns.append([fill if v is None else v for v in values])
 
     x = np.array(columns, dtype=np.float64).T.reshape(len(kept), schema.d)
+    if not np.isfinite(x).all():
+        # a missing cell can be imputed from a non-finite fill: name a cell that holds one
+        for i, j in np.argwhere(~np.isfinite(x)):
+            cell = kept[i][col_of[schema.features[j].name]]
+            if cell is not None:
+                raise DataError(
+                    f"row {i + 1}, column {schema.features[j].name!r}: "
+                    f"non-finite value {cell!r}"
+                )
     return Dataset(schema=schema, x=x, y=labels)
 
 

@@ -112,6 +112,7 @@ def to_document(model, schema: FeatureSchema) -> dict:
                 "init_scores": [float(v) for v in model.init_scores],
                 "importance_raw": [float(v) for v in model.importance_raw],
                 "trees": [[_node_to_obj(root) for root in group] for group in model.trees],
+                "loss_history": [float(v) for v in model.loss_history],
             },
         )
     elif isinstance(model, MlpModel):
@@ -172,6 +173,7 @@ def from_document(doc: dict):
             n_classes=int(hp["n_classes"]),
             max_depth=int(hp["max_depth"]),
             min_samples_leaf=int(hp["min_samples_leaf"]),
+            loss_history=tuple(float(v) for v in weights.get("loss_history", ())),
         )
     if kind == "mlp":
         return MlpModel(

@@ -7,6 +7,16 @@ closed-form leaf update.  Candidate thresholds sit at midpoints between
 consecutive distinct sorted values, and all tie-breaks are fixed (lowest
 feature index, then lowest threshold) so fitted trees are stable across
 platforms.
+
+Both learners grow on one exact split kernel, `_best_split`, which scores
+every (feature, threshold) of a node in one vectorized pass over a
+presorted column block, as in XGBoost's exact greedy search (Chen &
+Guestrin, 2016, section 4.1).  Each column is stably argsorted once per fit
+(once per ensemble, since x never changes); a child inherits its parent's
+sorted rows filtered by the split mask.  The filter keeps order and a
+stable sort breaks value ties by row index, so every node sees exactly the
+order a fresh stable argsort of its members gives: trees match a per-node
+sort bit for bit.
 """
 
 from __future__ import annotations
@@ -102,38 +112,82 @@ def tree_apply(root: TreeNode, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _best_gini_split(xs: np.ndarray, ys: np.ndarray, k: int, min_leaf: int):
-    """Exhaustive best (feature, threshold) by Gini gain over midpoint candidates.
+def _presort(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-feature stable sort of every row: (rows, values), each of shape (d, n)."""
+    rows = np.argsort(x.T, axis=1, kind="stable")
+    return rows, np.take_along_axis(x.T, rows, axis=1)
 
-    Gain uses the weighted form Sl/nl + Sr/nr - Sp/np with S = sum of squared
-    class counts, computed from integer counts so equal count-partitions give
-    bit-identical gains and the fixed tie-breaks are meaningful.
+
+def _best_split(rows: np.ndarray, vals: np.ndarray, stat: np.ndarray, total, min_leaf: int):
+    """Exhaustive best (gain, feature, threshold) over midpoint candidates, or None.
+
+    `rows` and `vals` hold the node's members sorted by each feature, shape
+    (d, m); `stat` is the per-row statistic, shape (s, n), and `total` its
+    node sum, shape (s,).  With S the sum of squared statistic sums, the
+    gain is Sl/nl + Sr/nr - Sp/m: Gini decrease for one-hot class counts,
+    squared-error decrease for a residual row.  Integer counts make equal
+    partitions give bit-identical gains, so the tie-breaks (lowest feature,
+    then lowest threshold) are meaningful.  Only strictly positive gains
+    qualify.
     """
-    m = xs.shape[0]
-    counts = np.bincount(ys, minlength=k).astype(np.int64)
-    parent_term = (counts * counts).sum() / m
+    m = rows.shape[1]
+    parent_term = (total * total).sum() / m
+    sums = np.cumsum(np.take(stat, rows[:, :-1], axis=1), axis=2)  # left, (s, d, m - 1)
+    nl = np.arange(1, m)
+    nr = m - nl
+    gains = (sums * sums).sum(axis=0) / nl
+    # right sums in place, sparing a block: sl - total is exactly -(total - sl)
+    sums -= total[:, None, None]
+    gains += (sums * sums).sum(axis=0) / nr
+    gains -= parent_term
+    gains[(vals[:, 1:] <= vals[:, :-1]) | (nl < min_leaf) | (nr < min_leaf)] = -np.inf
+    j, i = divmod(int(np.argmax(gains)), m - 1)  # feature-major: first max wins
+    if not gains[j, i] > 0:
+        return None
+    return float(gains[j, i]), j, float((vals[j, i] + vals[j, i + 1]) / 2.0)
 
-    best = None  # (gain, feature, threshold)
-    sizes = np.arange(1, m)
-    for j in range(xs.shape[1]):
-        order = np.argsort(xs[:, j], kind="stable")
-        v = xs[order, j]
-        onehot = np.zeros((m, k), dtype=np.int64)
-        onehot[np.arange(m), ys[order]] = 1
-        cum = np.cumsum(onehot, axis=0)
-        ok = (v[1:] > v[:-1]) & (sizes >= min_leaf) & (m - sizes >= min_leaf)
-        if not ok.any():
-            continue
-        cl = cum[:-1][ok]
-        nl = sizes[ok]
-        nr = m - nl
-        cr = counts[None, :] - cl
-        gains = (cl * cl).sum(axis=1) / nl + (cr * cr).sum(axis=1) / nr - parent_term
-        i = int(np.argmax(gains))  # first max = lowest threshold
-        if gains[i] > 0 and (best is None or gains[i] > best[0]):
-            thresholds = (v[:-1][ok] + v[1:][ok]) / 2.0
-            best = (float(gains[i]), j, float(thresholds[i]))
-    return best
+
+def _grow(x, presorted, stat, max_depth, min_leaf, make_leaf, importance) -> TreeNode:
+    """Grow one tree depth-first on the shared split kernel; return its root.
+
+    `presorted` is `_presort(x)` and `stat` the (s, n) per-row statistic.
+    A node becomes `make_leaf(idx, total)` at the depth limit, below twice
+    the leaf floor, when its statistic is constant, or when no split has a
+    positive gain.  Each split adds its gain to `importance[feature]`.
+    """
+    go_left = np.empty(x.shape[0], dtype=bool)
+
+    def build(idx: np.ndarray, rows: np.ndarray, vals: np.ndarray, depth: int) -> TreeNode:
+        node = stat[:, idx]
+        total = node.sum(axis=1)  # in node order, as the leaf sums it
+        found = None
+        if depth < max_depth and idx.size >= 2 * min_leaf and (node != node[:, :1]).any():
+            found = _best_split(rows, vals, stat, total, min_leaf)
+        if found is None:
+            return make_leaf(idx, total)
+        gain, j, thr = found
+        importance[j] += gain
+        # filtering the parent's block keeps each feature's sorted order
+        mask = x[idx, j] <= thr
+        go_left[idx] = mask
+        keep = go_left[rows].ravel()
+        children = []
+        for side, members in ((keep, mask), (~keep, ~mask)):
+            flat = np.flatnonzero(side)
+            shape = (rows.shape[0], flat.size // rows.shape[0])
+            children.append(
+                (idx[members], rows.take(flat).reshape(shape), vals.take(flat).reshape(shape))
+            )
+        left, right = children
+        del keep, flat  # not held while the subtrees grow
+        return TreeNode(
+            feature=j,
+            threshold=thr,
+            left=build(*left, depth + 1),
+            right=build(*right, depth + 1),
+        )
+
+    return build(np.arange(x.shape[0]), *presorted, 0)
 
 
 def fit_tree(dataset: Dataset, max_depth: int = 5, min_samples_leaf: int = 2) -> TreeModel:
@@ -149,29 +203,13 @@ def fit_tree(dataset: Dataset, max_depth: int = 5, min_samples_leaf: int = 2) ->
     if min_samples_leaf < 1:
         raise ValueError("min_samples_leaf must be at least 1")
     k = dataset.schema.n_classes
-    x, y = dataset.x, dataset.y
-
-    def build(idx: np.ndarray, depth: int) -> TreeNode:
-        counts = np.bincount(y[idx], minlength=k).astype(np.float64)
-        if (
-            depth >= max_depth
-            or counts.max() == idx.size
-            or idx.size < 2 * min_samples_leaf
-        ):
-            return TreeNode(value=counts)
-        found = _best_gini_split(x[idx], y[idx], k, min_samples_leaf)
-        if found is None:
-            return TreeNode(value=counts)
-        _, j, thr = found
-        mask = x[idx, j] <= thr
-        return TreeNode(
-            feature=j,
-            threshold=thr,
-            left=build(idx[mask], depth + 1),
-            right=build(idx[~mask], depth + 1),
-        )
-
-    root = build(np.arange(dataset.n), 0)
+    onehot = np.zeros((k, dataset.n), dtype=np.int64)
+    onehot[dataset.y, np.arange(dataset.n)] = 1
+    root = _grow(
+        dataset.x, _presort(dataset.x), onehot, max_depth, min_samples_leaf,
+        make_leaf=lambda idx, counts: TreeNode(value=counts.astype(np.float64)),
+        importance=np.zeros(dataset.d),  # the lone tree reports no importance
+    )
     return TreeModel(
         root=root,
         max_depth=max_depth,
@@ -193,65 +231,22 @@ def predict_tree_batch(model: TreeModel, x: np.ndarray) -> np.ndarray:
     return np.argmax(tree_apply(model.root, x), axis=1).astype(np.int64)
 
 
-def _fit_regression_tree(
-    x: np.ndarray,
-    targets: np.ndarray,
-    max_depth: int,
-    min_leaf: int,
-    leaf_value,
-    importance: np.ndarray,
-):
+def _fit_regression_tree(x, presorted, targets, max_depth, min_leaf, leaf_value, importance):
     """Variance-reduction regression tree; returns (root, in-sample predictions).
 
+    `presorted` is `_presort(x)`, shared by every tree of one ensemble.
     Split gains (sum-of-squares reduction) are accumulated per feature into
     `importance`.  Leaf payloads come from `leaf_value`, so the boosting loop
     can install its closed-form log-loss update.
     """
     out = np.empty(x.shape[0])
 
-    def build(idx: np.ndarray, depth: int) -> TreeNode:
-        t = targets[idx]
-        if depth >= max_depth or idx.size < 2 * min_leaf or t.max() == t.min():
-            gamma = leaf_value(t)
-            out[idx] = gamma
-            return TreeNode(value=np.array([gamma]))
+    def make_leaf(idx: np.ndarray, total) -> TreeNode:
+        gamma = leaf_value(targets[idx])
+        out[idx] = gamma
+        return TreeNode(value=np.array([gamma]))
 
-        m = idx.size
-        total = t.sum()
-        parent_term = total * total / m
-        best = None
-        sizes = np.arange(1, m)
-        xs = x[idx]
-        for j in range(x.shape[1]):
-            order = np.argsort(xs[:, j], kind="stable")
-            v = xs[order, j]
-            csum = np.cumsum(t[order])[:-1]
-            ok = (v[1:] > v[:-1]) & (sizes >= min_leaf) & (m - sizes >= min_leaf)
-            if not ok.any():
-                continue
-            sl = csum[ok]
-            nl = sizes[ok]
-            gains = sl * sl / nl + (total - sl) ** 2 / (m - nl) - parent_term
-            i = int(np.argmax(gains))
-            if gains[i] > 0 and (best is None or gains[i] > best[0]):
-                thresholds = (v[:-1][ok] + v[1:][ok]) / 2.0
-                best = (float(gains[i]), j, float(thresholds[i]))
-
-        if best is None:
-            gamma = leaf_value(t)
-            out[idx] = gamma
-            return TreeNode(value=np.array([gamma]))
-        gain, j, thr = best
-        importance[j] += gain
-        mask = xs[:, j] <= thr
-        return TreeNode(
-            feature=j,
-            threshold=thr,
-            left=build(idx[mask], depth + 1),
-            right=build(idx[~mask], depth + 1),
-        )
-
-    root = build(np.arange(x.shape[0]), 0)
+    root = _grow(x, presorted, targets[None, :], max_depth, min_leaf, make_leaf, importance)
     return root, out
 
 
@@ -300,6 +295,7 @@ def fit_gbdt(
         return (k - 1) / k * r.sum() / denom
 
     importance = np.zeros(dataset.d)
+    presorted = _presort(x)  # x never changes, so one sort serves every tree
     all_trees = []
     history = [_log_loss(scores, y)]
     for _ in range(rounds):
@@ -308,7 +304,7 @@ def fit_gbdt(
         step = np.empty((n, k))
         for c in range(k):
             root, pred = _fit_regression_tree(
-                x, residuals[:, c], max_depth, min_samples_leaf, newton_leaf, importance
+                x, presorted, residuals[:, c], max_depth, min_samples_leaf, newton_leaf, importance
             )
             group.append(root)
             step[:, c] = pred

@@ -99,6 +99,22 @@ class TestLoadRaw:
         table = load_raw(path, schema)
         assert "provenance" in table.header
 
+    def test_non_utf8_names_file_and_byte(self, tmp_path):
+        schema = schema_of([("a", "continuous")])
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"a,label\n1,0\n\xe9,1\n")
+        with pytest.raises(DataError, match=r"latin1\.csv: byte 12: not valid UTF-8"):
+            load_raw(path, schema)
+
+    def test_non_utf8_offset_is_from_file_start(self, tmp_path):
+        # far past the text decoder's first buffer
+        schema = schema_of([("a", "continuous")])
+        head = b"a,label\n" + b"1,0\n" * 5000
+        path = tmp_path / "late.csv"
+        path.write_bytes(head + b"\xff,1\n")
+        with pytest.raises(DataError, match=f"byte {len(head)}:"):
+            load_raw(path, schema)
+
 
 class TestCleanAndEncode:
     def test_median_imputation(self, tmp_path):
@@ -163,6 +179,20 @@ class TestCleanAndEncode:
         schema = schema_of([("v", "continuous")])
         path = write_csv(tmp_path, "v,label\n,0\n,1\n")
         with pytest.raises(DataError, match="entirely missing"):
+            clean_and_encode(load_raw(path, schema), schema)
+
+    @pytest.mark.parametrize("kind", ["continuous", "ordinal"])
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-Infinity"])
+    def test_non_finite_cell_located(self, tmp_path, kind, cell):
+        schema = schema_of([("a", "continuous"), ("v", kind)])
+        path = write_csv(tmp_path, f"a,v,label\n1,2,0\n2,,1\n3,{cell},2\n4,1,0\n")
+        with pytest.raises(DataError, match=rf"row 3, column 'v': non-finite value '{cell}'"):
+            clean_and_encode(load_raw(path, schema), schema)
+
+    def test_first_non_finite_row_named(self, tmp_path):
+        schema = schema_of([("a", "continuous"), ("v", "ordinal")])
+        path = write_csv(tmp_path, "a,v,label\n1,2,0\n2,inf,1\nnan,1,2\n")
+        with pytest.raises(DataError, match=r"row 2, column 'v'"):
             clean_and_encode(load_raw(path, schema), schema)
 
     def test_extra_columns_ignored(self, tmp_path):

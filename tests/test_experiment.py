@@ -270,6 +270,17 @@ class TestCli:
         assert result.returncode == 2
         assert "data error" in result.stderr
 
+    def test_non_utf8_data_exit_2(self, fixture_dir_module, tmp_path):
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"f0,label\n1,0\n\xe9,1\n")
+        result = run_cli(
+            "validate-data",
+            "--data", str(bad),
+            "--schema", str(fixture_dir_module / "fixture_schema.json"),
+        )
+        assert result.returncode == 2, result.stderr
+        assert "latin1.csv: byte 13: not valid UTF-8" in result.stderr
+
     def test_missing_dataset_exit_2(self, fixture_dir_module, tmp_path):
         result = run_cli(
             "validate-data",

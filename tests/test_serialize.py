@@ -55,6 +55,9 @@ class TestRoundTrips:
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
         assert np.array_equal(model.importance_raw, clone.importance_raw)
+        assert len(clone.loss_history) == 13
+        assert clone.loss_history == model.loss_history
+        assert all(type(v) is float for v in clone.loss_history)
 
     def test_mlp(self, dataset, tmp_path):
         model = fit_mlp(dataset, h=5, cfg=GdConfig(epochs=25, seed=2))

@@ -1,12 +1,18 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from conftest import make_dataset
-from mppkit.data import generate_synthetic
+from conftest import FIXTURE_DIR, make_dataset
+from mppkit.data import generate_synthetic, load_dataset, load_schema
 from mppkit.numeric import SeededRng, softmax
+from mppkit.serialize import to_document
 from mppkit.trees import (
     GbdtModel,
     TreeNode,
+    _best_split,
+    _presort,
     feature_importance,
     fit_gbdt,
     fit_tree,
@@ -292,3 +298,127 @@ class TestTreeApply:
             while not node.is_leaf:
                 node = node.left if ds.x[i, node.feature] <= node.threshold else node.right
             assert np.array_equal(table[i], node.value)
+
+
+def brute_force_split(x, stat, min_leaf):
+    """Reference for `_best_split`: every (feature, midpoint) pair, one at a time.
+
+    Left sums accumulate in sorted order (value, then row), right sums are
+    the node total (summed in row order) minus the left sums, and the gain
+    is Sl/nl + Sr/nr - Sp/m, so the arithmetic is the kernel's, operation
+    for operation.  Ties keep the first candidate: lowest feature, then
+    lowest threshold.
+    """
+    n, d = x.shape
+    total = stat.sum(axis=1)
+    parent = sum(v * v for v in total) / n
+    best = None
+    for j in range(d):
+        order = sorted(range(n), key=lambda i: (x[i, j], i))
+        values = sorted(set(x[:, j].tolist()))
+        for lo, hi in zip(values, values[1:]):
+            left = [i for i in order if x[i, j] <= lo]
+            nl, nr = len(left), n - len(left)
+            if nl < min_leaf or nr < min_leaf:
+                continue
+            sl = [stat[c, left[0]] for c in range(stat.shape[0])]
+            for i in left[1:]:
+                sl = [acc + stat[c, i] for c, acc in enumerate(sl)]
+            sr = [total[c] - sl[c] for c in range(stat.shape[0])]
+            gain = sum(v * v for v in sl) / nl + sum(v * v for v in sr) / nr - parent
+            if gain > 0 and (best is None or gain > best[0]):
+                best = (float(gain), j, (lo + hi) / 2.0)
+    return best
+
+
+def _tied_matrix(rng, n, d):
+    # few distinct values (heavy ties) and a duplicated column (exact gain ties)
+    x = np.floor(np.asarray(rng.random((n, d))) * 4) / 2
+    x[:, d - 1] = x[:, 0]
+    return x
+
+
+class TestSplitKernel:
+    MIN_LEAVES = (1, 2, 3, 5)
+
+    def _kernel(self, x, stat, min_leaf):
+        rows, vals = _presort(x)
+        return _best_split(rows, vals, stat, stat.sum(axis=1), min_leaf)
+
+    def test_gini_counts_match_brute_force(self):
+        rng = SeededRng(31)
+        outcomes = {"split": 0, "none": 0, "tie": 0}
+        for trial in range(120):
+            n = 2 + int(rng.integers(0, 15))
+            x = _tied_matrix(rng, n, 2 + int(rng.integers(0, 3)))
+            y = rng.integers(0, 3, n)
+            stat = np.zeros((3, n), dtype=np.int64)
+            stat[y, np.arange(n)] = 1
+            for min_leaf in self.MIN_LEAVES:
+                expected = brute_force_split(x, stat, min_leaf)
+                assert self._kernel(x, stat, min_leaf) == expected, (trial, min_leaf)
+                if expected is None:
+                    outcomes["none"] += 1
+                    continue
+                outcomes["split"] += 1
+                # the duplicated last column scores the same gain as column 0
+                outcomes["tie"] += expected[1] == 0
+        assert min(outcomes.values()) >= 10, outcomes
+
+    def test_residuals_match_brute_force(self):
+        rng = SeededRng(32)
+        outcomes = {"split": 0, "none": 0, "tie": 0}
+        for trial in range(120):
+            n = 2 + int(rng.integers(0, 15))
+            x = _tied_matrix(rng, n, 2 + int(rng.integers(0, 3)))
+            stat = (np.asarray(rng.random(n)) - 0.5)[None, :]
+            for min_leaf in self.MIN_LEAVES:
+                expected = brute_force_split(x, stat, min_leaf)
+                assert self._kernel(x, stat, min_leaf) == expected, (trial, min_leaf)
+                if expected is None:
+                    outcomes["none"] += 1
+                    continue
+                outcomes["split"] += 1
+                outcomes["tie"] += expected[1] == 0
+        assert min(outcomes.values()) >= 10, outcomes
+
+    def test_duplicate_columns_pick_lowest_feature(self):
+        x = np.array([[5.0, 0.0, 0.0], [5.0, 1.0, 1.0], [5.0, 2.0, 2.0], [5.0, 3.0, 3.0]])
+        stat = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 0]], dtype=np.int64)
+        # column 0 is constant and offers no candidate; 1 and 2 tie exactly
+        assert self._kernel(x, stat, 1) == (2.0, 1, 1.5)
+
+    def test_no_valid_split(self):
+        x = np.array([[0.0], [0.0], [1.0], [1.0]])
+        stat = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 0, 0]], dtype=np.int64)
+        assert self._kernel(x, stat, 1) is None  # the only split has zero gain
+        assert self._kernel(x, stat[:, [0, 0, 1, 1]], 3) is None  # leaf floor too high
+        assert self._kernel(np.ones((4, 2)), stat, 1) is None  # constant columns
+
+
+def _fixture_digest(model):
+    schema = load_schema(FIXTURE_DIR / "fixture_schema.json")
+    doc = to_document(model, schema)
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+class TestGoldenModels:
+    """Model documents fitted on the fixture, pinned by sha256.
+
+    The digests were recorded from the per-node argsort search that the
+    presorted kernel replaced, so any change to a split, threshold, leaf,
+    importance or loss value shows here.
+    """
+
+    @pytest.fixture(scope="class")
+    def fixture_dataset(self):
+        schema = load_schema(FIXTURE_DIR / "fixture_schema.json")
+        return load_dataset(FIXTURE_DIR / "fixture.csv", schema)
+
+    def test_tree_document(self, fixture_dataset):
+        digest = _fixture_digest(fit_tree(fixture_dataset))
+        assert digest == "98475941871f1497cf5ec1b130f6547889adc5506d646707c56efc27b2f5095e"
+
+    def test_gbdt_document(self, fixture_dataset):
+        digest = _fixture_digest(fit_gbdt(fixture_dataset, rounds=20))
+        assert digest == "33dcf1b720fd70bd5af6eb1adc0b6c67b97f9a0f65bd3ac3a21479d08b6d1cf2"
