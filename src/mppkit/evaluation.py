@@ -8,6 +8,8 @@ with an explicit undefined flag so report shapes stay fixed.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -121,13 +123,44 @@ MODEL_DEFAULTS: dict[str, dict] = {
 MODEL_NAMES = tuple(MODEL_DEFAULTS)
 
 
+def _integer(low: int):
+    return lambda v: isinstance(v, numbers.Integral) and v >= low, f"an integer >= {low}"
+
+
+def _number(test, text: str):
+    return lambda v: isinstance(v, numbers.Real) and math.isfinite(v) and test(v), text
+
+
+# hyperparameter -> (check of an override value, what the check asks for)
+PARAM_CHECKS = {
+    "learning_rate": _number(lambda v: v > 0, "a positive number"),
+    "epochs": _integer(1),
+    "l2": _number(lambda v: v >= 0, "a non-negative number"),
+    "reg_c": _number(lambda v: v > 0, "a positive number"),
+    "max_depth": _integer(0),
+    "min_samples_leaf": _integer(1),
+    "rounds": _integer(1),
+    "shrinkage": _number(lambda v: 0 < v <= 1, "a number in (0, 1]"),
+    "hidden": _integer(1),
+    "batch_size": _integer(1),
+}
+
+
 def resolve_params(name: str, overrides: dict | None = None) -> dict:
+    """Defaults of model `name` with `overrides` applied, each override checked.
+
+    An unknown key, or a value of the wrong type or out of range, raises
+    ValueError before any training starts.
+    """
     if name not in MODEL_DEFAULTS:
         raise ValueError(f"unknown model name {name!r}; expected one of {list(MODEL_NAMES)}")
     params = dict(MODEL_DEFAULTS[name])
     for key, value in (overrides or {}).items():
         if key not in params:
             raise ValueError(f"unknown hyperparameter {key!r} for model {name!r}")
+        check, wanted = PARAM_CHECKS[key]
+        if isinstance(value, bool) or not check(value):
+            raise ValueError(f"hyperparameter {key!r} of model {name!r} must be {wanted}, got {value!r}")
         params[key] = value
     return params
 

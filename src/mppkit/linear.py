@@ -4,8 +4,14 @@ Multiclass logistic regression uses a softmax head with cross-entropy (the
 maximum-likelihood extension of the binary logit model); the SVM trains one
 hinge-loss problem per class against the rest.  Both operate on z-scored
 features and halve the step size whenever an update would increase the
-training loss, which makes the recorded loss history non-increasing by
-construction.
+training loss or make it non-finite, which makes the recorded loss history
+non-increasing by construction.
+
+Both share one descent loop (`_descend`).  The forward pass that gives the
+loss of an accepted step (the softmax probabilities, or the SVM's signed
+margins) is the one the next gradient is computed from; after a rejected
+step the gradient at the unchanged weights is reused.  Each epoch thus
+evaluates one forward pass.
 """
 
 from __future__ import annotations
@@ -90,19 +96,56 @@ def _one_hot(y: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+def _descend(w: np.ndarray, lr: float, epochs: int, evaluate, gradient):
+    """Full-batch gradient descent with reject-and-halve step control.
+
+    ``evaluate(w) -> (loss, forward)`` returns the loss at `w` with the
+    forward pass it computed, and ``gradient(w, forward)`` turns that pass
+    into the gradient at `w`, so each accepted step evaluates its forward
+    pass once.  A step whose loss is not at most the current one (a nan loss
+    included) is rejected and the step size halved; the gradient at the
+    unchanged `w` is reused.  Returns the final weights and the loss history.
+    """
+    loss, forward = evaluate(w)
+    history = [loss]
+    g = None
+    for _ in range(epochs):
+        if g is None:
+            g = gradient(w, forward)
+        step = w - lr * g
+        new_loss, new_forward = evaluate(step)
+        if not new_loss <= loss:
+            lr *= 0.5
+            history.append(loss)
+            if lr < 1e-15:
+                break
+            continue
+        w, loss, forward, g = step, new_loss, new_forward, None
+        history.append(loss)
+    return w, history
+
+
+def _logistic_evaluate(weights, xb, y, l2):
+    """Mean cross-entropy plus the L2 penalty (bias excluded), and the probabilities."""
+    p = softmax(xb @ weights.T)
+    nll = -np.log(np.maximum(p[np.arange(xb.shape[0]), y], 1e-300)).mean()
+    return float(nll + 0.5 * l2 * np.sum(weights[:, :-1] ** 2)), p
+
+
+def _logistic_gradient(weights, p, xb, targets, l2):
+    g = (p - targets).T @ xb / xb.shape[0]
+    g[:, :-1] += l2 * weights[:, :-1]
+    return g
+
+
 def logistic_loss(weights: np.ndarray, xb: np.ndarray, y: np.ndarray, l2: float) -> float:
     """Mean cross-entropy of the softmax head plus an L2 penalty (bias excluded)."""
-    p = softmax(xb @ weights.T)
-    n = xb.shape[0]
-    nll = -np.log(np.maximum(p[np.arange(n), y], 1e-300)).mean()
-    return float(nll + 0.5 * l2 * np.sum(weights[:, :-1] ** 2))
+    return _logistic_evaluate(weights, xb, y, l2)[0]
 
 
 def logistic_grad(weights: np.ndarray, xb: np.ndarray, y: np.ndarray, l2: float) -> np.ndarray:
     p = softmax(xb @ weights.T)
-    g = (p - _one_hot(y, weights.shape[0])).T @ xb / xb.shape[0]
-    g[:, :-1] += l2 * weights[:, :-1]
-    return g
+    return _logistic_gradient(weights, p, xb, _one_hot(y, weights.shape[0]), l2)
 
 
 def _check_trainable(dataset: Dataset):
@@ -123,23 +166,15 @@ def fit_logistic(dataset: Dataset, cfg: GdConfig | None = None) -> LogisticModel
     k = dataset.schema.n_classes
     std = Standardization.fit(dataset.x)
     xb = add_bias(std.apply(dataset.x))
-    w = np.zeros((k, xb.shape[1]))
-
-    lr = cfg.learning_rate
-    loss = logistic_loss(w, xb, dataset.y, cfg.l2)
-    history = [loss]
-    for _ in range(cfg.epochs):
-        step = w - lr * logistic_grad(w, xb, dataset.y, cfg.l2)
-        new_loss = logistic_loss(step, xb, dataset.y, cfg.l2)
-        if new_loss > loss:
-            lr *= 0.5
-            history.append(loss)
-            if lr < 1e-15:
-                break
-            continue
-        w = step
-        loss = new_loss
-        history.append(loss)
+    y = dataset.y
+    targets = _one_hot(y, k)
+    w, history = _descend(
+        np.zeros((k, xb.shape[1])),
+        cfg.learning_rate,
+        cfg.epochs,
+        lambda w: _logistic_evaluate(w, xb, y, cfg.l2),
+        lambda w, p: _logistic_gradient(w, p, xb, targets, cfg.l2),
+    )
     return LogisticModel(weights=w, standardization=std, n_classes=k, loss_history=tuple(history))
 
 
@@ -181,15 +216,15 @@ def hinge_loss(y: float, fx: float) -> float:
     return float(max(0.0, 1.0 - y * fx))
 
 
-def _svm_objective(w: np.ndarray, xb: np.ndarray, t: np.ndarray, reg_c: float) -> float:
-    margins = xb @ w
-    hinge = np.maximum(0.0, 1.0 - t * margins).mean()
-    return float(hinge + 0.5 * reg_c * np.sum(w[:-1] ** 2))
+def _svm_evaluate(w: np.ndarray, xb: np.ndarray, t: np.ndarray, reg_c: float):
+    """Mean hinge loss plus the L2 penalty (bias excluded), and the signed margins t * f(x)."""
+    signed = t * (xb @ w)
+    hinge = np.maximum(0.0, 1.0 - signed).mean()
+    return float(hinge + 0.5 * reg_c * np.sum(w[:-1] ** 2)), signed
 
 
-def _svm_subgrad(w: np.ndarray, xb: np.ndarray, t: np.ndarray, reg_c: float) -> np.ndarray:
-    margins = xb @ w
-    active = (t * margins) < 1.0
+def _svm_subgradient(w: np.ndarray, signed: np.ndarray, xb: np.ndarray, t: np.ndarray, reg_c: float):
+    active = signed < 1.0
     g = -(xb * (t * active)[:, None]).mean(axis=0)
     g[:-1] += reg_c * w[:-1]
     return g
@@ -212,23 +247,13 @@ def fit_svm(dataset: Dataset, cfg: GdConfig | None = None, reg_c: float = 1.0) -
     histories = []
     for c in range(k):
         t = np.where(dataset.y == c, 1.0, -1.0)
-        w = np.zeros(xb.shape[1])
-        lr = cfg.learning_rate
-        loss = _svm_objective(w, xb, t, reg_c)
-        history = [loss]
-        for _ in range(cfg.epochs):
-            step = w - lr * _svm_subgrad(w, xb, t, reg_c)
-            new_loss = _svm_objective(step, xb, t, reg_c)
-            if new_loss > loss:
-                lr *= 0.5
-                history.append(loss)
-                if lr < 1e-15:
-                    break
-                continue
-            w = step
-            loss = new_loss
-            history.append(loss)
-        weights[c] = w
+        weights[c], history = _descend(
+            np.zeros(xb.shape[1]),
+            cfg.learning_rate,
+            cfg.epochs,
+            lambda w: _svm_evaluate(w, xb, t, reg_c),
+            lambda w, signed: _svm_subgradient(w, signed, xb, t, reg_c),
+        )
         histories.append(tuple(history))
     return SvmModel(
         weights=weights,

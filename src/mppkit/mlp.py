@@ -3,8 +3,17 @@
 tanh hidden activation, softmax output, cross-entropy loss.  Weights start
 from the seeded generator at scale 1/sqrt(fan-in); batches are reshuffled
 every epoch from the same stream.  An epoch that raises the full training
-loss is rolled back with a halved step, and training stops early once the
-loss improves by less than 1e-7 over 10 epochs.
+loss, or makes it non-finite, is rolled back with a halved step, and
+training stops early once the loss improves by less than 1e-7 over 10
+epochs.
+
+One forward pass (`_forward`) serves every job.  Each minibatch runs it on
+its rows, and its hidden layer and probabilities feed that batch's
+gradients (`_grads`) and nothing else: no minibatch loss is computed.  The
+epoch's training loss comes from a forward pass over all rows, with no
+gradients.  Once per epoch the standardized rows and their one-hot targets
+are permuted together, so each batch is a contiguous slice; the hidden
+layer is written into a buffer whose bias column is preset to ones.
 """
 
 from __future__ import annotations
@@ -33,28 +42,60 @@ class MlpModel:
         return int(self.w1.shape[1]) - 1
 
 
+def _hidden_buffer(m: int, h: int) -> np.ndarray:
+    """An (m, h+1) hidden-layer buffer whose bias column is preset to ones."""
+    buf = np.empty((m, h + 1))
+    buf[:, h] = 1.0
+    return buf
+
+
+def _forward(w1: np.ndarray, w2: np.ndarray, xb: np.ndarray, hidden: np.ndarray) -> np.ndarray:
+    """Output probabilities; the tanh layer is written into `hidden` (from `_hidden_buffer`)."""
+    np.tanh(xb @ w1.T, out=hidden[:, :-1])
+    return softmax(hidden @ w2.T)
+
+
+def _loss(probs: np.ndarray, y: np.ndarray, w1: np.ndarray, w2: np.ndarray, l2: float) -> float:
+    nll = -np.log(np.maximum(probs[np.arange(probs.shape[0]), y], 1e-300)).mean()
+    penalty = 0.5 * l2 * (np.sum(w1[:, :-1] ** 2) + np.sum(w2[:, :-1] ** 2))
+    return float(nll + penalty)
+
+
+def _grads(
+    w1: np.ndarray,
+    w2: np.ndarray,
+    xb: np.ndarray,
+    hidden: np.ndarray,
+    probs: np.ndarray,
+    targets: np.ndarray,
+    l2: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Backprop of the forward pass `(hidden, probs)` on `xb` against one-hot `targets`."""
+    delta = probs - targets
+    delta /= xb.shape[0]
+    g2 = delta.T @ hidden
+    g2[:, :-1] += l2 * w2[:, :-1]
+    dz = delta @ w2[:, :-1]
+    dz *= 1.0 - hidden[:, :-1] ** 2
+    g1 = dz.T @ xb
+    g1[:, :-1] += l2 * w1[:, :-1]
+    return g1, g2
+
+
 def mlp_loss_and_grads(
     w1: np.ndarray, w2: np.ndarray, xb: np.ndarray, y: np.ndarray, l2: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Cross-entropy (+ L2 on non-bias weights) and its backprop gradients."""
-    n = xb.shape[0]
-    a1 = np.tanh(xb @ w1.T)
-    ab = add_bias(a1)
-    probs = softmax(ab @ w2.T)
-    nll = -np.log(np.maximum(probs[np.arange(n), y], 1e-300)).mean()
-    penalty = 0.5 * l2 * (np.sum(w1[:, :-1] ** 2) + np.sum(w2[:, :-1] ** 2))
-
-    delta = (probs - _one_hot(y, w2.shape[0])) / n
-    g2 = delta.T @ ab
-    g2[:, :-1] += l2 * w2[:, :-1]
-    dz = (delta @ w2[:, :-1]) * (1.0 - a1**2)
-    g1 = dz.T @ xb
-    g1[:, :-1] += l2 * w1[:, :-1]
-    return float(nll + penalty), g1, g2
+    hidden = _hidden_buffer(xb.shape[0], w1.shape[0])
+    probs = _forward(w1, w2, xb, hidden)
+    g1, g2 = _grads(w1, w2, xb, hidden, probs, _one_hot(y, w2.shape[0]), l2)
+    return _loss(probs, y, w1, w2, l2), g1, g2
 
 
 def mlp_loss(w1: np.ndarray, w2: np.ndarray, xb: np.ndarray, y: np.ndarray, l2: float) -> float:
-    return mlp_loss_and_grads(w1, w2, xb, y, l2)[0]
+    """Cross-entropy (+ L2 on non-bias weights) from a forward pass alone."""
+    probs = _forward(w1, w2, xb, _hidden_buffer(xb.shape[0], w1.shape[0]))
+    return _loss(probs, y, w1, w2, l2)
 
 
 def fit_mlp(
@@ -77,11 +118,14 @@ def fit_mlp(
     std = Standardization.fit(dataset.x)
     xb = add_bias(std.apply(dataset.x))
     y = dataset.y
+    targets = _one_hot(y, k)
     n, d1 = xb.shape
 
     rng = SeededRng(cfg.seed)
     w1 = np.asarray(rng.normal((h, d1))) / np.sqrt(d1)
     w2 = np.asarray(rng.normal((k, h + 1))) / np.sqrt(h + 1)
+
+    batch_hidden = _hidden_buffer(min(batch_size, n), h)
 
     lr = cfg.learning_rate
     loss = mlp_loss(w1, w2, xb, y, cfg.l2)
@@ -90,14 +134,17 @@ def fit_mlp(
     stale = 0
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
+        xp, tp = xb[perm], targets[perm]  # each batch is then a contiguous slice
         snap1, snap2 = w1.copy(), w2.copy()
         for start in range(0, n, batch_size):
-            b = perm[start : start + batch_size]
-            _, g1, g2 = mlp_loss_and_grads(w1, w2, xb[b], y[b], cfg.l2)
+            xs = xp[start : start + batch_size]
+            hidden = batch_hidden[: xs.shape[0]]
+            probs = _forward(w1, w2, xs, hidden)
+            g1, g2 = _grads(w1, w2, xs, hidden, probs, tp[start : start + batch_size], cfg.l2)
             w1 -= lr * g1
             w2 -= lr * g2
         new_loss = mlp_loss(w1, w2, xb, y, cfg.l2)
-        if new_loss > loss:
+        if not new_loss <= loss:  # a nan loss is a rise too
             w1, w2 = snap1, snap2
             lr *= 0.5
             history.append(loss)
@@ -136,6 +183,5 @@ def predict_mlp(model: MlpModel, x) -> tuple[int, np.ndarray]:
 
 def predict_mlp_batch(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     xb = add_bias(model.standardization.apply(x))
-    hidden = add_bias(np.tanh(xb @ model.w1.T))
-    probs = softmax(hidden @ model.w2.T)
+    probs = _forward(model.w1, model.w2, xb, _hidden_buffer(xb.shape[0], model.h))
     return np.argmax(probs, axis=1).astype(np.int64), probs

@@ -114,11 +114,12 @@ def softmax(v) -> np.ndarray:
         raise ValueError("softmax expects a vector or a matrix of row scores")
     if arr.shape[-1] == 0:
         raise ValueError("softmax requires at least one score")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("softmax requires finite input")
-    shifted = arr - arr.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = arr - arr.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=-1, keepdims=True)
+    return e
 
 
 def argmax_lowest(values) -> int:

@@ -190,6 +190,13 @@ def _grow(x, presorted, stat, max_depth, min_leaf, make_leaf, importance) -> Tre
     return build(np.arange(x.shape[0]), *presorted, 0)
 
 
+def _check_tree_params(max_depth: int, min_samples_leaf: int):
+    if max_depth < 0:
+        raise ValueError("max_depth must be non-negative")
+    if min_samples_leaf < 1:
+        raise ValueError("min_samples_leaf must be at least 1")
+
+
 def fit_tree(dataset: Dataset, max_depth: int = 5, min_samples_leaf: int = 2) -> TreeModel:
     """Greedy recursive partitioning on Gini impurity decrease.
 
@@ -198,10 +205,7 @@ def fit_tree(dataset: Dataset, max_depth: int = 5, min_samples_leaf: int = 2) ->
     """
     if dataset.n == 0:
         raise ValueError("empty dataset")
-    if max_depth < 0:
-        raise ValueError("max_depth must be non-negative")
-    if min_samples_leaf < 1:
-        raise ValueError("min_samples_leaf must be at least 1")
+    _check_tree_params(max_depth, min_samples_leaf)
     k = dataset.schema.n_classes
     onehot = np.zeros((k, dataset.n), dtype=np.int64)
     onehot[dataset.y, np.arange(dataset.n)] = 1
@@ -278,6 +282,7 @@ def fit_gbdt(
         raise ValueError("rounds must be at least 1")
     if not 0.0 < shrinkage <= 1.0:
         raise ValueError("invalid shrinkage: must lie in (0, 1]")
+    _check_tree_params(max_depth, min_samples_leaf)
     k = dataset.schema.n_classes
     n = dataset.n
     x, y = dataset.x, dataset.y

@@ -4,6 +4,7 @@ import pytest
 from conftest import make_dataset
 from mppkit.data import generate_synthetic
 from mppkit.evaluation import (
+    MODEL_DEFAULTS,
     CrossValidationError,
     ModelSpec,
     confusion_matrix,
@@ -176,6 +177,33 @@ class TestResolveParams:
         assert params["rounds"] == 50
         assert params["shrinkage"] == 0.1
 
+    def test_every_default_passes_its_check(self):
+        for name, defaults in MODEL_DEFAULTS.items():
+            assert resolve_params(name, defaults) == defaults
+
+    @pytest.mark.parametrize(
+        "name, key, value",
+        [
+            ("mlp", "hidden", 2.5),
+            ("mlp", "batch_size", 0),
+            ("logistic", "epochs", "ten"),
+            ("logistic", "epochs", True),
+            ("logistic", "learning_rate", 0.0),
+            ("logistic", "l2", -1e-3),
+            ("svm", "reg_c", float("nan")),
+            ("tree", "max_depth", -1),
+            ("gbdt", "min_samples_leaf", 0),
+            ("gbdt", "shrinkage", 1.5),
+            ("gbdt", "rounds", None),
+        ],
+    )
+    def test_bad_value_rejected(self, name, key, value):
+        with pytest.raises(ValueError, match=f"hyperparameter '{key}' of model '{name}' must be"):
+            resolve_params(name, {key: value})
+
+    def test_integer_accepted_for_a_rate(self):
+        assert resolve_params("logistic", {"learning_rate": 1, "l2": 0})["learning_rate"] == 1
+
 
 class TestCrossValidate:
     def test_every_record_predicted_once_and_total_matches(self):
@@ -205,9 +233,17 @@ class TestCrossValidate:
         assert a.fold_plan_digest == b.fold_plan_digest
 
     def test_fold_errors_are_annotated(self):
+        # a valid but overflowing step size: the first fold's MLP fit raises
+        ds = generate_synthetic(60, 3, {0}, seed=5)
+        spec = ModelSpec("mlp", {"learning_rate": 1e300, "epochs": 5})
+        with np.errstate(all="ignore"):
+            with pytest.raises(CrossValidationError, match="fold 0: softmax requires finite input"):
+                cross_validate(spec, ds, k=3, seed=0)
+
+    def test_bad_hyperparameter_fails_before_any_fold(self):
         ds = generate_synthetic(60, 3, {0}, seed=5)
         spec = ModelSpec("logistic", {"learning_rate": -1.0})
-        with pytest.raises(CrossValidationError, match="fold 0"):
+        with pytest.raises(ValueError, match="'learning_rate' of model 'logistic'"):
             cross_validate(spec, ds, k=3, seed=0)
 
     def test_two_class_schema_rejected(self):

@@ -298,6 +298,29 @@ class TestCli:
         assert result.returncode == 1
         assert "unknown model" in result.stderr
 
+    @pytest.mark.parametrize(
+        "models",
+        [
+            {"mlp": {"hidden": 2.5}},
+            {"mlp": {"batch_size": 0}},
+            {"logistic": {"epochs": "ten"}},
+            {"gbdt": {"max_depth": -1}},
+        ],
+    )
+    def test_bad_hyperparameter_exit_1(self, fixture_dir_module, tmp_path, models):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "data": str(fixture_dir_module / "fixture.csv"),
+            "schema": str(fixture_dir_module / "fixture_schema.json"),
+            "models": models,
+        }))
+        result = run_cli("run", "--config", str(config), cwd=tmp_path)
+        assert result.returncode == 1, result.stderr
+        (name, params), = models.items()
+        (key, _), = params.items()
+        assert f"hyperparameter '{key}' of model '{name}'" in result.stderr
+        assert not (tmp_path / "reports").exists()
+
     def test_unknown_subcommand_exit_1(self):
         result = run_cli("serve")
         assert result.returncode == 1

@@ -1,0 +1,133 @@
+"""Behaviour shared by the three gradient-descent trainers (logistic, SVM, MLP).
+
+Golden digests pin the fitted models bit for bit; the remaining tests pin the
+reject-and-halve step control at the edge where a step overflows.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from conftest import FIXTURE_DIR
+from mppkit.data import generate_synthetic, load_dataset, load_schema
+from mppkit.linear import GdConfig, fit_logistic, fit_svm
+from mppkit.mlp import fit_mlp
+from mppkit.serialize import to_document
+
+
+def _digest(model):
+    """sha256 of the model document with the loss history beside it.
+
+    The documents of these three model types do not carry `loss_history`,
+    so it is added here: a changed step decision shows even where the final
+    weights happen to agree.
+    """
+    schema = load_schema(FIXTURE_DIR / "fixture_schema.json")
+    doc = {"document": to_document(model, schema), "loss_history": model.loss_history}
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def _histories(model):
+    """Loss histories of a model: one per class for the SVM, else the one."""
+    history = model.loss_history
+    return history if isinstance(history[0], tuple) else (history,)
+
+
+def _halvings(model) -> int:
+    # a rejected step repeats the previous loss in the history
+    return sum(int(np.sum(np.diff(h) == 0)) for h in map(np.asarray, _histories(model)))
+
+
+@pytest.fixture(scope="module")
+def fixture_dataset():
+    schema = load_schema(FIXTURE_DIR / "fixture_schema.json")
+    return load_dataset(FIXTURE_DIR / "fixture.csv", schema)
+
+
+class TestGoldenModels:
+    """Model documents and loss histories fitted on the fixture, pinned by sha256.
+
+    The digests were recorded from the trainers that evaluated every forward
+    pass twice, before the loops were rewritten to reuse them.  Each trainer
+    has a run at its CV defaults; the second column counts the rejected
+    (halved) steps, and every trainer has at least one run with some.
+    """
+
+    CASES = {
+        "logistic_default": (
+            lambda ds: fit_logistic(ds),
+            0,
+            "e91992ddbe539e85174c62cb5cc965098573fd83ff38eacb66f43ae4c8b5ff46",
+        ),
+        "logistic_halving": (
+            lambda ds: fit_logistic(ds, GdConfig(learning_rate=50.0, epochs=60, l2=1e-3)),
+            3,
+            "0a59d6c0fbf8b73214cb0bf0cfe3f7115407a3e9f7d8c73b13c8ebc5f9850bff",
+        ),
+        "svm_default": (
+            lambda ds: fit_svm(ds),
+            161,
+            "930aef21a9d83fb5004d8dc7e7a980eb2a86aab63722f6b6bf60a84ddcac0b33",
+        ),
+        "mlp_default": (
+            lambda ds: fit_mlp(ds, cfg=GdConfig(learning_rate=0.1, epochs=500, l2=1e-4, seed=7)),
+            1,
+            "15bd3a96029facf8e05a2f2b2ffbb73132f881d4ac4c1b21d713f756e8753dfc",
+        ),
+        "mlp_halving": (
+            lambda ds: fit_mlp(
+                ds, h=8, cfg=GdConfig(learning_rate=2.0, epochs=20, l2=1e-4, seed=3), batch_size=50
+            ),
+            2,
+            "e314181186f8261045d27147435aa3a3460e4881059b5035cb56edfa48e2b241",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_document(self, fixture_dataset, case):
+        fit, halvings, expected = self.CASES[case]
+        model = fit(fixture_dataset)
+        assert _halvings(model) == halvings
+        assert _digest(model) == expected
+
+
+class TestOverflowingStep:
+    """A step size so large that the first step overflows."""
+
+    @pytest.fixture
+    def dataset(self):
+        return generate_synthetic(60, 3, {0}, seed=1)
+
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            lambda ds, cfg: fit_logistic(ds, cfg),
+            lambda ds, cfg: fit_svm(ds, cfg),
+            lambda ds, cfg: fit_mlp(ds, cfg=cfg),
+        ],
+        ids=["logistic", "svm", "mlp"],
+    )
+    def test_nan_loss_is_rejected(self, dataset, fit):
+        # with l2 = 0 the logistic and MLP penalty of an overflowed weight is
+        # 0 * inf = nan; a nan loss must count as a rise, so every step is
+        # rejected and halved
+        cfg = GdConfig(learning_rate=1e300, epochs=5)
+        with np.errstate(all="ignore"):
+            model = fit(dataset, cfg)
+        for weights in (getattr(model, name) for name in ("weights", "w1", "w2") if hasattr(model, name)):
+            assert np.isfinite(weights).all()
+        for history in _histories(model):
+            h = np.asarray(history)
+            assert h.shape == (6,)
+            assert np.isfinite(h).all()
+            assert np.all(np.diff(h) <= 0)
+
+    def test_minibatch_softmax_still_checks_finite_input(self, dataset):
+        # with l2 > 0 the overflowed weights reach a minibatch's softmax as nan
+        # in the middle of an epoch; that must raise, not train on nan
+        cfg = GdConfig(learning_rate=1e300, epochs=5, l2=1e-4)
+        with np.errstate(all="ignore"):
+            with pytest.raises(ValueError, match="softmax requires finite input"):
+                fit_mlp(dataset, cfg=cfg)

@@ -175,6 +175,17 @@ class TestFitGbdt:
         with pytest.raises(ValueError, match="shrinkage"):
             fit_gbdt(ds, rounds=1, shrinkage=0.0)
 
+    def test_tree_parameters_checked_like_fit_tree(self):
+        ds = generate_synthetic(60, 3, {0}, seed=1)
+        for kwargs, message in (
+            ({"max_depth": -1}, "max_depth must be non-negative"),
+            ({"min_samples_leaf": 0}, "min_samples_leaf must be at least 1"),
+        ):
+            with pytest.raises(ValueError, match=message):
+                fit_tree(ds, **kwargs)
+            with pytest.raises(ValueError, match=message):
+                fit_gbdt(ds, rounds=3, **kwargs)
+
     def test_loss_history_non_increasing(self):
         ds = generate_synthetic(150, 6, {0, 3}, seed=13, noise=0.1)
         model = fit_gbdt(ds, rounds=60, shrinkage=0.1)
