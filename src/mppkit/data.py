@@ -10,6 +10,15 @@ Feature order in the manifest is the canonical column order for every
 matrix the toolkit produces.  A binary feature may optionally declare its
 code mapping, e.g. ``"mapping": {"yes": 1, "no": 0}``; without one, the two
 observed codes are mapped low -> 0, high -> 1.
+
+Loading streams the file: ``load_raw`` reads BLOCK_ROWS rows at a time and
+encodes each schema column of the block to float64 (``float`` for ordinal
+and continuous cells, a code index for binary ones) plus a blank mask,
+keeping the text only of cells an error message may quote.  A column block
+is parsed in one pass of C-level calls; only a block holding padded,
+whitespace-only or unparsable cells, or a binary code not yet seen, takes
+the per-cell path.  ``clean_and_encode`` then works on whole columns: drop
+unlabelled rows, map binary codes, impute, and pick the error to report.
 """
 
 from __future__ import annotations
@@ -17,6 +26,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -25,6 +35,10 @@ import numpy as np
 from .numeric import SeededRng
 
 FEATURE_KINDS = ("binary", "ordinal", "continuous")
+
+# rows per encoded block: a block's cells are still in cache while its columns encode
+BLOCK_ROWS = 512
+_BLANK_AS_NAN = {"": "nan"}  # lets float() take a whole column block, blanks included
 
 
 class DataError(ValueError):
@@ -126,15 +140,36 @@ def load_schema(path) -> FeatureSchema:
 
 
 @dataclass
+class RawColumn:
+    """One schema column of a RawTable, encoded to float64 block by block.
+
+    `values` holds each row's number (for a binary column, the index of
+    its code in `codes`) and nan where the cell is blank or does not
+    parse; `blank` marks the cells that are empty after stripping.
+    `texts` keeps, by row, the stripped text of each present cell that a
+    message may quote: one that does not parse or is non-finite, and for
+    the label column one outside the class range.
+    """
+
+    values: np.ndarray
+    blank: np.ndarray
+    texts: dict[int, str]
+    codes: tuple[str, ...] | None = None
+
+
+@dataclass
 class RawTable:
-    """Parsed CSV: header plus rows of cells, missing cells as None."""
+    """A parsed CSV: its header, row count and encoded schema columns.
+
+    Cell text is not kept: the label column and each feature column (in
+    schema order) are RawColumns, and other columns are dropped after the
+    ragged-row check.
+    """
 
     header: list[str]
-    rows: list[list[str | None]]
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
+    n_rows: int
+    label: RawColumn
+    features: tuple[RawColumn, ...]
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,7 +230,8 @@ def load_raw(path, schema: FeatureSchema) -> RawTable:
 
     Extra columns are permitted (and ignored by the encoder) so a released
     dataset file can carry provenance columns.  Ragged rows are rejected
-    with their physical line number.
+    with their physical line number.  Cell errors are left for
+    clean_and_encode, which decides which of them is reported.
     """
     path = Path(path)
     if not path.is_file():
@@ -215,34 +251,119 @@ def _read_table(path: Path, schema: FeatureSchema) -> RawTable:
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            header = [cell.strip() for cell in next(reader)]
-        except StopIteration:
-            raise DataError(f"{path}: empty file, expected a header row") from None
-        required = schema.feature_names + [schema.label_name]
-        missing = [name for name in required if name not in header]
-        if missing:
-            raise DataError(f"{path}: header is missing column {missing[0]!r}")
-        rows: list[list[str | None]] = []
-        for cells in reader:
+            return _encode_rows(path, reader, schema)
+        except csv.Error as exc:
+            raise DataError(f"{path}: row {reader.line_num}: {exc}") from None
+
+
+def _encode_rows(path: Path, reader, schema: FeatureSchema) -> RawTable:
+    try:
+        header = [cell.strip() for cell in next(reader)]
+    except StopIteration:
+        raise DataError(f"{path}: empty file, expected a header row") from None
+    required = schema.feature_names + [schema.label_name]
+    missing = [name for name in required if name not in header]
+    if missing:
+        raise DataError(f"{path}: header is missing column {missing[0]!r}")
+
+    n_classes = schema.n_classes
+    label = _ColumnEncoder(
+        header.index(schema.label_name),
+        lambda v: (v >= 0) & (v < n_classes) & (np.floor(v) == v),
+        binary=False,
+    )
+    features = [
+        _ColumnEncoder(header.index(spec.name), np.isfinite, binary=spec.kind == "binary")
+        for spec in schema.features
+    ]
+    n_rows = 0
+    for block in _row_blocks(path, reader, len(header)):
+        columns = list(zip(*block))
+        for encoder in (label, *features):
+            encoder.add(columns[encoder.index], n_rows)
+        n_rows += len(block)
+    return RawTable(
+        header=header,
+        n_rows=n_rows,
+        label=label.finish(),
+        features=tuple(encoder.finish() for encoder in features),
+    )
+
+
+def _row_blocks(path: Path, reader, width: int):
+    """Yield the data rows in lists of up to BLOCK_ROWS, skipping blank lines."""
+    block: list[list[str]] = []
+    for cells in reader:
+        if len(cells) != width:
             if not cells:
                 continue  # blank line
-            if len(cells) != len(header):
-                raise DataError(
-                    f"{path}: row {reader.line_num}: expected {len(header)} cells, got {len(cells)}"
-                )
-            rows.append([c if c else None for c in (cell.strip() for cell in cells)])
-    return RawTable(header=header, rows=rows)
+            raise DataError(f"{path}: row {reader.line_num}: expected {width} cells, got {len(cells)}")
+        block.append(cells)
+        if len(block) == BLOCK_ROWS:
+            yield block
+            block = []
+    if block:
+        yield block
 
 
-def _parse_number(cell: str, row: int, name: str) -> float:
+class _ColumnEncoder:
+    """Turns one CSV column, a block of cells at a time, into a RawColumn."""
+
+    def __init__(self, index: int, valid, binary: bool):
+        self.index = index
+        self.valid = valid  # values -> mask of the cells no message needs to quote
+        # binary: stripped code -> its index in RawColumn.codes; a blank maps to nan
+        self.codes = {"": math.nan} if binary else None
+        self.values: list[np.ndarray] = []
+        self.blanks: list[np.ndarray] = []
+        self.texts: dict[int, str] = {}
+
+    def add(self, cells: tuple[str, ...], start: int) -> None:
+        try:  # fast path: blank cells are "" and every other cell is clean
+            if self.codes is None:
+                parsed = map(float, map(_BLANK_AS_NAN.get, cells, cells))
+            else:
+                parsed = map(self.codes.__getitem__, cells)
+            values = np.fromiter(parsed, np.float64, len(cells))
+        except (ValueError, KeyError):  # padding, whitespace-only, a new code or bad text
+            values = np.fromiter(map(self._cell_value, cells), np.float64, len(cells))
+        blank = ~self.valid(values)  # so far: blank, or a present cell to quote
+        for i in np.flatnonzero(blank).tolist():
+            text = cells[i].strip()
+            if text:
+                self.texts[start + i] = text
+                blank[i] = False
+        self.values.append(values)
+        self.blanks.append(blank)
+
+    def _cell_value(self, cell: str) -> float:
+        if self.codes is None:
+            try:
+                return float(cell)  # float() strips the same whitespace str.strip() does
+            except ValueError:
+                return math.nan
+        return self.codes.setdefault(cell.strip(), float(len(self.codes) - 1))
+
+    def finish(self) -> RawColumn:
+        return RawColumn(
+            values=np.concatenate(self.values) if self.values else np.empty(0),
+            blank=np.concatenate(self.blanks) if self.blanks else np.empty(0, dtype=bool),
+            texts=self.texts,
+            codes=None if self.codes is None else tuple(self.codes)[1:],
+        )
+
+
+def _parses(text: str) -> bool:
     try:
-        return float(cell)
+        float(text)
     except ValueError:
-        raise DataError(f"row {row}, column {name!r}: cannot parse {cell!r} as a number") from None
+        return False
+    return True
 
 
-def _encode_binary(cells: list[str | None], spec: FeatureSpec) -> list[float | None]:
-    observed = sorted({c for c in cells if c is not None})
+def _encode_binary(ids: np.ndarray, codes: tuple[str, ...], spec: FeatureSpec) -> np.ndarray:
+    index = ids.astype(np.intp)
+    observed = sorted(codes[i] for i in np.unique(index).tolist())
     if spec.mapping is not None:
         mapping = spec.mapping
         bad = [c for c in observed if c not in mapping]
@@ -271,71 +392,70 @@ def _encode_binary(cells: list[str | None], spec: FeatureSpec) -> list[float | N
                 f"column {spec.name!r}: single observed code {code!r} cannot be mapped to 0/1"
             )
         mapping = {code: int(val)}
-    return [None if c is None else float(mapping[c]) for c in cells]
+    table = np.array([mapping.get(code, math.nan) for code in codes], dtype=np.float64)
+    return table[index]
 
 
-def _mode(values: list[float]) -> float:
-    # most frequent value, ties broken by the smallest value
-    counts: dict[float, int] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
-    best = max(counts.items(), key=lambda kv: (kv[1], -kv[0]))
-    return best[0]
+def _fill_value(values: np.ndarray, kind: str) -> float:
+    if kind == "continuous":
+        return np.median(values)
+    # mode, ties broken by the smallest value; the first cell holding it
+    # gives the bits, so -0.0 and 0.0 keep the sign that came first
+    uniques, counts = np.unique(values, return_counts=True)
+    return values[np.argmax(values == uniques[np.argmax(counts)])]
 
 
 def clean_and_encode(raw: RawTable, schema: FeatureSchema) -> Dataset:
     """Encode schema columns to numbers, impute missing cells, validate labels.
 
-    Rows with a missing label are dropped.  Missing continuous cells take the
+    Rows with a missing label are dropped, and rows are numbered from 1
+    among the labelled ones in messages.  Missing continuous cells take the
     column median; missing binary and ordinal cells take the column mode.
+    Errors are reported in this order: no labelled row; the first bad
+    label; per feature in schema order, an entirely missing column, then
+    its binary codes, then its first unparsable cell; the first non-finite
+    cell in row-major order.
     """
-    col_of = {name: raw.header.index(name) for name in raw.header}
-    label_col = col_of[schema.label_name]
-
-    kept = [r for r in raw.rows if r[label_col] is not None]
-    if not kept:
+    kept = ~raw.label.blank
+    if not kept.any():
         raise DataError("no rows with a label")
+    row_number = np.cumsum(kept)  # position of each raw row among the labelled rows
 
-    labels = np.empty(len(kept), dtype=np.int64)
-    for i, row in enumerate(kept):
-        value = _parse_number(row[label_col], i + 1, schema.label_name)
-        if not value.is_integer() or not (0 <= int(value) < schema.n_classes):
-            raise DataError(
-                f"row {i + 1}: label {row[label_col]!r} outside 0..{schema.n_classes - 1}"
-            )
-        labels[i] = int(value)
-
-    columns = []
-    for spec in schema.features:
-        j = col_of[spec.name]
-        cells = [row[j] for row in kept]
-        if all(c is None for c in cells):
-            raise DataError(f"column {spec.name!r} is entirely missing")
-        if spec.kind == "binary":
-            values = _encode_binary(cells, spec)
-        else:
-            values = [
-                None if c is None else _parse_number(c, i + 1, spec.name)
-                for i, c in enumerate(cells)
-            ]
-        present = [v for v in values if v is not None]
-        if spec.kind == "continuous":
-            fill = float(np.median(present))
-        else:
-            fill = _mode(present)
-        columns.append([fill if v is None else v for v in values])
-
-    x = np.array(columns, dtype=np.float64).T.reshape(len(kept), schema.d)
-    if not np.isfinite(x).all():
-        # a missing cell can be imputed from a non-finite fill: name a cell that holds one
-        for i, j in np.argwhere(~np.isfinite(x)):
-            cell = kept[i][col_of[schema.features[j].name]]
-            if cell is not None:
+    for r, text in raw.label.texts.items():
+        if kept[r]:
+            if _parses(text):
                 raise DataError(
-                    f"row {i + 1}, column {schema.features[j].name!r}: "
-                    f"non-finite value {cell!r}"
+                    f"row {row_number[r]}: label {text!r} outside 0..{schema.n_classes - 1}"
                 )
-    return Dataset(schema=schema, x=x, y=labels)
+            raise DataError(
+                f"row {row_number[r]}, column {schema.label_name!r}: "
+                f"cannot parse {text!r} as a number"
+            )
+    labels = raw.label.values[kept].astype(np.int64)
+
+    columns = np.empty((schema.d, labels.size))
+    non_finite = []
+    for j, (spec, column) in enumerate(zip(schema.features, raw.features)):
+        present = ~column.blank[kept]
+        if not present.any():
+            raise DataError(f"column {spec.name!r} is entirely missing")
+        values = column.values[kept]
+        if spec.kind == "binary":
+            values[present] = _encode_binary(values[present], column.codes, spec)
+        quoted = [(row_number[r], text) for r, text in column.texts.items() if kept[r]]
+        for n, text in quoted:
+            if not _parses(text):
+                raise DataError(f"row {n}, column {spec.name!r}: cannot parse {text!r} as a number")
+        if quoted:
+            non_finite.append((quoted[0][0], j, quoted[0][1]))
+        elif not non_finite and not present.all():  # no fill when an error is due
+            values[~present] = _fill_value(values[present], spec.kind)
+        columns[j] = values
+
+    if non_finite:
+        n, j, text = min(non_finite)
+        raise DataError(f"row {n}, column {schema.features[j].name!r}: non-finite value {text!r}")
+    return Dataset(schema=schema, x=columns.T, y=labels)
 
 
 def load_dataset(data_path, schema: FeatureSchema) -> Dataset:

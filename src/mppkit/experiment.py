@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -24,6 +25,8 @@ from .numeric import derive_seed
 from .trees import ImportanceReport, feature_importance, fit_gbdt
 
 REPORT_FORMATS = ("csv", "json")
+# report files emit_report owns besides the per-model metrics_<model>.csv
+REPORT_NAMES = ("comparison.csv", "importance.csv", "summary.json")
 
 
 class ConfigError(ValueError):
@@ -94,6 +97,12 @@ def _parse_formats(raw) -> tuple[str, ...]:
     raise ConfigError(f"unknown report format {raw!r} (expected csv, json, or both)")
 
 
+def _config_int(key: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def load_config(
     path,
     seed: int | None = None,
@@ -127,8 +136,8 @@ def load_config(
         data_path=base / doc["data"],
         schema_path=base / doc["schema"],
         models=specs,
-        k=int(folds if folds is not None else doc.get("folds", 5)),
-        seed=int(seed if seed is not None else doc.get("seed", 0)),
+        k=_config_int("folds", folds if folds is not None else doc.get("folds", 5)),
+        seed=_config_int("seed", seed if seed is not None else doc.get("seed", 0)),
         out_dir=Path(out_dir if out_dir is not None else doc.get("out", "reports")),
         formats=_parse_formats(fmt if fmt is not None else doc.get("format", "both")),
     )
@@ -265,6 +274,7 @@ def emit_report(bundle: ReportBundle, fmt: str, out_dir) -> list[Path]:
 
     CSV values carry 6 decimal places for human tables; summary.json keeps
     full precision.  Output bytes are deterministic for a fixed bundle.
+    Report files of an earlier run in `out_dir` are removed first.
     """
     if fmt == "both":
         formats = REPORT_FORMATS
@@ -274,6 +284,9 @@ def emit_report(bundle: ReportBundle, fmt: str, out_dir) -> list[Path]:
         raise ValueError(f"unknown report format {fmt!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # the directory describes this run only: drop report files an earlier run left
+    for stale in [*(out / name for name in REPORT_NAMES), *out.glob("metrics_*.csv")]:
+        stale.unlink(missing_ok=True)
     written: list[Path] = []
 
     if "csv" in formats:

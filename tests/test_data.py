@@ -106,6 +106,12 @@ class TestLoadRaw:
         with pytest.raises(DataError, match=r"latin1\.csv: byte 12: not valid UTF-8"):
             load_raw(path, schema)
 
+    def test_csv_error_names_file_and_row(self, tmp_path):
+        schema = schema_of([("a", "continuous")])
+        path = write_csv(tmp_path, 'a,label\n1,0\n"' + "9" * 131073 + '",1\n')
+        with pytest.raises(DataError, match=r"data\.csv: row 3: field larger than field limit"):
+            load_raw(path, schema)
+
     def test_non_utf8_offset_is_from_file_start(self, tmp_path):
         # far past the text decoder's first buffer
         schema = schema_of([("a", "continuous")])
@@ -201,7 +207,7 @@ class TestCleanAndEncode:
         ds = clean_and_encode(load_raw(path, schema), schema)
         assert ds.d == 1
 
-    def test_idempotent_on_clean_values(self, fixture_dir):
+    def test_idempotent_on_clean_values(self, fixture_dir, tmp_path):
         schema = load_schema(fixture_dir / "fixture_schema.json")
         ds = clean_and_encode(load_raw(fixture_dir / "fixture.csv", schema), schema)
         # re-serialize the cleaned matrix and clean it again: nothing changes
@@ -210,13 +216,8 @@ class TestCleanAndEncode:
         for i in range(ds.n):
             cells = [repr(float(v)) for v in ds.x[i]] + [str(int(ds.y[i]))]
             lines.append(",".join(cells))
-        from mppkit.data import RawTable
-
-        table = RawTable(
-            header=header.split(","),
-            rows=[line.split(",") for line in lines[1:]],
-        )
-        again = clean_and_encode(table, schema)
+        path = write_csv(tmp_path, "\n".join(lines) + "\n")
+        again = clean_and_encode(load_raw(path, schema), schema)
         assert np.array_equal(again.x, ds.x)
         assert np.array_equal(again.y, ds.y)
 

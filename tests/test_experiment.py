@@ -87,6 +87,16 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="format"):
             load_config(fixture_config, fmt="xml")
 
+    @pytest.mark.parametrize("key", ["folds", "seed"])
+    @pytest.mark.parametrize("value", ["x", 2.7, 5.0, True, None])
+    def test_non_integer_folds_and_seed_rejected(self, fixture_config, tmp_path, key, value):
+        doc = json.loads(fixture_config.read_text())
+        doc[key] = value
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=f"config key '{key}' must be an integer"):
+            load_config(path)
+
 
 class TestRunExperiment:
     def test_bundle_shape(self, small_bundle):
@@ -320,6 +330,43 @@ class TestCli:
         (key, _), = params.items()
         assert f"hyperparameter '{key}' of model '{name}'" in result.stderr
         assert not (tmp_path / "reports").exists()
+
+    def test_non_integer_folds_exit_1(self, fixture_dir_module, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "data": str(fixture_dir_module / "fixture.csv"),
+            "schema": str(fixture_dir_module / "fixture_schema.json"),
+            "models": ["tree"],
+            "folds": "x",
+        }))
+        result = run_cli("run", "--config", str(config), cwd=tmp_path)
+        assert result.returncode == 1, result.stderr
+        assert "config key 'folds' must be an integer, got 'x'" in result.stderr
+        assert not (tmp_path / "reports").exists()
+
+    def test_csv_error_exit_2(self, fixture_dir_module, tmp_path):
+        header = (fixture_dir_module / "fixture.csv").read_text().splitlines()[0]
+        bad = tmp_path / "huge.csv"
+        bad.write_text(header + '\n"' + "9" * 131073 + '"' + ",1" * header.count(",") + "\n")
+        result = run_cli(
+            "validate-data",
+            "--data", str(bad),
+            "--schema", str(fixture_dir_module / "fixture_schema.json"),
+        )
+        assert result.returncode == 2, result.stderr
+        assert "huge.csv: row 2: field larger than field limit" in result.stderr
+
+    def test_rerun_leaves_only_its_own_reports(self, fixture_config, tmp_path):
+        out = tmp_path / "reports"
+        for models in ("tree,logistic", "tree"):
+            result = run_cli(
+                "run", "--config", str(fixture_config),
+                "--models", models, "--folds", "3", "--out", str(out),
+            )
+            assert result.returncode == 0, result.stderr
+        wrote = {line.split(" ", 1)[1] for line in result.stdout.splitlines() if line.startswith("wrote ")}
+        assert {str(p) for p in out.iterdir()} == wrote
+        assert sorted(p.name for p in out.iterdir()) == ["comparison.csv", "metrics_tree.csv", "summary.json"]
 
     def test_unknown_subcommand_exit_1(self):
         result = run_cli("serve")
