@@ -132,10 +132,22 @@ def to_document(model, schema: FeatureSchema) -> dict:
 
 
 def from_document(doc: dict):
+    """Rebuild the model a document describes.
+
+    An unsupported version, an unknown model type or a missing key (a
+    truncated document) raises ValueError.
+    """
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model document version {version!r}")
     kind = doc.get("model_type")
+    try:
+        return _model_from_document(kind, doc)
+    except KeyError as exc:
+        raise ValueError(f"truncated {kind} model document: missing key {exc.args[0]!r}") from None
+
+
+def _model_from_document(kind, doc: dict):
     hp = doc.get("hyperparameters", {})
     weights = doc.get("weights", {})
     if kind == "logistic":

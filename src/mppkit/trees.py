@@ -17,6 +17,17 @@ sorted rows filtered by the split mask.  The filter keeps order and a
 stable sort breaks value ties by row index, so every node sees exactly the
 order a fresh stable argsort of its members gives: trees match a per-node
 sort bit for bit.
+
+The kernel allocates nothing of node size: it writes every intermediate
+into views of one `_SplitWorkspace` per fit (per ensemble for boosting),
+as XGBoost keeps its split statistics in reused buffers (section 4.2).
+Only a child that may still split (below the depth limit, with at least
+twice the leaf floor) gets a sorted block; any other child becomes a leaf
+from the statistic its node gathers.  The Gini statistic is float64 one-hot
+counts: every partial sum is an integer below 2**53, so Gini gains are
+exact and one float kernel serves both learners.  A threshold is the
+midpoint of the two values it separates, or the lower value where the
+midpoint overflows or rounds up to the upper one.
 """
 
 from __future__ import annotations
@@ -118,76 +129,132 @@ def _presort(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return rows, np.take_along_axis(x.T, rows, axis=1)
 
 
-def _best_split(rows: np.ndarray, vals: np.ndarray, stat: np.ndarray, total, min_leaf: int):
+class _SplitWorkspace:
+    """Buffers `_best_split` writes into, allocated once per fit.
+
+    Sized for the root (n rows, d features, s statistic rows); a node of m
+    rows uses the first s*d*m elements of each block, so every view it takes
+    is contiguous.  `nl` and `nr` hold the left and right row counts of the
+    m split positions as `nl[:m]` = 1..m and `nr[-m:]` = m-1..1 plus a
+    sentinel 1 for the last position (everything left), which is never a
+    candidate but keeps its division finite.
+    """
+
+    def __init__(self, s: int, d: int, n: int):
+        self.blocks = np.empty((2, s * d * n))
+        self.tied = np.empty(d * n, dtype=bool)
+        self.nl = np.arange(1.0, n + 1.0)
+        self.nr = np.append(np.arange(n - 1.0, 0.0, -1.0), 1.0)
+
+
+def _best_split(rows: np.ndarray, vals: np.ndarray, stat: np.ndarray, total, min_leaf: int,
+                work: _SplitWorkspace):
     """Exhaustive best (gain, feature, threshold) over midpoint candidates, or None.
 
     `rows` and `vals` hold the node's members sorted by each feature, shape
-    (d, m); `stat` is the per-row statistic, shape (s, n), and `total` its
-    node sum, shape (s,).  With S the sum of squared statistic sums, the
-    gain is Sl/nl + Sr/nr - Sp/m: Gini decrease for one-hot class counts,
-    squared-error decrease for a residual row.  Integer counts make equal
-    partitions give bit-identical gains, so the tie-breaks (lowest feature,
-    then lowest threshold) are meaningful.  Only strictly positive gains
-    qualify.
+    (d, m), C-contiguous; `stat` is the per-row float64 statistic, shape
+    (s, n), C-contiguous, and `total` its node sum, shape (s,).  With S the
+    sum of squared statistic sums, the gain is Sl/nl + Sr/nr - Sp/m: Gini
+    decrease for one-hot class counts, squared-error decrease for a residual
+    row.  Counts are integers below 2**53 in float64, so equal partitions
+    give bit-identical gains and the tie-breaks (lowest feature, then lowest
+    threshold) are meaningful.  Only strictly positive gains qualify.
+
+    Every full-size intermediate lives in `work`: position i of feature j
+    sends the first i + 1 sorted rows left, and the last position (all
+    rows left) is masked out with the leaf floor.
     """
-    m = rows.shape[1]
-    parent_term = (total * total).sum() / m
-    sums = np.cumsum(np.take(stat, rows[:, :-1], axis=1), axis=2)  # left, (s, d, m - 1)
-    nl = np.arange(1, m)
-    nr = m - nl
-    gains = (sums * sums).sum(axis=0) / nl
-    # right sums in place, sparing a block: sl - total is exactly -(total - sl)
-    sums -= total[:, None, None]
-    gains += (sums * sums).sum(axis=0) / nr
-    gains -= parent_term
-    gains[(vals[:, 1:] <= vals[:, :-1]) | (nl < min_leaf) | (nr < min_leaf)] = -np.inf
-    j, i = divmod(int(np.argmax(gains)), m - 1)  # feature-major: first max wins
+    s = stat.shape[0]
+    d, m = rows.shape
+    left, right = (block[: s * d * m].reshape(s, d, m) for block in work.blocks)
+    np.take(stat, rows, axis=1, out=right, mode="clip")  # rows are in range: clip never clips
+    np.cumsum(right, axis=2, out=left)
+    # right sums as sl - total: exactly -(total - sl), so their squares match
+    np.subtract(left, total[:, None, None], out=right)
+    for sums, counts in ((left, work.nl[:m]), (right, work.nr[-m:])):
+        np.multiply(sums, sums, out=sums)
+        for row in sums[1:]:
+            sums[0] += row
+        sums[0] /= counts
+    gains = left[0]
+    gains += right[0]
+    gains -= (total * total).sum() / m
+    flat_vals, flat_gains = vals.ravel(), gains.ravel()
+    tied = work.tied[: d * m - 1]  # position p compares sorted values p + 1 and p
+    np.less_equal(flat_vals[1:], flat_vals[:-1], out=tied)
+    np.copyto(flat_gains[:-1], -np.inf, where=tied)
+    gains[:, : min_leaf - 1] = -np.inf
+    gains[:, m - min_leaf :] = -np.inf
+    j, i = divmod(int(np.argmax(flat_gains)), m)  # feature-major: first max wins
     if not gains[j, i] > 0:
         return None
-    return float(gains[j, i]), j, float((vals[j, i] + vals[j, i + 1]) / 2.0)
+    lo, hi = float(vals[j, i]), float(vals[j, i + 1])
+    thr = (lo + hi) / 2.0
+    if not lo <= thr < hi:  # the midpoint overflowed or rounded up to hi
+        thr = lo
+    return float(gains[j, i]), j, thr
 
 
-def _grow(x, presorted, stat, max_depth, min_leaf, make_leaf, importance) -> TreeNode:
+def _filter_block(block, keep: np.ndarray):
+    """The members of a sorted (rows, vals) block where the flat `keep` is set.
+
+    Filtering keeps each feature's sorted order, so the child block is the
+    one a fresh stable sort of the kept rows gives.
+    """
+    rows, vals = block
+    flat = np.flatnonzero(keep)
+    d = rows.shape[0]
+    return rows.take(flat).reshape(d, -1), vals.take(flat).reshape(d, -1)
+
+
+def _grow(x, presorted, stat, max_depth, min_leaf, make_leaf, importance, work) -> TreeNode:
     """Grow one tree depth-first on the shared split kernel; return its root.
 
-    `presorted` is `_presort(x)` and `stat` the (s, n) per-row statistic.
-    A node becomes `make_leaf(idx, total)` at the depth limit, below twice
-    the leaf floor, when its statistic is constant, or when no split has a
-    positive gain.  Each split adds its gain to `importance[feature]`.
+    `presorted` is `_presort(x)`, `stat` the (s, n) float64 per-row
+    statistic and `work` a `_SplitWorkspace` for (s, d, n).  A node becomes
+    a leaf with value `make_leaf(idx, node_stat)` at the depth limit, below
+    twice the leaf floor, when its statistic is constant, or when no split
+    has a positive gain.  Only a child that may split gets a sorted block.
+    Each split adds its gain to `importance[feature]`, in preorder.  The
+    pending nodes sit on an explicit stack, not in a recursive closure, whose
+    reference cycle would keep `work` alive until the next garbage
+    collection.
     """
-    go_left = np.empty(x.shape[0], dtype=bool)
+    n = x.shape[0]
+    go_left = np.empty(n, dtype=bool)
 
-    def build(idx: np.ndarray, rows: np.ndarray, vals: np.ndarray, depth: int) -> TreeNode:
-        node = stat[:, idx]
-        total = node.sum(axis=1)  # in node order, as the leaf sums it
+    def may_split(size: int, depth: int) -> bool:
+        return depth < max_depth and size >= 2 * min_leaf
+
+    root = TreeNode()
+    pending = [(root, np.arange(n), presorted if may_split(n, 0) else None, 0)]
+    while pending:
+        node, idx, block, depth = pending.pop()
+        node_stat = stat[:, idx]
         found = None
-        if depth < max_depth and idx.size >= 2 * min_leaf and (node != node[:, :1]).any():
-            found = _best_split(rows, vals, stat, total, min_leaf)
+        if block is not None and (node_stat != node_stat[:, :1]).any():
+            total = node_stat.sum(axis=1)  # in node order, as the leaf sums it
+            found = _best_split(*block, stat, total, min_leaf, work)
         if found is None:
-            return make_leaf(idx, total)
-        gain, j, thr = found
-        importance[j] += gain
-        # filtering the parent's block keeps each feature's sorted order
-        mask = x[idx, j] <= thr
-        go_left[idx] = mask
-        keep = go_left[rows].ravel()
-        children = []
-        for side, members in ((keep, mask), (~keep, ~mask)):
-            flat = np.flatnonzero(side)
-            shape = (rows.shape[0], flat.size // rows.shape[0])
-            children.append(
-                (idx[members], rows.take(flat).reshape(shape), vals.take(flat).reshape(shape))
-            )
-        left, right = children
-        del keep, flat  # not held while the subtrees grow
-        return TreeNode(
-            feature=j,
-            threshold=thr,
-            left=build(*left, depth + 1),
-            right=build(*right, depth + 1),
-        )
-
-    return build(np.arange(x.shape[0]), *presorted, 0)
+            node.value = make_leaf(idx, node_stat)
+            continue
+        gain, node.feature, node.threshold = found
+        importance[node.feature] += gain
+        mask = x[idx, node.feature] <= node.threshold
+        sides = (idx[mask], idx[~mask])
+        blocks = [None, None]
+        wanted = [may_split(side.size, depth + 1) for side in sides]
+        if any(wanted):
+            go_left[idx] = mask
+            keep = go_left[block[0]].ravel()
+            if wanted[0]:
+                blocks[0] = _filter_block(block, keep)
+            if wanted[1]:
+                blocks[1] = _filter_block(block, ~keep)
+        node.left, node.right = TreeNode(), TreeNode()
+        pending.append((node.right, sides[1], blocks[1], depth + 1))
+        pending.append((node.left, sides[0], blocks[0], depth + 1))  # popped first
+    return root
 
 
 def _check_tree_params(max_depth: int, min_samples_leaf: int):
@@ -207,12 +274,13 @@ def fit_tree(dataset: Dataset, max_depth: int = 5, min_samples_leaf: int = 2) ->
         raise ValueError("empty dataset")
     _check_tree_params(max_depth, min_samples_leaf)
     k = dataset.schema.n_classes
-    onehot = np.zeros((k, dataset.n), dtype=np.int64)
-    onehot[dataset.y, np.arange(dataset.n)] = 1
+    onehot = np.zeros((k, dataset.n))  # float64 counts: exact, so Gini gains are too
+    onehot[dataset.y, np.arange(dataset.n)] = 1.0
     root = _grow(
         dataset.x, _presort(dataset.x), onehot, max_depth, min_samples_leaf,
-        make_leaf=lambda idx, counts: TreeNode(value=counts.astype(np.float64)),
+        make_leaf=lambda idx, node_stat: node_stat.sum(axis=1),
         importance=np.zeros(dataset.d),  # the lone tree reports no importance
+        work=_SplitWorkspace(k, dataset.d, dataset.n),
     )
     return TreeModel(
         root=root,
@@ -235,22 +303,24 @@ def predict_tree_batch(model: TreeModel, x: np.ndarray) -> np.ndarray:
     return np.argmax(tree_apply(model.root, x), axis=1).astype(np.int64)
 
 
-def _fit_regression_tree(x, presorted, targets, max_depth, min_leaf, leaf_value, importance):
+def _fit_regression_tree(x, presorted, targets, max_depth, min_leaf, leaf_value, importance, work):
     """Variance-reduction regression tree; returns (root, in-sample predictions).
 
-    `presorted` is `_presort(x)`, shared by every tree of one ensemble.
-    Split gains (sum-of-squares reduction) are accumulated per feature into
+    `presorted` is `_presort(x)` and `work` a `_SplitWorkspace` for
+    (1, d, n), both shared by every tree of one ensemble.  Split gains
+    (sum-of-squares reduction) are accumulated per feature into
     `importance`.  Leaf payloads come from `leaf_value`, so the boosting loop
     can install its closed-form log-loss update.
     """
     out = np.empty(x.shape[0])
 
-    def make_leaf(idx: np.ndarray, total) -> TreeNode:
-        gamma = leaf_value(targets[idx])
+    def make_leaf(idx: np.ndarray, node_stat: np.ndarray) -> np.ndarray:
+        gamma = leaf_value(node_stat[0])
         out[idx] = gamma
-        return TreeNode(value=np.array([gamma]))
+        return np.array([gamma])
 
-    root = _grow(x, presorted, targets[None, :], max_depth, min_leaf, make_leaf, importance)
+    stat = np.ascontiguousarray(targets)[None, :]  # the kernel gathers from contiguous rows
+    root = _grow(x, presorted, stat, max_depth, min_leaf, make_leaf, importance, work)
     return root, out
 
 
@@ -301,6 +371,7 @@ def fit_gbdt(
 
     importance = np.zeros(dataset.d)
     presorted = _presort(x)  # x never changes, so one sort serves every tree
+    work = _SplitWorkspace(1, dataset.d, n)
     all_trees = []
     history = [_log_loss(scores, y)]
     for _ in range(rounds):
@@ -309,7 +380,8 @@ def fit_gbdt(
         step = np.empty((n, k))
         for c in range(k):
             root, pred = _fit_regression_tree(
-                x, presorted, residuals[:, c], max_depth, min_samples_leaf, newton_leaf, importance
+                x, presorted, residuals[:, c], max_depth, min_samples_leaf, newton_leaf,
+                importance, work,
             )
             group.append(root)
             step[:, c] = pred

@@ -104,6 +104,29 @@ class TestDocumentShape:
         with pytest.raises(ValueError, match="model_type"):
             from_document({"format_version": FORMAT_VERSION, "model_type": "forest"})
 
+    @pytest.mark.parametrize(
+        ("fit", "section", "key"),
+        [
+            (fit_logistic, "weights", "coef"),
+            (fit_svm, "hyperparameters", "reg_c"),
+            (lambda ds: fit_tree(ds, max_depth=2), "weights", "root"),
+            (lambda ds: fit_gbdt(ds, rounds=2), "weights", "trees"),
+            (lambda ds: fit_mlp(ds, h=3, cfg=GdConfig(epochs=2, seed=1)), "weights", "w2"),
+        ],
+    )
+    def test_truncated_document_names_missing_key(self, dataset, fit, section, key):
+        doc = to_document(fit(dataset), dataset.schema)
+        del doc[section][key]
+        with pytest.raises(ValueError, match=f"truncated {doc['model_type']} model document: "
+                           f"missing key '{key}'"):
+            from_document(doc)
+
+    def test_truncated_tree_node_names_missing_key(self, dataset):
+        doc = to_document(fit_tree(dataset, max_depth=2), dataset.schema)
+        del doc["weights"]["root"]["right"]
+        with pytest.raises(ValueError, match="missing key 'right'"):
+            from_document(doc)
+
     def test_unserializable_object_rejected(self, dataset):
         with pytest.raises(TypeError):
             to_document(object(), dataset.schema)

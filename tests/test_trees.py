@@ -11,6 +11,7 @@ from mppkit.serialize import to_document
 from mppkit.trees import (
     GbdtModel,
     TreeNode,
+    _SplitWorkspace,
     _best_split,
     _presort,
     feature_importance,
@@ -311,6 +312,35 @@ class TestTreeApply:
             assert np.array_equal(table[i], node.value)
 
 
+_AFTER_ONE = float(np.nextafter(1.0, 2.0))
+# (lo, hi) pairs whose midpoint is not in [lo, hi): it overflows to inf, or
+# it rounds up to hi (adjacent doubles, round half to even)
+MIDPOINT_OUTSIDE = {
+    "overflow": (1e308, 1.5e308),
+    "adjacent": (_AFTER_ONE, float(np.nextafter(_AFTER_ONE, 2.0))),
+}
+
+
+class TestSplitThreshold:
+    """A threshold separates its split's sides even when the midpoint cannot."""
+
+    @pytest.fixture(params=sorted(MIDPOINT_OUTSIDE))
+    def two_values(self, request):
+        lo, hi = MIDPOINT_OUTSIDE[request.param]
+        return make_dataset(np.array([[lo]] * 3 + [[hi]] * 3), [0, 0, 0, 1, 1, 1], n_classes=2)
+
+    def test_tree_threshold_is_lower_value(self, two_values):
+        model = fit_tree(two_values, max_depth=1, min_samples_leaf=1)
+        assert model.root.threshold == two_values.x[0, 0]
+        assert np.array_equal(predict_tree_batch(model, two_values.x), two_values.y)
+
+    def test_gbdt_loss_falls_below_ln2(self, two_values):
+        model = fit_gbdt(two_values, rounds=5)
+        assert model.loss_history[0] == pytest.approx(np.log(2.0))
+        assert model.loss_history[-1] < 0.5
+        assert np.array_equal(predict_gbdt_batch(model, two_values.x)[0], two_values.y)
+
+
 def brute_force_split(x, stat, min_leaf):
     """Reference for `_best_split`: every (feature, midpoint) pair, one at a time.
 
@@ -354,7 +384,8 @@ class TestSplitKernel:
 
     def _kernel(self, x, stat, min_leaf):
         rows, vals = _presort(x)
-        return _best_split(rows, vals, stat, stat.sum(axis=1), min_leaf)
+        work = _SplitWorkspace(stat.shape[0], x.shape[1], x.shape[0])
+        return _best_split(rows, vals, stat, stat.sum(axis=1), min_leaf, work)
 
     def test_gini_counts_match_brute_force(self):
         rng = SeededRng(31)
@@ -363,8 +394,8 @@ class TestSplitKernel:
             n = 2 + int(rng.integers(0, 15))
             x = _tied_matrix(rng, n, 2 + int(rng.integers(0, 3)))
             y = rng.integers(0, 3, n)
-            stat = np.zeros((3, n), dtype=np.int64)
-            stat[y, np.arange(n)] = 1
+            stat = np.zeros((3, n))
+            stat[y, np.arange(n)] = 1.0
             for min_leaf in self.MIN_LEAVES:
                 expected = brute_force_split(x, stat, min_leaf)
                 assert self._kernel(x, stat, min_leaf) == expected, (trial, min_leaf)
@@ -395,13 +426,13 @@ class TestSplitKernel:
 
     def test_duplicate_columns_pick_lowest_feature(self):
         x = np.array([[5.0, 0.0, 0.0], [5.0, 1.0, 1.0], [5.0, 2.0, 2.0], [5.0, 3.0, 3.0]])
-        stat = np.array([[1, 1, 0, 0], [0, 0, 1, 1], [0, 0, 0, 0]], dtype=np.int64)
+        stat = np.array([[1.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
         # column 0 is constant and offers no candidate; 1 and 2 tie exactly
         assert self._kernel(x, stat, 1) == (2.0, 1, 1.5)
 
     def test_no_valid_split(self):
         x = np.array([[0.0], [0.0], [1.0], [1.0]])
-        stat = np.array([[1, 0, 1, 0], [0, 1, 0, 1], [0, 0, 0, 0]], dtype=np.int64)
+        stat = np.array([[1.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 1.0], [0.0, 0.0, 0.0, 0.0]])
         assert self._kernel(x, stat, 1) is None  # the only split has zero gain
         assert self._kernel(x, stat[:, [0, 0, 1, 1]], 3) is None  # leaf floor too high
         assert self._kernel(np.ones((4, 2)), stat, 1) is None  # constant columns
@@ -416,9 +447,13 @@ def _fixture_digest(model):
 class TestGoldenModels:
     """Model documents fitted on the fixture, pinned by sha256.
 
-    The digests were recorded from the per-node argsort search that the
-    presorted kernel replaced, so any change to a split, threshold, leaf,
-    importance or loss value shows here.
+    The default-parameter digests were recorded from the per-node argsort
+    search that the presorted kernel replaced, and the others from the
+    presorted kernel before it moved its intermediates into a per-fit
+    workspace and stopped sorting children that cannot split; so any change
+    to a split, threshold, leaf, importance or loss value shows here.  The
+    non-default depths and leaf floors pin the edges of the candidate window
+    and of the children that get no sorted block.
     """
 
     @pytest.fixture(scope="class")
@@ -433,3 +468,24 @@ class TestGoldenModels:
     def test_gbdt_document(self, fixture_dataset):
         digest = _fixture_digest(fit_gbdt(fixture_dataset, rounds=20))
         assert digest == "33dcf1b720fd70bd5af6eb1adc0b6c67b97f9a0f65bd3ac3a21479d08b6d1cf2"
+
+    @pytest.mark.parametrize(
+        ("max_depth", "min_samples_leaf", "digest"),
+        [
+            (1, 1, "686f8d927473cfca0c4693d00f78ba444b9829bee96a41600ffdc802956deade"),
+            (1, 5, "b1f0436ad18c057c1c7fd9c724046e5a19e5b15b3a5b4035dde8c412b70d9b1f"),
+            (4, 1, "cca0a177b444470980a87960c8b126d2741143ca8bab02d4f1275801138c1a16"),
+            (4, 5, "90baa1d2a30b4ef6223bc1cfad38406a61ef6809888019d52e24f28eedc5af6d"),
+        ],
+    )
+    def test_gbdt_document_at_depth_and_leaf_floor(
+        self, fixture_dataset, max_depth, min_samples_leaf, digest
+    ):
+        model = fit_gbdt(
+            fixture_dataset, rounds=20, max_depth=max_depth, min_samples_leaf=min_samples_leaf
+        )
+        assert _fixture_digest(model) == digest
+
+    def test_tree_document_shallow_with_leaf_floor(self, fixture_dataset):
+        digest = _fixture_digest(fit_tree(fixture_dataset, max_depth=2, min_samples_leaf=5))
+        assert digest == "15e08bac6c3fe74fdfe0b7d346c952a6b3fe8a882b0de6361f68798069567af3"
