@@ -13,19 +13,19 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 runtime failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 import numpy as np
 
 from .data import DataError, load_dataset, load_schema
-from .evaluation import MODEL_NAMES, resolve_params
+from .evaluation import resolve_params
 from .experiment import (
     ConfigError,
     compare_models,
     emit_report,
     load_config,
     run_experiment,
+    write_importance,
 )
 from .trees import feature_importance, fit_gbdt
 
@@ -70,9 +70,6 @@ def _model_list(arg: str | None) -> list[str] | None:
     names = [name.strip() for name in arg.split(",") if name.strip()]
     if not names:
         raise ConfigError("--models requires at least one model name")
-    for name in names:
-        if name not in MODEL_NAMES:
-            raise ConfigError(f"unknown model name {name!r}; expected one of {list(MODEL_NAMES)}")
     return names
 
 
@@ -86,8 +83,7 @@ def _cmd_run(args) -> int:
         fmt=args.format,
     )
     bundle = run_experiment(config)
-    fmt = "both" if len(config.formats) == 2 else config.formats[0]
-    written = emit_report(bundle, fmt, config.out_dir)
+    written = emit_report(bundle, config.formats, config.out_dir)
 
     print(f"run complete: {len(bundle.reports)} model(s), k={config.k}, seed={config.seed}")
     for row in compare_models(bundle):
@@ -103,23 +99,12 @@ def _cmd_importance(args) -> int:
     schema = load_schema(config.schema_path)
     dataset = load_dataset(config.data_path, schema)
     overrides = {m.name: m.params for m in config.models}
-    params = resolve_params("gbdt", overrides.get("gbdt", {}))
-    model = fit_gbdt(
-        dataset,
-        params["rounds"],
-        params["shrinkage"],
-        params["max_depth"],
-        params["min_samples_leaf"],
-    )
+    model = fit_gbdt(dataset, **resolve_params("gbdt", overrides.get("gbdt")))
     report = feature_importance(model, schema)
 
-    out = config.out_dir
-    out.mkdir(parents=True, exist_ok=True)
-    path = out / "importance.csv"
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["feature", "importance"])
-        writer.writerows([name, repr(float(weight))] for name, weight in report.entries)
+    config.out_dir.mkdir(parents=True, exist_ok=True)
+    path = config.out_dir / "importance.csv"
+    write_importance(path, report)
 
     print("feature importance (full-dataset GBDT fit):")
     for rank, (name, weight) in enumerate(report.entries[:10], start=1):

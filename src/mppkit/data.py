@@ -27,6 +27,7 @@ import csv
 import hashlib
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -60,6 +61,8 @@ class FeatureSpec:
         if self.mapping is not None:
             if self.kind != "binary":
                 raise DataError(f"feature {self.name!r}: mapping is only valid for binary features")
+            if not isinstance(self.mapping, dict):
+                raise DataError(f"feature {self.name!r}: mapping must be an object, got {self.mapping!r}")
             if sorted(self.mapping.values()) != [0, 1]:
                 raise DataError(f"feature {self.name!r}: mapping must cover exactly {{0, 1}}")
 
@@ -81,6 +84,8 @@ class FeatureSchema:
             raise DataError("feature names must be unique")
         if not self.label_name:
             raise DataError("label column name must be non-empty")
+        if isinstance(self.n_classes, bool) or not isinstance(self.n_classes, numbers.Integral):
+            raise DataError(f"schema key 'n_classes' must be an integer, got {self.n_classes!r}")
         if self.n_classes < 2:
             raise DataError("n_classes must be at least 2")
 
@@ -116,7 +121,7 @@ class FeatureSchema:
             return cls(
                 features=feats,
                 label_name=doc.get("label", "label"),
-                n_classes=int(doc.get("n_classes", 3)),
+                n_classes=doc.get("n_classes", 3),
             )
         except (KeyError, TypeError) as exc:
             raise DataError(f"malformed schema manifest: {exc}") from exc

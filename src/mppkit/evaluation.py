@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -120,8 +121,6 @@ MODEL_DEFAULTS: dict[str, dict] = {
     "mlp": {"hidden": 16, "learning_rate": 0.1, "epochs": 500, "l2": 1e-4, "batch_size": 32},
 }
 
-MODEL_NAMES = tuple(MODEL_DEFAULTS)
-
 
 def _integer(low: int):
     return lambda v: isinstance(v, numbers.Integral) and v >= low, f"an integer >= {low}"
@@ -153,7 +152,7 @@ def resolve_params(name: str, overrides: dict | None = None) -> dict:
     ValueError before any training starts.
     """
     if name not in MODEL_DEFAULTS:
-        raise ValueError(f"unknown model name {name!r}; expected one of {list(MODEL_NAMES)}")
+        raise ValueError(f"unknown model name {name!r}; expected one of {list(MODEL_DEFAULTS)}")
     params = dict(MODEL_DEFAULTS[name])
     for key, value in (overrides or {}).items():
         if key not in params:
@@ -165,42 +164,45 @@ def resolve_params(name: str, overrides: dict | None = None) -> dict:
     return params
 
 
+class ModelEntry(NamedTuple):
+    fit: Callable  # (dataset, params as resolve_params returns them, seed) -> model
+    predict: Callable  # (model, x) -> predicted label of each row of x
+
+
+# model name -> how to fit and predict it.  The lambdas look the trainers up
+# as module globals when called, so a wrapper installed on this module's
+# attributes (as a tracer does) sees every call.  resolve_params' keys are
+# fit_tree's and fit_gbdt's keywords.
+MODELS: dict[str, ModelEntry] = {
+    "logistic": ModelEntry(
+        lambda data, p, seed: fit_logistic(data, GdConfig(p["learning_rate"], p["epochs"], p["l2"], seed)),
+        lambda model, x: predict_logistic_batch(model, x)[0]),
+    "svm": ModelEntry(
+        lambda data, p, seed: fit_svm(data, GdConfig(p["learning_rate"], p["epochs"], 0.0, seed), p["reg_c"]),
+        lambda model, x: predict_svm_batch(model, x)),
+    "tree": ModelEntry(
+        lambda data, p, seed: fit_tree(data, **p),
+        lambda model, x: predict_tree_batch(model, x)),
+    "gbdt": ModelEntry(
+        lambda data, p, seed: fit_gbdt(data, **p),
+        lambda model, x: predict_gbdt_batch(model, x)[0]),
+    "mlp": ModelEntry(
+        lambda data, p, seed: fit_mlp(
+            data, p["hidden"], GdConfig(p["learning_rate"], p["epochs"], p["l2"], seed), p["batch_size"]),
+        lambda model, x: predict_mlp_batch(model, x)[0]),
+}
+
+
+def fit_model(name: str, params: dict, dataset: Dataset, seed: int):
+    """Fit model `name` with `params` over its defaults (see resolve_params)."""
+    resolved = resolve_params(name, params)  # first: it names an unknown model
+    return MODELS[name].fit(dataset, resolved, seed)
+
+
 def fit_predictor(name: str, params: dict, dataset: Dataset, seed: int):
     """Fit one model and return a batch label-prediction callable."""
-    if name == "logistic":
-        model = fit_logistic(
-            dataset,
-            GdConfig(params["learning_rate"], params["epochs"], params["l2"], seed),
-        )
-        return lambda x: predict_logistic_batch(model, x)[0]
-    if name == "svm":
-        model = fit_svm(
-            dataset,
-            GdConfig(params["learning_rate"], params["epochs"], 0.0, seed),
-            reg_c=params["reg_c"],
-        )
-        return lambda x: predict_svm_batch(model, x)
-    if name == "tree":
-        model = fit_tree(dataset, params["max_depth"], params["min_samples_leaf"])
-        return lambda x: predict_tree_batch(model, x)
-    if name == "gbdt":
-        model = fit_gbdt(
-            dataset,
-            params["rounds"],
-            params["shrinkage"],
-            params["max_depth"],
-            params["min_samples_leaf"],
-        )
-        return lambda x: predict_gbdt_batch(model, x)[0]
-    if name == "mlp":
-        model = fit_mlp(
-            dataset,
-            h=params["hidden"],
-            cfg=GdConfig(params["learning_rate"], params["epochs"], params["l2"], seed),
-            batch_size=params["batch_size"],
-        )
-        return lambda x: predict_mlp_batch(model, x)[0]
-    raise ValueError(f"unknown model name {name!r}; expected one of {list(MODEL_NAMES)}")
+    model = fit_model(name, params, dataset, seed)
+    return lambda x: MODELS[name].predict(model, x)
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,7 +14,7 @@ import csv
 import hashlib
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -73,16 +73,22 @@ class ExperimentConfig:
         return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _model_spec(name, params) -> ModelSpec:
+    if not isinstance(params, dict):
+        raise ConfigError(f"params of model {name!r} must be an object, got {params!r}")
+    return ModelSpec(name, dict(params))
+
+
 def _parse_models(raw) -> tuple[ModelSpec, ...]:
     if isinstance(raw, dict):
-        return tuple(ModelSpec(name, dict(params or {})) for name, params in raw.items())
+        return tuple(_model_spec(name, params) for name, params in raw.items())
     if isinstance(raw, list):
         specs = []
         for entry in raw:
             if isinstance(entry, str):
                 specs.append(ModelSpec(entry))
-            elif isinstance(entry, dict) and "name" in entry:
-                specs.append(ModelSpec(entry["name"], dict(entry.get("params", {}))))
+            elif isinstance(entry, dict) and isinstance(entry.get("name"), str):
+                specs.append(_model_spec(entry["name"], entry.get("params", {})))
             else:
                 raise ConfigError(f"cannot parse model entry {entry!r}")
         return tuple(specs)
@@ -95,6 +101,12 @@ def _parse_formats(raw) -> tuple[str, ...]:
     if raw in REPORT_FORMATS:
         return (raw,)
     raise ConfigError(f"unknown report format {raw!r} (expected csv, json, or both)")
+
+
+def _config_str(key: str, value) -> str:
+    if not isinstance(value, str):
+        raise ConfigError(f"config key {key!r} must be a string, got {value!r}")
+    return value
 
 
 def _config_int(key: str, value) -> int:
@@ -123,6 +135,8 @@ def load_config(
         doc = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config file {path} must hold a JSON object")
     for key in ("data", "schema", "models"):
         if key not in doc:
             raise ConfigError(f"config file is missing key {key!r}")
@@ -133,12 +147,12 @@ def load_config(
         overrides = {m.name: m.params for m in specs}
         specs = tuple(ModelSpec(name, overrides.get(name, {})) for name in models)
     return ExperimentConfig(
-        data_path=base / doc["data"],
-        schema_path=base / doc["schema"],
+        data_path=base / _config_str("data", doc["data"]),
+        schema_path=base / _config_str("schema", doc["schema"]),
         models=specs,
         k=_config_int("folds", folds if folds is not None else doc.get("folds", 5)),
         seed=_config_int("seed", seed if seed is not None else doc.get("seed", 0)),
-        out_dir=Path(out_dir if out_dir is not None else doc.get("out", "reports")),
+        out_dir=Path(out_dir if out_dir is not None else _config_str("out", doc.get("out", "reports"))),
         formats=_parse_formats(fmt if fmt is not None else doc.get("format", "both")),
     )
 
@@ -183,14 +197,7 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
     importance = None
     for spec in config.models:
         if spec.name == "gbdt":
-            params = resolve_params("gbdt", spec.params)
-            full_fit = fit_gbdt(
-                dataset,
-                params["rounds"],
-                params["shrinkage"],
-                params["max_depth"],
-                params["min_samples_leaf"],
-            )
+            full_fit = fit_gbdt(dataset, **resolve_params("gbdt", spec.params))
             importance = feature_importance(full_fit, schema)
 
     return ReportBundle(
@@ -238,28 +245,19 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows([_fmt(cell) for cell in row] for row in rows)
 
 
+def write_importance(path: Path, ranking: ImportanceReport) -> None:
+    """Write importance.csv at full precision: the ranking's weights must
+    sum to 1 within 1e-9, which 6-decimal rounding cannot guarantee."""
+    _write_csv(path, ["feature", "importance"], [[name, repr(float(w))] for name, w in ranking.entries])
+
+
 def _report_to_obj(r: CvReport) -> dict:
     return {
         "model": r.model,
         "params": r.params,
         "confusion_matrix": [[int(v) for v in row] for row in r.matrix],
         "accuracy": r.accuracy,
-        "per_class": [
-            {
-                "class_id": cm.class_id,
-                "tp": cm.tp,
-                "fp": cm.fp,
-                "fn": cm.fn,
-                "tn": cm.tn,
-                "precision": cm.precision,
-                "recall": cm.recall,
-                "f1": cm.f1,
-                "precision_defined": cm.precision_defined,
-                "recall_defined": cm.recall_defined,
-                "f1_defined": cm.f1_defined,
-            }
-            for cm in r.per_class
-        ],
+        "per_class": [asdict(cm) for cm in r.per_class],
         "fold_accuracies": list(r.fold_accuracies),
         "fold_accuracy_mean": r.fold_accuracy_mean,
         "fold_accuracy_std": r.fold_accuracy_std,
@@ -269,19 +267,15 @@ def _report_to_obj(r: CvReport) -> dict:
     }
 
 
-def emit_report(bundle: ReportBundle, fmt: str, out_dir) -> list[Path]:
-    """Write comparison/metrics/importance CSV tables and/or the JSON summary.
+def emit_report(bundle: ReportBundle, formats: tuple[str, ...], out_dir) -> list[Path]:
+    """Write the CSV tables and/or the JSON summary, as `formats` ("csv", "json") asks.
 
     CSV values carry 6 decimal places for human tables; summary.json keeps
     full precision.  Output bytes are deterministic for a fixed bundle.
     Report files of an earlier run in `out_dir` are removed first.
     """
-    if fmt == "both":
-        formats = REPORT_FORMATS
-    elif fmt in REPORT_FORMATS:
-        formats = (fmt,)
-    else:
-        raise ValueError(f"unknown report format {fmt!r}")
+    if not set(formats) <= set(REPORT_FORMATS):
+        raise ValueError(f"unknown report format in {formats!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     # the directory describes this run only: drop report files an earlier run left
@@ -301,25 +295,13 @@ def emit_report(bundle: ReportBundle, fmt: str, out_dir) -> list[Path]:
                 "precision", "recall", "f1",
                 "precision_defined", "recall_defined", "f1_defined",
             ]
-            rows = [
-                [
-                    cm.class_id, cm.tp, cm.fp, cm.fn, cm.tn,
-                    float(cm.precision), float(cm.recall), float(cm.f1),
-                    int(cm.precision_defined), int(cm.recall_defined), int(cm.f1_defined),
-                ]
-                for cm in r.per_class
-            ]
+            # ClassMetrics' fields in the header's order, the flags written as 0/1
+            rows = [[int(v) if isinstance(v, bool) else v for v in asdict(cm).values()] for cm in r.per_class]
             _write_csv(path, header, rows)
             written.append(path)
         if bundle.importance is not None:
-            # full precision here: the ranking's weights must sum to 1 within
-            # 1e-9, which 6-decimal rounding cannot guarantee
             path = out / "importance.csv"
-            _write_csv(
-                path,
-                ["feature", "importance"],
-                [[name, repr(float(weight))] for name, weight in bundle.importance.entries],
-            )
+            write_importance(path, bundle.importance)
             written.append(path)
 
     if "json" in formats:

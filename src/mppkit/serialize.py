@@ -135,8 +135,14 @@ def from_document(doc: dict):
     """Rebuild the model a document describes.
 
     An unsupported version, an unknown model type or a missing key (a
-    truncated document) raises ValueError.
+    truncated document) raises ValueError, as does a document, or a
+    hyperparameters or weights section, that is not a JSON object.
     """
+    if not isinstance(doc, dict):
+        raise ValueError(f"model document must be a JSON object, got {type(doc).__name__}")
+    for key in ("hyperparameters", "weights"):
+        if not isinstance(doc.get(key, {}), dict):
+            raise ValueError(f"model document key {key!r} must be a JSON object")
     version = doc.get("format_version")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model document version {version!r}")

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -58,6 +59,25 @@ class TestSchema:
         loaded = load_schema(path)
         assert loaded == schema
         assert loaded.schema_hash() == schema.schema_hash()
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"n_classes": "x"}, "schema key 'n_classes' must be an integer, got 'x'"),
+            ({"n_classes": 3.7}, "schema key 'n_classes' must be an integer, got 3.7"),
+            ({"n_classes": True}, "schema key 'n_classes' must be an integer, got True"),
+            (
+                {"features": [{"name": "Cough", "kind": "binary", "mapping": ["yes", "no"]}]},
+                "feature 'Cough': mapping must be an object, got ['yes', 'no']",
+            ),
+        ],
+    )
+    def test_malformed_manifest_names_the_key(self, tmp_path, change, message):
+        doc = {"label": "label", "n_classes": 3, "features": [{"name": "a", "kind": "continuous"}]}
+        path = tmp_path / "schema.json"
+        path.write_text(json.dumps({**doc, **change}))
+        with pytest.raises(DataError, match=re.escape(message)):
+            load_schema(path)
 
     def test_missing_manifest_file(self, tmp_path):
         with pytest.raises(DataError):

@@ -5,14 +5,19 @@ from conftest import make_dataset
 from mppkit.data import generate_synthetic
 from mppkit.evaluation import (
     MODEL_DEFAULTS,
+    MODELS,
     CrossValidationError,
     ModelSpec,
     confusion_matrix,
     cross_validate,
+    fit_model,
+    fit_predictor,
     overall_accuracy,
     per_class_metrics,
     resolve_params,
 )
+from mppkit.linear import GdConfig, fit_svm
+from mppkit.mlp import fit_mlp
 from mppkit.numeric import SeededRng
 
 
@@ -203,6 +208,44 @@ class TestResolveParams:
 
     def test_integer_accepted_for_a_rate(self):
         assert resolve_params("logistic", {"learning_rate": 1, "l2": 0})["learning_rate"] == 1
+
+
+class TestModelTable:
+    QUICK = {
+        "logistic": {"epochs": 5},
+        "svm": {"epochs": 5},
+        "tree": {"max_depth": 2},
+        "gbdt": {"rounds": 3},
+        "mlp": {"epochs": 5, "hidden": 4},
+    }
+
+    def test_one_entry_per_model(self):
+        assert list(MODELS) == list(MODEL_DEFAULTS)
+
+    @pytest.mark.parametrize("name", list(MODEL_DEFAULTS))
+    def test_predictor_predicts_with_the_fitted_model(self, name):
+        ds = generate_synthetic(60, 3, {0}, seed=5)
+        params = resolve_params(name, self.QUICK[name])
+        labels = MODELS[name].predict(fit_model(name, params, ds, 1), ds.x)
+        assert labels.shape == (60,)
+        assert set(labels.tolist()) <= {0, 1, 2}
+        assert np.array_equal(fit_predictor(name, params, ds, 1)(ds.x), labels)
+
+    def test_gradient_trainers_get_their_params_and_seed(self):
+        ds = generate_synthetic(60, 3, {0}, seed=5)
+        p = resolve_params("svm", {"epochs": 5, "learning_rate": 0.05, "reg_c": 2.0})
+        via_table = fit_model("svm", p, ds, 3)
+        assert np.array_equal(via_table.weights, fit_svm(ds, GdConfig(0.05, 5, 0.0, 3), 2.0).weights)
+        p = resolve_params("mlp", {"epochs": 5, "hidden": 4, "l2": 0.01, "batch_size": 8})
+        via_table = fit_model("mlp", p, ds, 3)
+        direct = fit_mlp(ds, 4, GdConfig(0.1, 5, 0.01, 3), 8)
+        assert np.array_equal(via_table.w1, direct.w1)
+        assert np.array_equal(via_table.w2, direct.w2)
+
+    def test_unknown_model(self):
+        ds = generate_synthetic(60, 3, {0}, seed=5)
+        with pytest.raises(ValueError, match="unknown model name 'forest'"):
+            fit_model("forest", {}, ds, 0)
 
 
 class TestCrossValidate:

@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 
@@ -98,6 +99,31 @@ class TestLoadConfig:
             load_config(path)
 
 
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"models": {"gbdt": [1]}}, "params of model 'gbdt' must be an object, got [1]"),
+            ({"models": [{"name": "tree", "params": [1]}]}, "params of model 'tree' must be an object, got [1]"),
+            ({"models": [{"name": "tree", "params": None}]}, "params of model 'tree' must be an object, got None"),
+            ({"models": [{"name": ["tree"]}]}, "cannot parse model entry {'name': ['tree']}"),
+            ({"data": 5}, "config key 'data' must be a string, got 5"),
+            ({"schema": ["s.json"]}, "config key 'schema' must be a string, got ['s.json']"),
+            ({"out": 5}, "config key 'out' must be a string, got 5"),
+        ],
+    )
+    def test_malformed_config_names_the_key(self, fixture_config, tmp_path, change, message):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({**json.loads(fixture_config.read_text()), **change}))
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(path)
+
+    def test_config_must_be_an_object(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text("[1]")
+        with pytest.raises(ConfigError, match="must hold a JSON object"):
+            load_config(path)
+
+
 class TestRunExperiment:
     def test_bundle_shape(self, small_bundle):
         bundle, config = small_bundle
@@ -170,13 +196,13 @@ class TestCompareModels:
 class TestEmitReport:
     def test_csv_files_exist_with_expected_names(self, small_bundle, tmp_path):
         bundle, _ = small_bundle
-        written = emit_report(bundle, "csv", tmp_path)
+        written = emit_report(bundle, ("csv",), tmp_path)
         names = {p.name for p in written}
         assert names == {"comparison.csv", "metrics_tree.csv", "metrics_gbdt.csv", "importance.csv"}
 
     def test_json_summary_shape(self, small_bundle, tmp_path):
         bundle, _ = small_bundle
-        (path,) = emit_report(bundle, "json", tmp_path)
+        (path,) = emit_report(bundle, ("json",), tmp_path)
         summary = json.loads(path.read_text())
         assert set(summary) == {"metadata", "comparison", "reports", "importance"}
         assert summary["metadata"]["folds"] == 3
@@ -186,7 +212,7 @@ class TestEmitReport:
 
     def test_importance_csv_sorted_and_normalized(self, small_bundle, tmp_path):
         bundle, _ = small_bundle
-        emit_report(bundle, "csv", tmp_path)
+        emit_report(bundle, ("csv",), tmp_path)
         lines = (tmp_path / "importance.csv").read_text().splitlines()
         assert lines[0] == "feature,importance"
         weights = [float(line.split(",")[1]) for line in lines[1:]]
@@ -210,7 +236,7 @@ class TestEmitReport:
             seed=0,
             k=3,
         )
-        emit_report(weird, "csv", tmp_path)
+        emit_report(weird, ("csv",), tmp_path)
         import csv as csv_mod
 
         with (tmp_path / "importance.csv").open(newline="") as fh:
@@ -223,19 +249,19 @@ class TestEmitReport:
         dir_a = tmp_path / "a"
         dir_b = tmp_path / "b"
         for path_a, path_b in zip(
-            emit_report(bundle, "both", dir_a), emit_report(bundle, "both", dir_b)
+            emit_report(bundle, ("csv", "json"), dir_a), emit_report(bundle, ("csv", "json"), dir_b)
         ):
             assert path_a.read_bytes() == path_b.read_bytes()
 
     def test_unknown_format_rejected(self, small_bundle, tmp_path):
         bundle, _ = small_bundle
         with pytest.raises(ValueError, match="format"):
-            emit_report(bundle, "xml", tmp_path)
+            emit_report(bundle, ("xml",), tmp_path)
 
     def test_timestamps_never_reach_report_files(self, small_bundle, tmp_path):
         bundle, _ = small_bundle
         assert bundle.started_at and bundle.finished_at
-        for path in emit_report(bundle, "both", tmp_path):
+        for path in emit_report(bundle, ("csv", "json"), tmp_path):
             assert bundle.started_at not in path.read_text()
 
 
@@ -331,6 +357,25 @@ class TestCli:
         assert f"hyperparameter '{key}' of model '{name}'" in result.stderr
         assert not (tmp_path / "reports").exists()
 
+    @pytest.mark.parametrize("change", [{"models": {"gbdt": [1]}}, {"data": 5}])
+    def test_malformed_config_exit_1(self, fixture_config, tmp_path, change):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**json.loads(fixture_config.read_text()), **change}))
+        result = run_cli("run", "--config", str(config), cwd=tmp_path)
+        assert result.returncode == 1, result.stderr
+        assert "must be" in result.stderr
+        assert not (tmp_path / "reports").exists()
+
+    def test_malformed_schema_exit_2(self, fixture_dir_module, tmp_path):
+        schema = json.loads((fixture_dir_module / "fixture_schema.json").read_text())
+        bad = tmp_path / "schema.json"
+        bad.write_text(json.dumps({**schema, "n_classes": "x"}))
+        result = run_cli(
+            "validate-data", "--data", str(fixture_dir_module / "fixture.csv"), "--schema", str(bad),
+        )
+        assert result.returncode == 2, result.stderr
+        assert "schema key 'n_classes' must be an integer, got 'x'" in result.stderr
+
     def test_non_integer_folds_exit_1(self, fixture_dir_module, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({
@@ -377,3 +422,11 @@ class TestCli:
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "reports" / "importance.csv").is_file()
         assert "feature importance" in result.stdout
+        # the same full-data fit and writer as `run`: the same bytes
+        out = tmp_path / "run"
+        result = run_cli(
+            "run", "--config", str(fixture_config),
+            "--models", "gbdt", "--folds", "2", "--format", "csv", "--out", str(out),
+        )
+        assert result.returncode == 0, result.stderr
+        assert (tmp_path / "reports" / "importance.csv").read_bytes() == (out / "importance.csv").read_bytes()

@@ -127,6 +127,16 @@ class TestDocumentShape:
         with pytest.raises(ValueError, match="missing key 'right'"):
             from_document(doc)
 
+    def test_non_object_document_rejected(self):
+        with pytest.raises(ValueError, match="model document must be a JSON object, got list"):
+            from_document([1])
+
+    def test_non_object_hyperparameters_rejected(self, dataset):
+        doc = to_document(fit_tree(dataset, max_depth=2), dataset.schema)
+        doc["hyperparameters"] = [1]
+        with pytest.raises(ValueError, match="key 'hyperparameters' must be a JSON object"):
+            from_document(doc)
+
     def test_unserializable_object_rejected(self, dataset):
         with pytest.raises(TypeError):
             to_document(object(), dataset.schema)
