@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .numeric import argmax_lowest, softmax
+from .numeric import feature_rows, softmax
 
 
 @dataclass(frozen=True)
@@ -178,31 +178,23 @@ def fit_logistic(dataset: Dataset, cfg: GdConfig | None = None) -> LogisticModel
     return LogisticModel(weights=w, standardization=std, n_classes=k, loss_history=tuple(history))
 
 
-def _decide_logistic(probs: np.ndarray, n_classes: int):
+def _decide_logistic(probs: np.ndarray, n_classes: int) -> np.ndarray:
     # For 2 classes the decision is the 0.5-threshold rule: label 1 when
     # p1 >= 0.5, which puts the exact tie on class 1.  Three or more classes
     # use argmax with the lowest-index tie-break.
     if n_classes == 2:
-        if probs.ndim == 1:
-            return int(probs[1] >= 0.5)
         return (probs[:, 1] >= 0.5).astype(np.int64)
-    if probs.ndim == 1:
-        return argmax_lowest(probs)
     return np.argmax(probs, axis=1).astype(np.int64)
 
 
 def predict_logistic(model: LogisticModel, x) -> tuple[int, np.ndarray]:
     """Class label and calibrated probability vector for one feature vector."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.d,):
-        raise ValueError(f"dimension mismatch: expected {model.d} features, got {x.shape}")
-    z = np.append(model.standardization.apply(x), 1.0)
-    probs = softmax(model.weights @ z)
-    return _decide_logistic(probs, model.n_classes), probs
+    labels, probs = predict_logistic_batch(model, [x])
+    return int(labels[0]), probs[0]
 
 
-def predict_logistic_batch(model: LogisticModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    xb = add_bias(model.standardization.apply(x))
+def predict_logistic_batch(model: LogisticModel, x) -> tuple[np.ndarray, np.ndarray]:
+    xb = add_bias(model.standardization.apply(feature_rows(x, model.d)))
     probs = softmax(xb @ model.weights.T)
     return _decide_logistic(probs, model.n_classes), probs
 
@@ -264,19 +256,12 @@ def fit_svm(dataset: Dataset, cfg: GdConfig | None = None, reg_c: float = 1.0) -
     )
 
 
-def svm_margins(model: SvmModel, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.d,):
-        raise ValueError(f"dimension mismatch: expected {model.d} features, got {x.shape}")
-    z = np.append(model.standardization.apply(x), 1.0)
-    return model.weights @ z
-
-
 def predict_svm(model: SvmModel, x) -> int:
-    """Label of the largest one-vs-rest margin, ties to the lowest class."""
-    return argmax_lowest(svm_margins(model, x))
+    """The label of one feature vector (see `predict_svm_batch`)."""
+    return int(predict_svm_batch(model, [x])[0])
 
 
-def predict_svm_batch(model: SvmModel, x: np.ndarray) -> np.ndarray:
-    xb = add_bias(model.standardization.apply(x))
+def predict_svm_batch(model: SvmModel, x) -> np.ndarray:
+    """Each row's label of the largest one-vs-rest margin, ties to the lowest class."""
+    xb = add_bias(model.standardization.apply(feature_rows(x, model.d)))
     return np.argmax(xb @ model.weights.T, axis=1).astype(np.int64)

@@ -23,8 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .linear import GdConfig, Standardization, add_bias, _one_hot
-from .numeric import SeededRng, argmax_lowest, softmax
+from .linear import GdConfig, Standardization, add_bias, _check_trainable, _one_hot
+from .numeric import SeededRng, feature_rows, softmax
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,10 +109,7 @@ def fit_mlp(
         raise ValueError("hidden width must be at least 1")
     if batch_size < 1:
         raise ValueError("batch_size must be at least 1")
-    if dataset.n == 0:
-        raise ValueError("empty dataset")
-    if np.unique(dataset.y).size < 2:
-        raise ValueError("single-class dataset")
+    _check_trainable(dataset)
 
     k = dataset.schema.n_classes
     std = Standardization.fit(dataset.x)
@@ -172,16 +169,13 @@ def fit_mlp(
 
 
 def predict_mlp(model: MlpModel, x) -> tuple[int, np.ndarray]:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.d,):
-        raise ValueError(f"dimension mismatch: expected {model.d} features, got {x.shape}")
-    z = np.append(model.standardization.apply(x), 1.0)
-    hidden = np.append(np.tanh(model.w1 @ z), 1.0)
-    probs = softmax(model.w2 @ hidden)
-    return argmax_lowest(probs), probs
+    """Label and probability vector of one feature vector (see `predict_mlp_batch`)."""
+    labels, probs = predict_mlp_batch(model, [x])
+    return int(labels[0]), probs[0]
 
 
-def predict_mlp_batch(model: MlpModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    xb = add_bias(model.standardization.apply(x))
+def predict_mlp_batch(model: MlpModel, x) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's label and output probabilities, ties to the lowest class."""
+    xb = add_bias(model.standardization.apply(feature_rows(x, model.d)))
     probs = _forward(model.w1, model.w2, xb, _hidden_buffer(xb.shape[0], model.h))
     return np.argmax(probs, axis=1).astype(np.int64), probs

@@ -1,9 +1,10 @@
 """Shared numeric primitives.
 
-Link functions (sigmoid, softmax), the central-difference gradient oracle
-used by the gradient tests, and the toolkit's single seeded random
-generator.  Every model and every fold stream draws randomness from
-:class:`SeededRng`, so a run is a pure function of its seeds.
+Link functions (sigmoid, softmax), the predictors' one input shape check
+(`feature_rows`), the central-difference gradient oracle used by the
+gradient tests, and the toolkit's single seeded random generator.  Every
+model and every fold stream draws randomness from :class:`SeededRng`, so a
+run is a pure function of its seeds.
 """
 
 from __future__ import annotations
@@ -122,9 +123,12 @@ def softmax(v) -> np.ndarray:
     return e
 
 
-def argmax_lowest(values) -> int:
-    """Index of the maximum, ties broken by the lowest index."""
-    return int(np.argmax(np.asarray(values)))
+def feature_rows(x, d: int) -> np.ndarray:
+    """`x` as a float matrix, or ValueError unless it is 2-D with `d` columns."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ValueError(f"dimension mismatch: expected rows of {d} features, got shape {x.shape}")
+    return x
 
 
 def finite_difference_gradient(f, x, h: float = 1e-6) -> np.ndarray:

@@ -38,7 +38,9 @@ def _node_to_obj(node: TreeNode) -> dict:
     }
 
 
-def _node_from_obj(obj: dict) -> TreeNode:
+def _node_from_obj(obj) -> TreeNode:
+    if not isinstance(obj, dict):
+        raise ValueError(f"tree node must be a JSON object, got {type(obj).__name__}")
     if "leaf" in obj:
         return TreeNode(value=np.array(obj["leaf"], dtype=float))
     return TreeNode(
@@ -58,6 +60,10 @@ def _std_to_obj(std: Standardization | None):
 def _std_from_obj(obj) -> Standardization | None:
     if obj is None:
         return None
+    if not isinstance(obj, dict):
+        raise ValueError(
+            f"model document key 'standardization' must be a JSON object or null, got {type(obj).__name__}"
+        )
     return Standardization(
         mean=np.array(obj["mean"], dtype=float), std=np.array(obj["std"], dtype=float)
     )
@@ -135,8 +141,9 @@ def from_document(doc: dict):
     """Rebuild the model a document describes.
 
     An unsupported version, an unknown model type or a missing key (a
-    truncated document) raises ValueError, as does a document, or a
-    hyperparameters or weights section, that is not a JSON object.
+    truncated document) raises ValueError, as does a document, a
+    hyperparameters or weights section, or a tree node that is not a JSON
+    object, and a standardization section that is neither an object nor null.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"model document must be a JSON object, got {type(doc).__name__}")

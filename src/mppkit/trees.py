@@ -37,10 +37,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, FeatureSchema
-from .numeric import argmax_lowest, softmax
+from .numeric import feature_rows, softmax
 
 
-@dataclass
+@dataclass(slots=True)
 class TreeNode:
     """Internal node (feature, threshold, children) or leaf (value vector).
 
@@ -95,12 +95,6 @@ class ImportanceReport:
 
     entries: tuple[tuple[str, float], ...]
     total: float
-
-
-def _route(node: TreeNode, x: np.ndarray) -> np.ndarray:
-    while not node.is_leaf:
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node.value
 
 
 def tree_apply(root: TreeNode, x: np.ndarray) -> np.ndarray:
@@ -292,15 +286,13 @@ def fit_tree(dataset: Dataset, max_depth: int = 5, min_samples_leaf: int = 2) ->
 
 
 def predict_tree(model: TreeModel, x) -> int:
-    """Route to a leaf and return the majority class, ties to the lowest class."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.d,):
-        raise ValueError(f"dimension mismatch: expected {model.d} features, got {x.shape}")
-    return argmax_lowest(_route(model.root, x))
+    """The label of one feature vector (see `predict_tree_batch`)."""
+    return int(predict_tree_batch(model, [x])[0])
 
 
-def predict_tree_batch(model: TreeModel, x: np.ndarray) -> np.ndarray:
-    return np.argmax(tree_apply(model.root, x), axis=1).astype(np.int64)
+def predict_tree_batch(model: TreeModel, x) -> np.ndarray:
+    """Each row's leaf majority class, ties to the lowest class."""
+    return np.argmax(tree_apply(model.root, feature_rows(x, model.d)), axis=1).astype(np.int64)
 
 
 def _fit_regression_tree(x, presorted, targets, max_depth, min_leaf, leaf_value, importance, work):
@@ -403,25 +395,15 @@ def fit_gbdt(
     )
 
 
-def gbdt_scores(model: GbdtModel, x) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.shape != (model.d,):
-        raise ValueError(f"dimension mismatch: expected {model.d} features, got {x.shape}")
-    scores = model.init_scores.astype(float).copy()
-    for group in model.trees:
-        for c, root in enumerate(group):
-            scores[c] += model.shrinkage * _route(root, x)[0]
-    return scores
-
-
 def predict_gbdt(model: GbdtModel, x) -> tuple[int, np.ndarray]:
-    """Label and probability vector from the accumulated ensemble scores."""
-    probs = softmax(gbdt_scores(model, x))
-    return argmax_lowest(probs), probs
+    """Label and probability vector of one feature vector (see `predict_gbdt_batch`)."""
+    labels, probs = predict_gbdt_batch(model, [x])
+    return int(labels[0]), probs[0]
 
 
-def predict_gbdt_batch(model: GbdtModel, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float)
+def predict_gbdt_batch(model: GbdtModel, x) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's label and softmax of its accumulated ensemble scores."""
+    x = feature_rows(x, model.d)
     scores = np.tile(model.init_scores.astype(float), (x.shape[0], 1))
     for group in model.trees:
         for c, root in enumerate(group):

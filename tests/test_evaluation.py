@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -16,9 +18,17 @@ from mppkit.evaluation import (
     per_class_metrics,
     resolve_params,
 )
-from mppkit.linear import GdConfig, fit_svm
-from mppkit.mlp import fit_mlp
+from mppkit.linear import (
+    GdConfig,
+    fit_svm,
+    predict_logistic,
+    predict_logistic_batch,
+    predict_svm,
+    predict_svm_batch,
+)
+from mppkit.mlp import fit_mlp, predict_mlp, predict_mlp_batch
 from mppkit.numeric import SeededRng
+from mppkit.trees import predict_gbdt, predict_gbdt_batch, predict_tree, predict_tree_batch
 
 
 def brute_force_class_stats(truths, preds, c):
@@ -218,6 +228,13 @@ class TestModelTable:
         "gbdt": {"rounds": 3},
         "mlp": {"epochs": 5, "hidden": 4},
     }
+    SINGLE_ROW = {
+        "logistic": predict_logistic,
+        "svm": predict_svm,
+        "tree": predict_tree,
+        "gbdt": predict_gbdt,
+        "mlp": predict_mlp,
+    }
 
     def test_one_entry_per_model(self):
         assert list(MODELS) == list(MODEL_DEFAULTS)
@@ -246,6 +263,69 @@ class TestModelTable:
         ds = generate_synthetic(60, 3, {0}, seed=5)
         with pytest.raises(ValueError, match="unknown model name 'forest'"):
             fit_model("forest", {}, ds, 0)
+
+    @pytest.mark.parametrize("extra", [-1, 1])
+    @pytest.mark.parametrize("name", list(MODEL_DEFAULTS))
+    def test_predict_rejects_a_width_mismatch(self, name, extra):
+        # without the check, one column short broadcasts against the 2-wide
+        # standardization, and the trees read only the columns they split on
+        ds = generate_synthetic(60, 2, {0}, seed=5)
+        model = fit_model(name, resolve_params(name, self.QUICK[name]), ds, 1)
+        with pytest.raises(ValueError, match="dimension"):
+            MODELS[name].predict(model, np.zeros((4, 2 + extra)))
+
+    @pytest.mark.parametrize("name", list(MODEL_DEFAULTS))
+    def test_single_row_predictor_takes_one_feature_vector(self, name):
+        ds = generate_synthetic(60, 2, {0}, seed=5)
+        model = fit_model(name, resolve_params(name, self.QUICK[name]), ds, 1)
+        predict = self.SINGLE_ROW[name]
+        labels = MODELS[name].predict(model, ds.x)
+        for i in (0, 31, 59):
+            out = predict(model, ds.x[i])
+            label = out[0] if isinstance(out, tuple) else out
+            assert type(label) is int and label == labels[i]
+        for bad in (np.zeros(1), np.zeros(3), 0.5, ds.x[:1]):
+            with pytest.raises(ValueError, match="dimension"):
+                predict(model, bad)
+
+
+def _prediction_digest(out) -> str:
+    """sha256 of a batch predictor's labels and, where it returns them, probabilities."""
+    h = hashlib.sha256()
+    for arr in out if isinstance(out, tuple) else (out,):
+        h.update(f"{arr.dtype}{arr.shape}".encode())
+        h.update(arr.tobytes())
+    return h.hexdigest()
+
+
+class TestGoldenPredictions:
+    """Each batch predictor's output bytes on a small fixed fit, pinned by sha256.
+
+    Recorded from the predictors as they were before the single-row
+    predictors became one-row calls of them, so a change to any predict
+    path (label, tie-break or probability bits) shows here.
+    """
+
+    CASES = {
+        "logistic": (predict_logistic_batch, {"epochs": 40},
+                     "99a2dae69687d125a79141e26fa50133201e5ba4fb307388cd087cb3a2cfbb62"),
+        "svm": (predict_svm_batch, {"epochs": 40},
+                "fd79a4a293879e01d15d8ac0b7408dfdddf67c5850028da6e784497a3b0cad32"),
+        "tree": (predict_tree_batch, {"max_depth": 3},
+                 "ac0e2044700d4ecb3dd83640aed712dd416a7941feee53754e03be844f36b451"),
+        "gbdt": (predict_gbdt_batch, {"rounds": 8},
+                 "46eee3fdfa6cf8e929a200ea98d31ab52fe310261dfcf99fb43c6201a83da05c"),
+        "mlp": (predict_mlp_batch, {"epochs": 20, "hidden": 5},
+                "befb2c67c2954c98cbf2d6baebb8b62bbd1788393119311a94b9904371c00a50"),
+    }
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_prediction_bytes(self, name):
+        predict, params, expected = self.CASES[name]
+        train = generate_synthetic(90, 4, {0, 2}, seed=12, noise=0.1)
+        model = fit_model(name, resolve_params(name, params), train, 4)
+        held_out = generate_synthetic(40, 4, {0, 2}, seed=13, noise=0.1).x
+        assert _prediction_digest(predict(model, np.vstack([train.x, held_out]))) == expected
 
 
 class TestCrossValidate:

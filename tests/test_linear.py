@@ -17,7 +17,6 @@ from mppkit.linear import (
     predict_logistic_batch,
     predict_svm,
     predict_svm_batch,
-    svm_margins,
 )
 from mppkit.linear import SvmModel
 from mppkit.numeric import SeededRng, finite_difference_gradient
@@ -226,4 +225,4 @@ class TestPredictSvm:
     def test_dimension_mismatch(self):
         model = self._margin_model([0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="dimension"):
-            svm_margins(model, np.array([1.0, 2.0]))
+            predict_svm(model, np.array([1.0, 2.0]))

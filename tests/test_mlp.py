@@ -11,7 +11,7 @@ from mppkit.mlp import (
     predict_mlp,
     predict_mlp_batch,
 )
-from mppkit.numeric import SeededRng, finite_difference_gradient
+from mppkit.numeric import SeededRng, finite_difference_gradient, softmax
 
 
 def xor_dataset(n=200, seed=99):
@@ -110,7 +110,14 @@ class TestPredictMlp:
         ds = generate_synthetic(50, 3, {0}, seed=40)
         model = fit_mlp(ds, h=5, cfg=GdConfig(epochs=30, seed=4))
         labels, probs = predict_mlp_batch(model, ds.x)
+        std = model.standardization
         for i in range(0, 50, 11):
+            # reference: the network's formula written out for one row
+            z = np.append((ds.x[i] - std.mean) / std.std, 1.0)
+            hidden = np.append(np.tanh(model.w1 @ z), 1.0)
+            expected = softmax(model.w2 @ hidden)
+            assert np.argmax(expected) == labels[i]
+            assert np.allclose(expected, probs[i], atol=1e-12)
             label, p = predict_mlp(model, ds.x[i])
             assert label == labels[i]
             assert np.allclose(p, probs[i], atol=1e-12)

@@ -5,7 +5,6 @@ import pytest
 
 from mppkit.numeric import (
     SeededRng,
-    argmax_lowest,
     derive_seed,
     finite_difference_gradient,
     sigmoid,
@@ -68,18 +67,12 @@ class TestSoftmax:
             p = softmax(v)
             assert np.all(p >= 0) and np.all(p <= 1)
             assert abs(p.sum() - 1.0) < 1e-9
-            assert argmax_lowest(p) == argmax_lowest(v)
+            assert np.argmax(p) == np.argmax(v)
 
     def test_matrix_rows(self):
         m = softmax(np.array([[0.0, 0.0, 0.0], [0.0, math.log(2.0), math.log(4.0)]]))
         assert np.allclose(m[0], [1 / 3] * 3)
         assert np.allclose(m[1], [1 / 7, 2 / 7, 4 / 7])
-
-
-class TestArgmaxLowest:
-    def test_ties_take_lowest_index(self):
-        assert argmax_lowest([5.0, 5.0, 0.0]) == 0
-        assert argmax_lowest([1.0, 2.0, 2.0]) == 1
 
 
 class TestFiniteDifference:

@@ -137,6 +137,31 @@ class TestDocumentShape:
         with pytest.raises(ValueError, match="key 'hyperparameters' must be a JSON object"):
             from_document(doc)
 
+    @pytest.mark.parametrize(
+        "fit",
+        [
+            fit_logistic,
+            fit_svm,
+            lambda ds: fit_mlp(ds, h=3, cfg=GdConfig(epochs=2, seed=1)),
+        ],
+        ids=["logistic", "svm", "mlp"],
+    )
+    def test_non_object_standardization_rejected(self, dataset, fit):
+        doc = to_document(fit(dataset), dataset.schema)
+        doc["standardization"] = [1]
+        with pytest.raises(ValueError, match="key 'standardization' must be a JSON object or null"):
+            from_document(doc)
+
+    def test_non_object_tree_node_rejected(self, dataset):
+        doc = to_document(fit_tree(dataset, max_depth=2), dataset.schema)
+        doc["weights"]["root"]["left"] = [1]
+        with pytest.raises(ValueError, match="tree node must be a JSON object, got list"):
+            from_document(doc)
+        doc = to_document(fit_gbdt(dataset, rounds=2), dataset.schema)
+        doc["weights"]["trees"][1][2] = [1]
+        with pytest.raises(ValueError, match="tree node must be a JSON object, got list"):
+            from_document(doc)
+
     def test_unserializable_object_rejected(self, dataset):
         with pytest.raises(TypeError):
             to_document(object(), dataset.schema)

@@ -250,13 +250,27 @@ class TestPredictGbdt:
         assert np.allclose(softmax(scores), softmax(scores + 11.5), atol=1e-12)
 
     def test_batch_matches_single(self):
+        # reference: route the row down each tree on its own and add the
+        # shrunk leaf scores to the priors in round and class order
+        def leaf_score(node, row):
+            while not node.is_leaf:
+                node = node.left if row[node.feature] <= node.threshold else node.right
+            return node.value[0]
+
         ds = generate_synthetic(40, 3, {0}, seed=3)
         model = fit_gbdt(ds, rounds=10)
         batch_labels, batch_probs = predict_gbdt_batch(model, ds.x)
         for i in range(0, 40, 7):
+            scores = model.init_scores.copy()
+            for group in model.trees:
+                for c, root in enumerate(group):
+                    scores[c] += model.shrinkage * leaf_score(root, ds.x[i])
+            expected = softmax(scores)
+            assert np.argmax(expected) == batch_labels[i]
+            assert np.array_equal(expected, batch_probs[i])
             label, probs = predict_gbdt(model, ds.x[i])
             assert label == batch_labels[i]
-            assert np.array_equal(probs, batch_probs[i])
+            assert np.array_equal(probs, expected)
 
     def test_dimension_mismatch(self):
         model = _init_only_model([0.5, 0.25, 0.25])
