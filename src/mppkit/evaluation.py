@@ -8,17 +8,16 @@ with an explicit undefined flag so report shapes stay fixed.
 
 from __future__ import annotations
 
-import math
-import numbers
+import inspect
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .data import Dataset, stratified_kfold
-from .linear import GdConfig, fit_logistic, fit_svm, predict_logistic_batch, predict_svm_batch
+from .linear import fit_logistic, fit_svm, predict_logistic_batch, predict_svm_batch
 from .mlp import fit_mlp, predict_mlp_batch
-from .numeric import derive_seed
+from .numeric import check_hyperparameters, derive_seed
 from .trees import fit_gbdt, fit_tree, predict_gbdt_batch, predict_tree_batch
 
 N_CLASSES = 3
@@ -113,43 +112,25 @@ class ModelSpec:
     params: dict = field(default_factory=dict)
 
 
+def _keyword_defaults(trainer: Callable) -> dict:
+    """A trainer's keyword defaults in signature order, less the run seed."""
+    params = inspect.signature(trainer).parameters.values()
+    return {p.name: p.default for p in params if p.default is not p.empty and p.name != "seed"}
+
+
+# model name -> its hyperparameters' defaults, read from the trainer's signature
 MODEL_DEFAULTS: dict[str, dict] = {
-    "logistic": {"learning_rate": 0.1, "epochs": 500, "l2": 1e-3},
-    "svm": {"learning_rate": 0.01, "epochs": 500, "reg_c": 1.0},
-    "tree": {"max_depth": 5, "min_samples_leaf": 2},
-    "gbdt": {"rounds": 200, "shrinkage": 0.1, "max_depth": 3, "min_samples_leaf": 2},
-    "mlp": {"hidden": 16, "learning_rate": 0.1, "epochs": 500, "l2": 1e-4, "batch_size": 32},
-}
-
-
-def _integer(low: int):
-    return lambda v: isinstance(v, numbers.Integral) and v >= low, f"an integer >= {low}"
-
-
-def _number(test, text: str):
-    return lambda v: isinstance(v, numbers.Real) and math.isfinite(v) and test(v), text
-
-
-# hyperparameter -> (check of an override value, what the check asks for)
-PARAM_CHECKS = {
-    "learning_rate": _number(lambda v: v > 0, "a positive number"),
-    "epochs": _integer(1),
-    "l2": _number(lambda v: v >= 0, "a non-negative number"),
-    "reg_c": _number(lambda v: v > 0, "a positive number"),
-    "max_depth": _integer(0),
-    "min_samples_leaf": _integer(1),
-    "rounds": _integer(1),
-    "shrinkage": _number(lambda v: 0 < v <= 1, "a number in (0, 1]"),
-    "hidden": _integer(1),
-    "batch_size": _integer(1),
+    name: _keyword_defaults(trainer) for name, trainer in (
+        ("logistic", fit_logistic), ("svm", fit_svm), ("tree", fit_tree), ("gbdt", fit_gbdt), ("mlp", fit_mlp))
 }
 
 
 def resolve_params(name: str, overrides: dict | None = None) -> dict:
     """Defaults of model `name` with `overrides` applied, each override checked.
 
-    An unknown key, or a value of the wrong type or out of range, raises
-    ValueError before any training starts.
+    An unknown key, or a value of the wrong type or out of range (the check
+    the trainers make, `numeric.check_hyperparameters`), raises ValueError
+    before any training starts.
     """
     if name not in MODEL_DEFAULTS:
         raise ValueError(f"unknown model name {name!r}; expected one of {list(MODEL_DEFAULTS)}")
@@ -157,9 +138,7 @@ def resolve_params(name: str, overrides: dict | None = None) -> dict:
     for key, value in (overrides or {}).items():
         if key not in params:
             raise ValueError(f"unknown hyperparameter {key!r} for model {name!r}")
-        check, wanted = PARAM_CHECKS[key]
-        if isinstance(value, bool) or not check(value):
-            raise ValueError(f"hyperparameter {key!r} of model {name!r} must be {wanted}, got {value!r}")
+        check_hyperparameters(name, **{key: value})
         params[key] = value
     return params
 
@@ -172,13 +151,13 @@ class ModelEntry(NamedTuple):
 # model name -> how to fit and predict it.  The lambdas look the trainers up
 # as module globals when called, so a wrapper installed on this module's
 # attributes (as a tracer does) sees every call.  resolve_params' keys are
-# fit_tree's and fit_gbdt's keywords.
+# the trainers' keywords; only the MLP draws from the seed.
 MODELS: dict[str, ModelEntry] = {
     "logistic": ModelEntry(
-        lambda data, p, seed: fit_logistic(data, GdConfig(p["learning_rate"], p["epochs"], p["l2"], seed)),
+        lambda data, p, seed: fit_logistic(data, **p),
         lambda model, x: predict_logistic_batch(model, x)[0]),
     "svm": ModelEntry(
-        lambda data, p, seed: fit_svm(data, GdConfig(p["learning_rate"], p["epochs"], 0.0, seed), p["reg_c"]),
+        lambda data, p, seed: fit_svm(data, **p),
         lambda model, x: predict_svm_batch(model, x)),
     "tree": ModelEntry(
         lambda data, p, seed: fit_tree(data, **p),
@@ -187,8 +166,7 @@ MODELS: dict[str, ModelEntry] = {
         lambda data, p, seed: fit_gbdt(data, **p),
         lambda model, x: predict_gbdt_batch(model, x)[0]),
     "mlp": ModelEntry(
-        lambda data, p, seed: fit_mlp(
-            data, p["hidden"], GdConfig(p["learning_rate"], p["epochs"], p["l2"], seed), p["batch_size"]),
+        lambda data, p, seed: fit_mlp(data, **p, seed=seed),
         lambda model, x: predict_mlp_batch(model, x)[0]),
 }
 

@@ -12,6 +12,10 @@ loss of an accepted step (the softmax probabilities, or the SVM's signed
 margins) is the one the next gradient is computed from; after a rejected
 step the gradient at the unchanged weights is reused.  Each epoch thus
 evaluates one forward pass.
+
+Each trainer takes its hyperparameters as keywords whose defaults are the
+model's (`evaluation.MODEL_DEFAULTS` reads them) and checks them first with
+`numeric.check_hyperparameters`.
 """
 
 from __future__ import annotations
@@ -21,25 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .numeric import feature_rows, softmax
-
-
-@dataclass(frozen=True)
-class GdConfig:
-    """Gradient-descent hyperparameters shared by the iterative trainers."""
-
-    learning_rate: float = 0.1
-    epochs: int = 500
-    l2: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.learning_rate > 0:
-            raise ValueError("learning_rate must be positive")
-        if self.epochs < 1:
-            raise ValueError("epochs must be at least 1")
-        if self.l2 < 0:
-            raise ValueError("l2 must be non-negative")
+from .numeric import check_hyperparameters, feature_rows, softmax
 
 
 @dataclass(frozen=True, eq=False)
@@ -155,13 +141,15 @@ def _check_trainable(dataset: Dataset):
         raise ValueError("single-class dataset")
 
 
-def fit_logistic(dataset: Dataset, cfg: GdConfig | None = None) -> LogisticModel:
+def fit_logistic(
+    dataset: Dataset, learning_rate: float = 0.1, epochs: int = 500, l2: float = 1e-3
+) -> LogisticModel:
     """Full-batch gradient descent on L2-regularized multinomial cross-entropy.
 
     Steps that would raise the training loss are rejected and the learning
     rate halved, so the loss history never increases.
     """
-    cfg = cfg or GdConfig(learning_rate=0.1, epochs=500, l2=1e-3)
+    check_hyperparameters("logistic", learning_rate=learning_rate, epochs=epochs, l2=l2)
     _check_trainable(dataset)
     k = dataset.schema.n_classes
     std = Standardization.fit(dataset.x)
@@ -170,10 +158,10 @@ def fit_logistic(dataset: Dataset, cfg: GdConfig | None = None) -> LogisticModel
     targets = _one_hot(y, k)
     w, history = _descend(
         np.zeros((k, xb.shape[1])),
-        cfg.learning_rate,
-        cfg.epochs,
-        lambda w: _logistic_evaluate(w, xb, y, cfg.l2),
-        lambda w, p: _logistic_gradient(w, p, xb, targets, cfg.l2),
+        learning_rate,
+        epochs,
+        lambda w: _logistic_evaluate(w, xb, y, l2),
+        lambda w, p: _logistic_gradient(w, p, xb, targets, l2),
     )
     return LogisticModel(weights=w, standardization=std, n_classes=k, loss_history=tuple(history))
 
@@ -222,15 +210,15 @@ def _svm_subgradient(w: np.ndarray, signed: np.ndarray, xb: np.ndarray, t: np.nd
     return g
 
 
-def fit_svm(dataset: Dataset, cfg: GdConfig | None = None, reg_c: float = 1.0) -> SvmModel:
+def fit_svm(
+    dataset: Dataset, learning_rate: float = 0.01, epochs: int = 500, reg_c: float = 1.0
+) -> SvmModel:
     """One-vs-rest linear SVMs by subgradient descent on the hinge objective.
 
     Each class is trained independently (that class = +1, the rest = -1)
     with the same reject-and-halve step control as the logistic trainer.
     """
-    cfg = cfg or GdConfig(learning_rate=0.01, epochs=500)
-    if reg_c <= 0:
-        raise ValueError("reg_c must be positive")
+    check_hyperparameters("svm", learning_rate=learning_rate, epochs=epochs, reg_c=reg_c)
     _check_trainable(dataset)
     k = dataset.schema.n_classes
     std = Standardization.fit(dataset.x)
@@ -241,8 +229,8 @@ def fit_svm(dataset: Dataset, cfg: GdConfig | None = None, reg_c: float = 1.0) -
         t = np.where(dataset.y == c, 1.0, -1.0)
         weights[c], history = _descend(
             np.zeros(xb.shape[1]),
-            cfg.learning_rate,
-            cfg.epochs,
+            learning_rate,
+            epochs,
             lambda w: _svm_evaluate(w, xb, t, reg_c),
             lambda w, signed: _svm_subgradient(w, signed, xb, t, reg_c),
         )

@@ -14,6 +14,10 @@ epoch's training loss comes from a forward pass over all rows, with no
 gradients.  Once per epoch the standardized rows and their one-hot targets
 are permuted together, so each batch is a contiguous slice; the hidden
 layer is written into a buffer whose bias column is preset to ones.
+
+`fit_mlp` takes its hyperparameters as keywords, with the model's defaults
+(`evaluation.MODEL_DEFAULTS` reads them), and checks them first with
+`numeric.check_hyperparameters`; `seed` is the run's, not a hyperparameter.
 """
 
 from __future__ import annotations
@@ -23,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .linear import GdConfig, Standardization, add_bias, _check_trainable, _one_hot
-from .numeric import SeededRng, feature_rows, softmax
+from .linear import Standardization, add_bias, _check_trainable, _one_hot
+from .numeric import SeededRng, check_hyperparameters, feature_rows, softmax
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,16 +103,11 @@ def mlp_loss(w1: np.ndarray, w2: np.ndarray, xb: np.ndarray, y: np.ndarray, l2: 
 
 
 def fit_mlp(
-    dataset: Dataset,
-    h: int = 16,
-    cfg: GdConfig | None = None,
-    batch_size: int = 32,
+    dataset: Dataset, hidden: int = 16, learning_rate: float = 0.1, epochs: int = 500, l2: float = 1e-4,
+    batch_size: int = 32, seed: int = 0,
 ) -> MlpModel:
-    cfg = cfg or GdConfig(learning_rate=0.1, epochs=500, l2=1e-4)
-    if h < 1:
-        raise ValueError("hidden width must be at least 1")
-    if batch_size < 1:
-        raise ValueError("batch_size must be at least 1")
+    check_hyperparameters("mlp", hidden=hidden, learning_rate=learning_rate, epochs=epochs, l2=l2,
+                          batch_size=batch_size)
     _check_trainable(dataset)
 
     k = dataset.schema.n_classes
@@ -118,29 +117,29 @@ def fit_mlp(
     targets = _one_hot(y, k)
     n, d1 = xb.shape
 
-    rng = SeededRng(cfg.seed)
-    w1 = np.asarray(rng.normal((h, d1))) / np.sqrt(d1)
-    w2 = np.asarray(rng.normal((k, h + 1))) / np.sqrt(h + 1)
+    rng = SeededRng(seed)
+    w1 = np.asarray(rng.normal((hidden, d1))) / np.sqrt(d1)
+    w2 = np.asarray(rng.normal((k, hidden + 1))) / np.sqrt(hidden + 1)
 
-    batch_hidden = _hidden_buffer(min(batch_size, n), h)
+    batch_hidden = _hidden_buffer(min(batch_size, n), hidden)
 
-    lr = cfg.learning_rate
-    loss = mlp_loss(w1, w2, xb, y, cfg.l2)
+    lr = learning_rate
+    loss = mlp_loss(w1, w2, xb, y, l2)
     history = [loss]
     best = loss
     stale = 0
-    for _ in range(cfg.epochs):
+    for _ in range(epochs):
         perm = rng.permutation(n)
         xp, tp = xb[perm], targets[perm]  # each batch is then a contiguous slice
         snap1, snap2 = w1.copy(), w2.copy()
         for start in range(0, n, batch_size):
             xs = xp[start : start + batch_size]
-            hidden = batch_hidden[: xs.shape[0]]
-            probs = _forward(w1, w2, xs, hidden)
-            g1, g2 = _grads(w1, w2, xs, hidden, probs, tp[start : start + batch_size], cfg.l2)
+            layer = batch_hidden[: xs.shape[0]]
+            probs = _forward(w1, w2, xs, layer)
+            g1, g2 = _grads(w1, w2, xs, layer, probs, tp[start : start + batch_size], l2)
             w1 -= lr * g1
             w2 -= lr * g2
-        new_loss = mlp_loss(w1, w2, xb, y, cfg.l2)
+        new_loss = mlp_loss(w1, w2, xb, y, l2)
         if not new_loss <= loss:  # a nan loss is a rise too
             w1, w2 = snap1, snap2
             lr *= 0.5
@@ -162,7 +161,7 @@ def fit_mlp(
         w1=w1,
         w2=w2,
         standardization=std,
-        h=h,
+        h=hidden,
         n_classes=k,
         loss_history=tuple(history),
     )

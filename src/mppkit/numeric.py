@@ -1,13 +1,17 @@
 """Shared numeric primitives.
 
 Link functions (sigmoid, softmax), the predictors' one input shape check
-(`feature_rows`), the central-difference gradient oracle used by the
-gradient tests, and the toolkit's single seeded random generator.  Every
-model and every fold stream draws randomness from :class:`SeededRng`, so a
-run is a pure function of its seeds.
+(`feature_rows`), the trainers' one hyperparameter check
+(`check_hyperparameters` over `PARAM_CHECKS`), the central-difference
+gradient oracle used by the gradient tests, and the toolkit's single seeded
+random generator.  Every model and every fold stream draws randomness from
+:class:`SeededRng`, so a run is a pure function of its seeds.
 """
 
 from __future__ import annotations
+
+import math
+import numbers
 
 import numpy as np
 
@@ -129,6 +133,37 @@ def feature_rows(x, d: int) -> np.ndarray:
     if x.ndim != 2 or x.shape[1] != d:
         raise ValueError(f"dimension mismatch: expected rows of {d} features, got shape {x.shape}")
     return x
+
+
+def _integer(low: int):
+    return lambda v: isinstance(v, numbers.Integral) and v >= low, f"an integer >= {low}"
+
+
+def _number(test, text: str):
+    return lambda v: isinstance(v, numbers.Real) and math.isfinite(v) and test(v), text
+
+
+# hyperparameter -> (check of a value, what the check asks for)
+PARAM_CHECKS = {
+    "learning_rate": _number(lambda v: v > 0, "a positive number"),
+    "epochs": _integer(1),
+    "l2": _number(lambda v: v >= 0, "a non-negative number"),
+    "reg_c": _number(lambda v: v > 0, "a positive number"),
+    "max_depth": _integer(0),
+    "min_samples_leaf": _integer(1),
+    "rounds": _integer(1),
+    "shrinkage": _number(lambda v: 0 < v <= 1, "a number in (0, 1]"),
+    "hidden": _integer(1),
+    "batch_size": _integer(1),
+}
+
+
+def check_hyperparameters(model: str, **values) -> None:
+    """ValueError naming the first of `values` that fails its `PARAM_CHECKS` entry (a bool fails all)."""
+    for key, value in values.items():
+        check, wanted = PARAM_CHECKS[key]
+        if isinstance(value, bool) or not check(value):
+            raise ValueError(f"hyperparameter {key!r} of model {model!r} must be {wanted}, got {value!r}")
 
 
 def finite_difference_gradient(f, x, h: float = 1e-6) -> np.ndarray:

@@ -221,6 +221,7 @@ def save_model(model, schema: FeatureSchema, path) -> Path:
 def load_model(path, schema: FeatureSchema | None = None):
     """Load a model document; if a schema is given, its hash must match."""
     doc = json.loads(Path(path).read_text())
-    if schema is not None and doc.get("schema_hash") != schema.schema_hash():
+    # a non-object document falls through to from_document's ValueError
+    if schema is not None and isinstance(doc, dict) and doc.get("schema_hash") != schema.schema_hash():
         raise ValueError("model document was fitted against a different schema")
     return from_document(doc)

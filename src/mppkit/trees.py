@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, FeatureSchema
-from .numeric import feature_rows, softmax
+from .numeric import check_hyperparameters, feature_rows, softmax
 
 
 @dataclass(slots=True)
@@ -104,16 +104,17 @@ def tree_apply(root: TreeNode, x: np.ndarray) -> np.ndarray:
     while not probe.is_leaf:
         probe = probe.left
     out = np.empty((x.shape[0], probe.value.shape[0]))
-
-    def rec(node: TreeNode, idx: np.ndarray):
+    # an explicit stack, as in _grow: a recursive closure's reference cycle
+    # would keep out and x alive until the next garbage collection
+    pending = [(root, np.arange(x.shape[0]))]
+    while pending:
+        node, idx = pending.pop()
         if node.is_leaf:
             out[idx] = node.value
-            return
+            continue
         mask = x[idx, node.feature] <= node.threshold
-        rec(node.left, idx[mask])
-        rec(node.right, idx[~mask])
-
-    rec(root, np.arange(x.shape[0]))
+        pending.append((node.right, idx[~mask]))
+        pending.append((node.left, idx[mask]))
     return out
 
 
@@ -251,22 +252,15 @@ def _grow(x, presorted, stat, max_depth, min_leaf, make_leaf, importance, work) 
     return root
 
 
-def _check_tree_params(max_depth: int, min_samples_leaf: int):
-    if max_depth < 0:
-        raise ValueError("max_depth must be non-negative")
-    if min_samples_leaf < 1:
-        raise ValueError("min_samples_leaf must be at least 1")
-
-
 def fit_tree(dataset: Dataset, max_depth: int = 5, min_samples_leaf: int = 2) -> TreeModel:
     """Greedy recursive partitioning on Gini impurity decrease.
 
     Stops on purity, depth, or the per-leaf sample floor; a node with no
     strictly positive gain also becomes a leaf.
     """
+    check_hyperparameters("tree", max_depth=max_depth, min_samples_leaf=min_samples_leaf)
     if dataset.n == 0:
         raise ValueError("empty dataset")
-    _check_tree_params(max_depth, min_samples_leaf)
     k = dataset.schema.n_classes
     onehot = np.zeros((k, dataset.n))  # float64 counts: exact, so Gini gains are too
     onehot[dataset.y, np.arange(dataset.n)] = 1.0
@@ -338,13 +332,10 @@ def fit_gbdt(
     by shrinkage times the tree output.  Per-round training log-loss is
     recorded on the model.
     """
+    check_hyperparameters("gbdt", rounds=rounds, shrinkage=shrinkage, max_depth=max_depth,
+                          min_samples_leaf=min_samples_leaf)
     if dataset.n == 0:
         raise ValueError("empty dataset")
-    if rounds < 1:
-        raise ValueError("rounds must be at least 1")
-    if not 0.0 < shrinkage <= 1.0:
-        raise ValueError("invalid shrinkage: must lie in (0, 1]")
-    _check_tree_params(max_depth, min_samples_leaf)
     k = dataset.schema.n_classes
     n = dataset.n
     x, y = dataset.x, dataset.y

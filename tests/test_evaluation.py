@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from mppkit.evaluation import (
     resolve_params,
 )
 from mppkit.linear import (
-    GdConfig,
+    fit_logistic,
     fit_svm,
     predict_logistic,
     predict_logistic_batch,
@@ -28,7 +29,18 @@ from mppkit.linear import (
 )
 from mppkit.mlp import fit_mlp, predict_mlp, predict_mlp_batch
 from mppkit.numeric import SeededRng
-from mppkit.trees import predict_gbdt, predict_gbdt_batch, predict_tree, predict_tree_batch
+from mppkit.serialize import to_document
+from mppkit.trees import (
+    fit_gbdt,
+    fit_tree,
+    predict_gbdt,
+    predict_gbdt_batch,
+    predict_tree,
+    predict_tree_batch,
+)
+
+# model name -> its trainer, called directly rather than through MODELS
+TRAINERS = {"logistic": fit_logistic, "svm": fit_svm, "tree": fit_tree, "gbdt": fit_gbdt, "mlp": fit_mlp}
 
 
 def brute_force_class_stats(truths, preds, c):
@@ -205,16 +217,23 @@ class TestResolveParams:
             ("logistic", "epochs", True),
             ("logistic", "learning_rate", 0.0),
             ("logistic", "l2", -1e-3),
+            ("logistic", "epochs", 2.5),
             ("svm", "reg_c", float("nan")),
             ("tree", "max_depth", -1),
+            ("tree", "max_depth", 2.5),
+            ("gbdt", "max_depth", True),
             ("gbdt", "min_samples_leaf", 0),
             ("gbdt", "shrinkage", 1.5),
             ("gbdt", "rounds", None),
         ],
     )
     def test_bad_value_rejected(self, name, key, value):
-        with pytest.raises(ValueError, match=f"hyperparameter '{key}' of model '{name}' must be"):
+        message = f"hyperparameter '{key}' of model '{name}' must be"
+        with pytest.raises(ValueError, match=message):
             resolve_params(name, {key: value})
+        # a direct trainer call makes the same check, before it trains
+        with pytest.raises(ValueError, match=message):
+            TRAINERS[name](generate_synthetic(30, 2, {0}, seed=1), **{key: value})
 
     def test_integer_accepted_for_a_rate(self):
         assert resolve_params("logistic", {"learning_rate": 1, "l2": 0})["learning_rate"] == 1
@@ -252,12 +271,22 @@ class TestModelTable:
         ds = generate_synthetic(60, 3, {0}, seed=5)
         p = resolve_params("svm", {"epochs": 5, "learning_rate": 0.05, "reg_c": 2.0})
         via_table = fit_model("svm", p, ds, 3)
-        assert np.array_equal(via_table.weights, fit_svm(ds, GdConfig(0.05, 5, 0.0, 3), 2.0).weights)
+        assert np.array_equal(via_table.weights, fit_svm(ds, learning_rate=0.05, epochs=5, reg_c=2.0).weights)
         p = resolve_params("mlp", {"epochs": 5, "hidden": 4, "l2": 0.01, "batch_size": 8})
         via_table = fit_model("mlp", p, ds, 3)
-        direct = fit_mlp(ds, 4, GdConfig(0.1, 5, 0.01, 3), 8)
+        direct = fit_mlp(ds, hidden=4, learning_rate=0.1, epochs=5, l2=0.01, seed=3, batch_size=8)
         assert np.array_equal(via_table.w1, direct.w1)
         assert np.array_equal(via_table.w2, direct.w2)
+
+    @pytest.mark.parametrize("name", list(MODEL_DEFAULTS))
+    def test_table_defaults_are_the_trainer_defaults(self, name):
+        ds = generate_synthetic(60, 3, {0}, seed=5)
+
+        def digest(model):
+            return hashlib.sha256(json.dumps(to_document(model, ds.schema), sort_keys=True).encode()).hexdigest()
+
+        direct = TRAINERS[name](ds, seed=3) if name == "mlp" else TRAINERS[name](ds)
+        assert digest(fit_model(name, {}, ds, 3)) == digest(direct)
 
     def test_unknown_model(self):
         ds = generate_synthetic(60, 3, {0}, seed=5)

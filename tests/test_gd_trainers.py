@@ -12,7 +12,7 @@ import pytest
 
 from conftest import FIXTURE_DIR
 from mppkit.data import generate_synthetic, load_dataset, load_schema
-from mppkit.linear import GdConfig, fit_logistic, fit_svm
+from mppkit.linear import fit_logistic, fit_svm
 from mppkit.mlp import fit_mlp
 from mppkit.serialize import to_document
 
@@ -62,7 +62,7 @@ class TestGoldenModels:
             "e91992ddbe539e85174c62cb5cc965098573fd83ff38eacb66f43ae4c8b5ff46",
         ),
         "logistic_halving": (
-            lambda ds: fit_logistic(ds, GdConfig(learning_rate=50.0, epochs=60, l2=1e-3)),
+            lambda ds: fit_logistic(ds, learning_rate=50.0, epochs=60, l2=1e-3),
             3,
             "0a59d6c0fbf8b73214cb0bf0cfe3f7115407a3e9f7d8c73b13c8ebc5f9850bff",
         ),
@@ -72,13 +72,13 @@ class TestGoldenModels:
             "930aef21a9d83fb5004d8dc7e7a980eb2a86aab63722f6b6bf60a84ddcac0b33",
         ),
         "mlp_default": (
-            lambda ds: fit_mlp(ds, cfg=GdConfig(learning_rate=0.1, epochs=500, l2=1e-4, seed=7)),
+            lambda ds: fit_mlp(ds, learning_rate=0.1, epochs=500, l2=1e-4, seed=7),
             1,
             "15bd3a96029facf8e05a2f2b2ffbb73132f881d4ac4c1b21d713f756e8753dfc",
         ),
         "mlp_halving": (
             lambda ds: fit_mlp(
-                ds, h=8, cfg=GdConfig(learning_rate=2.0, epochs=20, l2=1e-4, seed=3), batch_size=50
+                ds, hidden=8, learning_rate=2.0, epochs=20, l2=1e-4, seed=3, batch_size=50
             ),
             2,
             "e314181186f8261045d27147435aa3a3460e4881059b5035cb56edfa48e2b241",
@@ -103,9 +103,9 @@ class TestOverflowingStep:
     @pytest.mark.parametrize(
         "fit",
         [
-            lambda ds, cfg: fit_logistic(ds, cfg),
-            lambda ds, cfg: fit_svm(ds, cfg),
-            lambda ds, cfg: fit_mlp(ds, cfg=cfg),
+            lambda ds, **step: fit_logistic(ds, **step, l2=0.0),
+            lambda ds, **step: fit_svm(ds, **step),
+            lambda ds, **step: fit_mlp(ds, **step, l2=0.0),
         ],
         ids=["logistic", "svm", "mlp"],
     )
@@ -113,9 +113,8 @@ class TestOverflowingStep:
         # with l2 = 0 the logistic and MLP penalty of an overflowed weight is
         # 0 * inf = nan; a nan loss must count as a rise, so every step is
         # rejected and halved
-        cfg = GdConfig(learning_rate=1e300, epochs=5)
         with np.errstate(all="ignore"):
-            model = fit(dataset, cfg)
+            model = fit(dataset, learning_rate=1e300, epochs=5)
         for weights in (getattr(model, name) for name in ("weights", "w1", "w2") if hasattr(model, name)):
             assert np.isfinite(weights).all()
         for history in _histories(model):
@@ -127,7 +126,6 @@ class TestOverflowingStep:
     def test_minibatch_softmax_still_checks_finite_input(self, dataset):
         # with l2 > 0 the overflowed weights reach a minibatch's softmax as nan
         # in the middle of an epoch; that must raise, not train on nan
-        cfg = GdConfig(learning_rate=1e300, epochs=5, l2=1e-4)
         with np.errstate(all="ignore"):
             with pytest.raises(ValueError, match="softmax requires finite input"):
-                fit_mlp(dataset, cfg=cfg)
+                fit_mlp(dataset, learning_rate=1e300, epochs=5, l2=1e-4)

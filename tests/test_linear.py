@@ -4,7 +4,6 @@ import pytest
 from conftest import make_dataset
 from mppkit.data import generate_synthetic
 from mppkit.linear import (
-    GdConfig,
     LogisticModel,
     Standardization,
     add_bias,
@@ -28,14 +27,17 @@ def two_class_toy():
     return make_dataset(x, y, n_classes=2)
 
 
-class TestGdConfig:
+class TestDescentHyperparameters:
     def test_validation(self):
-        with pytest.raises(ValueError):
-            GdConfig(learning_rate=0.0)
-        with pytest.raises(ValueError):
-            GdConfig(epochs=0)
-        with pytest.raises(ValueError):
-            GdConfig(l2=-1.0)
+        # the step size, epoch count and penalty each trainer checks before it starts
+        ds = two_class_toy()
+        for fit, name in ((fit_logistic, "logistic"), (fit_svm, "svm")):
+            with pytest.raises(ValueError, match=f"'learning_rate' of model '{name}' must be a positive"):
+                fit(ds, learning_rate=0.0)
+            with pytest.raises(ValueError, match=f"'epochs' of model '{name}' must be an integer >= 1"):
+                fit(ds, epochs=0)
+        with pytest.raises(ValueError, match="'l2' of model 'logistic' must be a non-negative"):
+            fit_logistic(ds, l2=-1.0)
 
 
 class TestFitLogistic:
@@ -166,7 +168,7 @@ class TestHingeLoss:
 class TestFitSvm:
     def test_separable_toy(self):
         ds = two_class_toy()
-        model = fit_svm(ds, GdConfig(learning_rate=0.2, epochs=500))
+        model = fit_svm(ds, learning_rate=0.2, epochs=500)
         labels = predict_svm_batch(model, ds.x)
         assert np.mean(labels == ds.y) == 1.0
         zb = add_bias(model.standardization.apply(ds.x))

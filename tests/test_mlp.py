@@ -3,7 +3,7 @@ import pytest
 
 from conftest import make_dataset
 from mppkit.data import generate_synthetic
-from mppkit.linear import GdConfig, Standardization, add_bias, fit_logistic, predict_logistic_batch
+from mppkit.linear import Standardization, add_bias, fit_logistic, predict_logistic_batch
 from mppkit.mlp import (
     MlpModel,
     fit_mlp,
@@ -26,7 +26,7 @@ def xor_dataset(n=200, seed=99):
 class TestFitMlp:
     def test_xor_beats_any_linear_model(self):
         ds = xor_dataset()
-        mlp = fit_mlp(ds, h=8, cfg=GdConfig(learning_rate=0.1, epochs=500, l2=1e-4, seed=3))
+        mlp = fit_mlp(ds, hidden=8, learning_rate=0.1, epochs=500, l2=1e-4, seed=3)
         mlp_acc = np.mean(predict_mlp_batch(mlp, ds.x)[0] == ds.y)
         logistic = fit_logistic(ds)
         lin_acc = np.mean(predict_logistic_batch(logistic, ds.x)[0] == ds.y)
@@ -58,31 +58,31 @@ class TestFitMlp:
 
     def test_deterministic_for_fixed_seed(self):
         ds = generate_synthetic(90, 4, {0}, seed=20)
-        cfg = GdConfig(learning_rate=0.1, epochs=40, l2=1e-4, seed=17)
-        a = fit_mlp(ds, h=6, cfg=cfg)
-        b = fit_mlp(ds, h=6, cfg=cfg)
+        cfg = dict(learning_rate=0.1, epochs=40, l2=1e-4, seed=17)
+        a = fit_mlp(ds, hidden=6, **cfg)
+        b = fit_mlp(ds, hidden=6, **cfg)
         assert np.array_equal(a.w1, b.w1)
         assert np.array_equal(a.w2, b.w2)
 
     def test_seed_changes_weights(self):
         ds = generate_synthetic(90, 4, {0}, seed=20)
-        a = fit_mlp(ds, h=6, cfg=GdConfig(epochs=10, seed=1))
-        b = fit_mlp(ds, h=6, cfg=GdConfig(epochs=10, seed=2))
+        a = fit_mlp(ds, hidden=6, epochs=10, l2=0.0, seed=1)
+        b = fit_mlp(ds, hidden=6, epochs=10, l2=0.0, seed=2)
         assert not np.array_equal(a.w1, b.w1)
 
     def test_loss_history_non_increasing(self):
         ds = generate_synthetic(150, 5, {0, 2}, seed=31, noise=0.1)
-        model = fit_mlp(ds, h=8, cfg=GdConfig(learning_rate=0.1, epochs=120, l2=1e-4, seed=2))
+        model = fit_mlp(ds, hidden=8, learning_rate=0.1, epochs=120, l2=1e-4, seed=2)
         diffs = np.diff(np.array(model.loss_history))
         assert np.all(diffs <= 1e-6)
 
     def test_rejects_bad_inputs(self):
         ds = generate_synthetic(30, 2, {0}, seed=1)
         with pytest.raises(ValueError):
-            fit_mlp(ds, h=0)
+            fit_mlp(ds, hidden=0)
         single = make_dataset(np.ones((4, 2)), np.zeros(4, dtype=int))
         with pytest.raises(ValueError, match="single-class"):
-            fit_mlp(single, h=4)
+            fit_mlp(single, hidden=4)
 
 
 class TestPredictMlp:
@@ -101,14 +101,14 @@ class TestPredictMlp:
 
     def test_in_sample_prediction_matches_training(self):
         ds = xor_dataset()
-        model = fit_mlp(ds, h=8, cfg=GdConfig(learning_rate=0.1, epochs=500, l2=1e-4, seed=3))
+        model = fit_mlp(ds, hidden=8, learning_rate=0.1, epochs=500, l2=1e-4, seed=3)
         for i in (0, 1, 2, 3, 100):
             label, _ = predict_mlp(model, ds.x[i])
             assert label == ds.y[i]
 
     def test_batch_matches_single(self):
         ds = generate_synthetic(50, 3, {0}, seed=40)
-        model = fit_mlp(ds, h=5, cfg=GdConfig(epochs=30, seed=4))
+        model = fit_mlp(ds, hidden=5, epochs=30, l2=0.0, seed=4)
         labels, probs = predict_mlp_batch(model, ds.x)
         std = model.standardization
         for i in range(0, 50, 11):
@@ -124,6 +124,6 @@ class TestPredictMlp:
 
     def test_dimension_mismatch(self):
         ds = generate_synthetic(30, 3, {0}, seed=2)
-        model = fit_mlp(ds, h=4, cfg=GdConfig(epochs=5, seed=1))
+        model = fit_mlp(ds, hidden=4, epochs=5, l2=0.0, seed=1)
         with pytest.raises(ValueError, match="dimension"):
             predict_mlp(model, np.array([1.0]))

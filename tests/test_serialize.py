@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mppkit.data import generate_synthetic
-from mppkit.linear import GdConfig, fit_logistic, fit_svm, predict_logistic_batch, predict_svm_batch
+from mppkit.linear import fit_logistic, fit_svm, predict_logistic_batch, predict_svm_batch
 from mppkit.mlp import fit_mlp, predict_mlp_batch
 from mppkit.serialize import FORMAT_VERSION, from_document, load_model, save_model, to_document
 from mppkit.trees import fit_gbdt, fit_tree, predict_gbdt_batch, predict_tree_batch
@@ -60,7 +60,7 @@ class TestRoundTrips:
         assert all(type(v) is float for v in clone.loss_history)
 
     def test_mlp(self, dataset, tmp_path):
-        model = fit_mlp(dataset, h=5, cfg=GdConfig(epochs=25, seed=2))
+        model = fit_mlp(dataset, hidden=5, epochs=25, l2=0.0, seed=2)
         clone = roundtrip(model, dataset.schema, tmp_path, "mlp")
         assert np.array_equal(model.w1, clone.w1)
         assert np.array_equal(model.w2, clone.w2)
@@ -111,7 +111,7 @@ class TestDocumentShape:
             (fit_svm, "hyperparameters", "reg_c"),
             (lambda ds: fit_tree(ds, max_depth=2), "weights", "root"),
             (lambda ds: fit_gbdt(ds, rounds=2), "weights", "trees"),
-            (lambda ds: fit_mlp(ds, h=3, cfg=GdConfig(epochs=2, seed=1)), "weights", "w2"),
+            (lambda ds: fit_mlp(ds, hidden=3, epochs=2, l2=0.0, seed=1), "weights", "w2"),
         ],
     )
     def test_truncated_document_names_missing_key(self, dataset, fit, section, key):
@@ -131,6 +131,12 @@ class TestDocumentShape:
         with pytest.raises(ValueError, match="model document must be a JSON object, got list"):
             from_document([1])
 
+    def test_non_object_file_rejected_with_a_schema(self, dataset, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1]")
+        with pytest.raises(ValueError, match="model document must be a JSON object, got list"):
+            load_model(path, dataset.schema)
+
     def test_non_object_hyperparameters_rejected(self, dataset):
         doc = to_document(fit_tree(dataset, max_depth=2), dataset.schema)
         doc["hyperparameters"] = [1]
@@ -142,7 +148,7 @@ class TestDocumentShape:
         [
             fit_logistic,
             fit_svm,
-            lambda ds: fit_mlp(ds, h=3, cfg=GdConfig(epochs=2, seed=1)),
+            lambda ds: fit_mlp(ds, hidden=3, epochs=2, l2=0.0, seed=1),
         ],
         ids=["logistic", "svm", "mlp"],
     )

@@ -1,5 +1,7 @@
+import gc
 import hashlib
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -179,12 +181,12 @@ class TestFitGbdt:
     def test_tree_parameters_checked_like_fit_tree(self):
         ds = generate_synthetic(60, 3, {0}, seed=1)
         for kwargs, message in (
-            ({"max_depth": -1}, "max_depth must be non-negative"),
-            ({"min_samples_leaf": 0}, "min_samples_leaf must be at least 1"),
+            ({"max_depth": -1}, "hyperparameter 'max_depth' of model '{}' must be an integer >= 0"),
+            ({"min_samples_leaf": 0}, "hyperparameter 'min_samples_leaf' of model '{}' must be an integer >= 1"),
         ):
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match=message.format("tree")):
                 fit_tree(ds, **kwargs)
-            with pytest.raises(ValueError, match=message):
+            with pytest.raises(ValueError, match=message.format("gbdt")):
                 fit_gbdt(ds, rounds=3, **kwargs)
 
     def test_loss_history_non_increasing(self):
@@ -324,6 +326,20 @@ class TestTreeApply:
             while not node.is_leaf:
                 node = node.left if ds.x[i, node.feature] <= node.threshold else node.right
             assert np.array_equal(table[i], node.value)
+
+    def test_result_freed_without_the_cycle_collector(self):
+        # routing must leave no reference cycle that holds the result until
+        # the next garbage collection
+        ds = generate_synthetic(100, 4, {0, 1}, seed=14, noise=0.1)
+        model = fit_tree(ds, max_depth=4)
+        gc.disable()
+        try:
+            table = tree_apply(model.root, ds.x)
+            freed = weakref.ref(table)
+            del table
+            assert freed() is None
+        finally:
+            gc.enable()
 
 
 _AFTER_ONE = float(np.nextafter(1.0, 2.0))

@@ -26,7 +26,7 @@ REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
 from mppkit.data import generate_synthetic, load_dataset, load_schema
-from mppkit.evaluation import MODEL_DEFAULTS, MODELS, fit_model
+from mppkit.evaluation import MODELS, fit_model
 from mppkit.serialize import to_document
 
 FIXTURE_DIR = REPO / "tests" / "fixtures"
@@ -46,7 +46,7 @@ def _digests(name: str, dataset) -> tuple[str, str]:
 
 def main() -> None:
     fixture = load_dataset(FIXTURE_DIR / "fixture.csv", load_schema(FIXTURE_DIR / "fixture_schema.json"))
-    fits = [(f"fixture/{name}", name, fixture) for name in MODEL_DEFAULTS]
+    fits = [(f"fixture/{name}", name, fixture) for name in MODELS]
     big = generate_synthetic(2000, 20, {0, 1, 2}, seed=SEED, noise=0.05)
     mid = generate_synthetic(960, 20, {0, 1, 2}, seed=SEED, noise=0.05)
     fits += [("synthetic-2000x20/gbdt", "gbdt", big), ("synthetic-960x20/tree", "tree", mid)]
