@@ -20,8 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .data import DataError, load_dataset, load_schema, stratified_kfold
-from .evaluation import CvReport, ModelSpec, cross_validate, resolve_params
-from .numeric import derive_seed
+from .evaluation import N_CLASSES, CvReport, ModelSpec, cross_validate, resolve_params
 from .trees import ImportanceReport, feature_importance, fit_gbdt
 
 REPORT_FORMATS = ("csv", "json")
@@ -174,11 +173,13 @@ def _now() -> str:
 
 
 def run_experiment(config: ExperimentConfig) -> ReportBundle:
-    """Execute the four-stage workflow for every configured model."""
+    """Execute the four-stage workflow for every configured model (3 classes only)."""
     started = _now()
 
     try:  # stage 1: load and clean
         schema = load_schema(config.schema_path)
+        if schema.n_classes != N_CLASSES:  # checked before any data is read
+            raise DataError(f"schema key 'n_classes' is {schema.n_classes}, but run compares {N_CLASSES}")
         dataset = load_dataset(config.data_path, schema)
     except DataError as exc:
         raise DataError(f"stage 1 (load and clean): {exc}") from exc

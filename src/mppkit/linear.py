@@ -15,7 +15,8 @@ evaluates one forward pass.
 
 Each trainer takes its hyperparameters as keywords whose defaults are the
 model's (`evaluation.MODEL_DEFAULTS` reads them) and checks them first with
-`numeric.check_hyperparameters`.
+`numeric.check_hyperparameters`.  Targets, cross-entropy and L2 penalty are
+`numeric`'s `one_hot`, `cross_entropy` and `l2_penalty`, as in the MLP.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .numeric import check_hyperparameters, feature_rows, softmax
+from .numeric import check_hyperparameters, cross_entropy, feature_rows, l2_penalty, one_hot, softmax
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,12 +77,6 @@ class SvmModel:
         return int(self.weights.shape[1]) - 1
 
 
-def _one_hot(y: np.ndarray, k: int) -> np.ndarray:
-    out = np.zeros((y.shape[0], k))
-    out[np.arange(y.shape[0]), y] = 1.0
-    return out
-
-
 def _descend(w: np.ndarray, lr: float, epochs: int, evaluate, gradient):
     """Full-batch gradient descent with reject-and-halve step control.
 
@@ -114,8 +109,7 @@ def _descend(w: np.ndarray, lr: float, epochs: int, evaluate, gradient):
 def _logistic_evaluate(weights, xb, y, l2):
     """Mean cross-entropy plus the L2 penalty (bias excluded), and the probabilities."""
     p = softmax(xb @ weights.T)
-    nll = -np.log(np.maximum(p[np.arange(xb.shape[0]), y], 1e-300)).mean()
-    return float(nll + 0.5 * l2 * np.sum(weights[:, :-1] ** 2)), p
+    return cross_entropy(p, y) + l2_penalty(l2, weights), p
 
 
 def _logistic_gradient(weights, p, xb, targets, l2):
@@ -131,7 +125,7 @@ def logistic_loss(weights: np.ndarray, xb: np.ndarray, y: np.ndarray, l2: float)
 
 def logistic_grad(weights: np.ndarray, xb: np.ndarray, y: np.ndarray, l2: float) -> np.ndarray:
     p = softmax(xb @ weights.T)
-    return _logistic_gradient(weights, p, xb, _one_hot(y, weights.shape[0]), l2)
+    return _logistic_gradient(weights, p, xb, one_hot(y, weights.shape[0]), l2)
 
 
 def _check_trainable(dataset: Dataset):
@@ -155,7 +149,7 @@ def fit_logistic(
     std = Standardization.fit(dataset.x)
     xb = add_bias(std.apply(dataset.x))
     y = dataset.y
-    targets = _one_hot(y, k)
+    targets = one_hot(y, k)
     w, history = _descend(
         np.zeros((k, xb.shape[1])),
         learning_rate,
@@ -199,8 +193,7 @@ def hinge_loss(y: float, fx: float) -> float:
 def _svm_evaluate(w: np.ndarray, xb: np.ndarray, t: np.ndarray, reg_c: float):
     """Mean hinge loss plus the L2 penalty (bias excluded), and the signed margins t * f(x)."""
     signed = t * (xb @ w)
-    hinge = np.maximum(0.0, 1.0 - signed).mean()
-    return float(hinge + 0.5 * reg_c * np.sum(w[:-1] ** 2)), signed
+    return float(np.maximum(0.0, 1.0 - signed).mean()) + l2_penalty(reg_c, w), signed
 
 
 def _svm_subgradient(w: np.ndarray, signed: np.ndarray, xb: np.ndarray, t: np.ndarray, reg_c: float):

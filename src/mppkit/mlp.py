@@ -14,6 +14,7 @@ epoch's training loss comes from a forward pass over all rows, with no
 gradients.  Once per epoch the standardized rows and their one-hot targets
 are permuted together, so each batch is a contiguous slice; the hidden
 layer is written into a buffer whose bias column is preset to ones.
+Targets, cross-entropy and L2 penalty are `numeric`'s, as in `linear`.
 
 `fit_mlp` takes its hyperparameters as keywords, with the model's defaults
 (`evaluation.MODEL_DEFAULTS` reads them), and checks them first with
@@ -27,8 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .linear import Standardization, add_bias, _check_trainable, _one_hot
-from .numeric import SeededRng, check_hyperparameters, feature_rows, softmax
+from .linear import Standardization, add_bias, _check_trainable
+from .numeric import (
+    SeededRng, check_hyperparameters, cross_entropy, feature_rows, l2_penalty, one_hot, softmax,
+)
 
 
 @dataclass(frozen=True, eq=False)
@@ -38,7 +41,6 @@ class MlpModel:
     standardization: Standardization
     h: int
     n_classes: int
-    activation: str = "tanh"
     loss_history: tuple[float, ...] = ()
 
     @property
@@ -57,12 +59,6 @@ def _forward(w1: np.ndarray, w2: np.ndarray, xb: np.ndarray, hidden: np.ndarray)
     """Output probabilities; the tanh layer is written into `hidden` (from `_hidden_buffer`)."""
     np.tanh(xb @ w1.T, out=hidden[:, :-1])
     return softmax(hidden @ w2.T)
-
-
-def _loss(probs: np.ndarray, y: np.ndarray, w1: np.ndarray, w2: np.ndarray, l2: float) -> float:
-    nll = -np.log(np.maximum(probs[np.arange(probs.shape[0]), y], 1e-300)).mean()
-    penalty = 0.5 * l2 * (np.sum(w1[:, :-1] ** 2) + np.sum(w2[:, :-1] ** 2))
-    return float(nll + penalty)
 
 
 def _grads(
@@ -92,14 +88,14 @@ def mlp_loss_and_grads(
     """Cross-entropy (+ L2 on non-bias weights) and its backprop gradients."""
     hidden = _hidden_buffer(xb.shape[0], w1.shape[0])
     probs = _forward(w1, w2, xb, hidden)
-    g1, g2 = _grads(w1, w2, xb, hidden, probs, _one_hot(y, w2.shape[0]), l2)
-    return _loss(probs, y, w1, w2, l2), g1, g2
+    g1, g2 = _grads(w1, w2, xb, hidden, probs, one_hot(y, w2.shape[0]), l2)
+    return cross_entropy(probs, y) + l2_penalty(l2, w1, w2), g1, g2
 
 
 def mlp_loss(w1: np.ndarray, w2: np.ndarray, xb: np.ndarray, y: np.ndarray, l2: float) -> float:
     """Cross-entropy (+ L2 on non-bias weights) from a forward pass alone."""
     probs = _forward(w1, w2, xb, _hidden_buffer(xb.shape[0], w1.shape[0]))
-    return _loss(probs, y, w1, w2, l2)
+    return cross_entropy(probs, y) + l2_penalty(l2, w1, w2)
 
 
 def fit_mlp(
@@ -114,7 +110,7 @@ def fit_mlp(
     std = Standardization.fit(dataset.x)
     xb = add_bias(std.apply(dataset.x))
     y = dataset.y
-    targets = _one_hot(y, k)
+    targets = one_hot(y, k)
     n, d1 = xb.shape
 
     rng = SeededRng(seed)

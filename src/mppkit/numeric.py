@@ -1,11 +1,13 @@
 """Shared numeric primitives.
 
-Link functions (sigmoid, softmax), the predictors' one input shape check
+Link functions (sigmoid, softmax), the trainers' shared math (`one_hot`,
+`cross_entropy`, `l2_penalty`), the predictors' one input shape check
 (`feature_rows`), the trainers' one hyperparameter check
 (`check_hyperparameters` over `PARAM_CHECKS`), the central-difference
 gradient oracle used by the gradient tests, and the toolkit's single seeded
 random generator.  Every model and every fold stream draws randomness from
-:class:`SeededRng`, so a run is a pure function of its seeds.
+:class:`SeededRng`, which takes only integer seeds, so a run is a pure
+function of its seeds.
 """
 
 from __future__ import annotations
@@ -45,6 +47,8 @@ class SeededRng:
     """
 
     def __init__(self, seed: int):
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
+            raise ValueError(f"seed must be an integer, got {seed!r}")
         self._seed = int(seed) & _MASK64
         self._counter = 0
 
@@ -125,6 +129,24 @@ def softmax(v) -> np.ndarray:
     np.exp(e, out=e)
     e /= e.sum(axis=-1, keepdims=True)
     return e
+
+
+def one_hot(y: np.ndarray, k: int) -> np.ndarray:
+    """(n, k) float64 targets: row i is 1 in column y[i] and 0 elsewhere."""
+    out = np.zeros((y.shape[0], k))
+    out[np.arange(y.shape[0]), y] = 1.0
+    return out
+
+
+def cross_entropy(probs: np.ndarray, y: np.ndarray) -> float:
+    """Mean -log of each row's probability of its label, floored at 1e-300 so it stays finite."""
+    picked = probs[np.arange(y.shape[0]), y]
+    return float(-np.log(np.maximum(picked, 1e-300)).mean())
+
+
+def l2_penalty(l2: float, *weights: np.ndarray) -> float:
+    """0.5 * l2 * the sum of squares of every weight but each row's last (bias) column."""
+    return float(0.5 * l2 * sum(np.sum(w[..., :-1] ** 2) for w in weights))
 
 
 def feature_rows(x, d: int) -> np.ndarray:

@@ -127,7 +127,7 @@ def to_document(model, schema: FeatureSchema) -> dict:
             hyperparameters={
                 "n_classes": model.n_classes,
                 "hidden": model.h,
-                "activation": model.activation,
+                "activation": "tanh",  # the one activation fit_mlp trains
             },
             standardization=_std_to_obj(model.standardization),
             weights={"w1": _matrix(model.w1), "w2": _matrix(model.w2)},
@@ -143,7 +143,8 @@ def from_document(doc: dict):
     An unsupported version, an unknown model type or a missing key (a
     truncated document) raises ValueError, as does a document, a
     hyperparameters or weights section, or a tree node that is not a JSON
-    object, and a standardization section that is neither an object nor null.
+    object, a standardization section that is neither an object nor null,
+    and an MLP activation other than "tanh" (a missing one reads as "tanh").
     """
     if not isinstance(doc, dict):
         raise ValueError(f"model document must be a JSON object, got {type(doc).__name__}")
@@ -201,13 +202,15 @@ def _model_from_document(kind, doc: dict):
             loss_history=tuple(float(v) for v in weights.get("loss_history", ())),
         )
     if kind == "mlp":
+        activation = hp.get("activation", "tanh")
+        if activation != "tanh":
+            raise ValueError(f"mlp hyperparameter 'activation' must be 'tanh', got {activation!r}")
         return MlpModel(
             w1=np.array(weights["w1"], dtype=float),
             w2=np.array(weights["w2"], dtype=float),
             standardization=_std_from_obj(doc["standardization"]),
             h=int(hp["hidden"]),
             n_classes=int(hp["n_classes"]),
-            activation=hp.get("activation", "tanh"),
         )
     raise ValueError(f"unknown model_type {kind!r}")
 

@@ -23,11 +23,11 @@ into views of one `_SplitWorkspace` per fit (per ensemble for boosting),
 as XGBoost keeps its split statistics in reused buffers (section 4.2).
 Only a child that may still split (below the depth limit, with at least
 twice the leaf floor) gets a sorted block; any other child becomes a leaf
-from the statistic its node gathers.  The Gini statistic is float64 one-hot
-counts: every partial sum is an integer below 2**53, so Gini gains are
-exact and one float kernel serves both learners.  A threshold is the
-midpoint of the two values it separates, or the lower value where the
-midpoint overflows or rounds up to the upper one.
+from the statistic its node gathers, and the learner sets its value.  The
+Gini statistic is float64 one-hot counts: every partial sum is an integer
+below 2**53, so Gini gains are exact and one float kernel serves both
+learners.  A threshold is the midpoint of the two values it separates, or
+the lower value where the midpoint overflows or rounds up to the upper one.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, FeatureSchema
-from .numeric import check_hyperparameters, feature_rows, softmax
+from .numeric import check_hyperparameters, cross_entropy, feature_rows, one_hot, softmax
 
 
 @dataclass(slots=True)
@@ -202,18 +202,18 @@ def _filter_block(block, keep: np.ndarray):
     return rows.take(flat).reshape(d, -1), vals.take(flat).reshape(d, -1)
 
 
-def _grow(x, presorted, stat, max_depth, min_leaf, make_leaf, importance, work) -> TreeNode:
-    """Grow one tree depth-first on the shared split kernel; return its root.
+def _grow(x, presorted, stat, max_depth, min_leaf, importance, work):
+    """Grow one tree depth-first on the shared split kernel; return (root, leaves).
 
     `presorted` is `_presort(x)`, `stat` the (s, n) float64 per-row
     statistic and `work` a `_SplitWorkspace` for (s, d, n).  A node becomes
-    a leaf with value `make_leaf(idx, node_stat)` at the depth limit, below
-    twice the leaf floor, when its statistic is constant, or when no split
-    has a positive gain.  Only a child that may split gets a sorted block.
-    Each split adds its gain to `importance[feature]`, in preorder.  The
-    pending nodes sit on an explicit stack, not in a recursive closure, whose
-    reference cycle would keep `work` alive until the next garbage
-    collection.
+    a leaf, listed in `leaves` as (node, rows, their statistic) for the
+    learner to set its value, at the depth limit, below twice the leaf
+    floor, when its statistic is constant, or when no split has a positive
+    gain.  Only a child that may split gets a sorted block.  Each split adds
+    its gain to `importance[feature]`, in preorder.  The pending nodes sit
+    on an explicit stack, not in a recursive closure, whose reference cycle
+    would keep `work` alive until the next garbage collection.
     """
     n = x.shape[0]
     go_left = np.empty(n, dtype=bool)
@@ -222,16 +222,17 @@ def _grow(x, presorted, stat, max_depth, min_leaf, make_leaf, importance, work) 
         return depth < max_depth and size >= 2 * min_leaf
 
     root = TreeNode()
+    leaves = []
     pending = [(root, np.arange(n), presorted if may_split(n, 0) else None, 0)]
     while pending:
         node, idx, block, depth = pending.pop()
         node_stat = stat[:, idx]
         found = None
         if block is not None and (node_stat != node_stat[:, :1]).any():
-            total = node_stat.sum(axis=1)  # in node order, as the leaf sums it
+            total = node_stat.sum(axis=1)  # in node order, as fit_tree sums a leaf
             found = _best_split(*block, stat, total, min_leaf, work)
         if found is None:
-            node.value = make_leaf(idx, node_stat)
+            leaves.append((node, idx, node_stat))
             continue
         gain, node.feature, node.threshold = found
         importance[node.feature] += gain
@@ -249,7 +250,7 @@ def _grow(x, presorted, stat, max_depth, min_leaf, make_leaf, importance, work) 
         node.left, node.right = TreeNode(), TreeNode()
         pending.append((node.right, sides[1], blocks[1], depth + 1))
         pending.append((node.left, sides[0], blocks[0], depth + 1))  # popped first
-    return root
+    return root, leaves
 
 
 def fit_tree(dataset: Dataset, max_depth: int = 5, min_samples_leaf: int = 2) -> TreeModel:
@@ -262,14 +263,14 @@ def fit_tree(dataset: Dataset, max_depth: int = 5, min_samples_leaf: int = 2) ->
     if dataset.n == 0:
         raise ValueError("empty dataset")
     k = dataset.schema.n_classes
-    onehot = np.zeros((k, dataset.n))  # float64 counts: exact, so Gini gains are too
-    onehot[dataset.y, np.arange(dataset.n)] = 1.0
-    root = _grow(
-        dataset.x, _presort(dataset.x), onehot, max_depth, min_samples_leaf,
-        make_leaf=lambda idx, node_stat: node_stat.sum(axis=1),
+    counts = one_hot(dataset.y, k).T.copy()  # float64 counts: exact, so Gini gains are too
+    root, leaves = _grow(
+        dataset.x, _presort(dataset.x), counts, max_depth, min_samples_leaf,
         importance=np.zeros(dataset.d),  # the lone tree reports no importance
         work=_SplitWorkspace(k, dataset.d, dataset.n),
     )
+    for leaf, _, leaf_counts in leaves:
+        leaf.value = leaf_counts.sum(axis=1)
     return TreeModel(
         root=root,
         max_depth=max_depth,
@@ -289,33 +290,6 @@ def predict_tree_batch(model: TreeModel, x) -> np.ndarray:
     return np.argmax(tree_apply(model.root, feature_rows(x, model.d)), axis=1).astype(np.int64)
 
 
-def _fit_regression_tree(x, presorted, targets, max_depth, min_leaf, leaf_value, importance, work):
-    """Variance-reduction regression tree; returns (root, in-sample predictions).
-
-    `presorted` is `_presort(x)` and `work` a `_SplitWorkspace` for
-    (1, d, n), both shared by every tree of one ensemble.  Split gains
-    (sum-of-squares reduction) are accumulated per feature into
-    `importance`.  Leaf payloads come from `leaf_value`, so the boosting loop
-    can install its closed-form log-loss update.
-    """
-    out = np.empty(x.shape[0])
-
-    def make_leaf(idx: np.ndarray, node_stat: np.ndarray) -> np.ndarray:
-        gamma = leaf_value(node_stat[0])
-        out[idx] = gamma
-        return np.array([gamma])
-
-    stat = np.ascontiguousarray(targets)[None, :]  # the kernel gathers from contiguous rows
-    root = _grow(x, presorted, stat, max_depth, min_leaf, make_leaf, importance, work)
-    return root, out
-
-
-def _log_loss(scores: np.ndarray, y: np.ndarray) -> float:
-    p = softmax(scores)
-    picked = p[np.arange(y.shape[0]), y]
-    return float(-np.log(np.maximum(picked, 1e-300)).mean())
-
-
 def fit_gbdt(
     dataset: Dataset,
     rounds: int = 200,
@@ -325,12 +299,12 @@ def fit_gbdt(
 ) -> GbdtModel:
     """Multiclass gradient boosting with a softmax link and log-loss.
 
-    Scores start at the class log-priors.  Each round computes the
-    probabilities once, then fits one regression tree per class to the
-    residuals 1{y=k} - p_k (the negative log-loss gradient); leaf values use
-    the one-step update (K-1)/K * sum(r) / sum(|r|(1-|r|)), and scores move
-    by shrinkage times the tree output.  Per-round training log-loss is
-    recorded on the model.
+    Scores start at the class log-priors.  Each round fits one regression
+    tree per class to the residuals 1{y=k} - p_k (the negative log-loss
+    gradient); leaf values use the one-step update
+    (K-1)/K * sum(r) / sum(|r|(1-|r|)), and scores move by shrinkage times
+    the tree output.  One softmax per round gives both its training log-loss
+    (recorded on the model) and the next round's residuals.
     """
     check_hyperparameters("gbdt", rounds=rounds, shrinkage=shrinkage, max_depth=max_depth,
                           min_samples_leaf=min_samples_leaf)
@@ -343,34 +317,30 @@ def fit_gbdt(
     counts = np.bincount(y, minlength=k).astype(np.float64)
     init = np.log(np.maximum(counts, 1e-12) / n)
     scores = np.tile(init, (n, 1))
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), y] = 1.0
-
-    def newton_leaf(r: np.ndarray) -> float:
-        denom = (np.abs(r) * (1.0 - np.abs(r))).sum()
-        if denom < 1e-150:
-            return 0.0
-        return (k - 1) / k * r.sum() / denom
-
+    onehot = one_hot(y, k)
     importance = np.zeros(dataset.d)
     presorted = _presort(x)  # x never changes, so one sort serves every tree
     work = _SplitWorkspace(1, dataset.d, n)
     all_trees = []
-    history = [_log_loss(scores, y)]
+    probs = softmax(scores)
+    history = [cross_entropy(probs, y)]
     for _ in range(rounds):
-        residuals = onehot - softmax(scores)
+        residuals = (onehot - probs).T.copy()  # contiguous rows, as the kernel gathers from
         group = []
         step = np.empty((n, k))
         for c in range(k):
-            root, pred = _fit_regression_tree(
-                x, presorted, residuals[:, c], max_depth, min_samples_leaf, newton_leaf,
-                importance, work,
-            )
+            root, leaves = _grow(x, presorted, residuals[c : c + 1], max_depth, min_samples_leaf,
+                                 importance, work)
+            for leaf, rows, (r,) in leaves:
+                denom = (np.abs(r) * (1.0 - np.abs(r))).sum()
+                gamma = (k - 1) / k * r.sum() / denom if denom >= 1e-150 else 0.0
+                leaf.value = np.array([gamma])
+                step[rows, c] = gamma
             group.append(root)
-            step[:, c] = pred
         scores += shrinkage * step
         all_trees.append(tuple(group))
-        history.append(_log_loss(scores, y))
+        probs = softmax(scores)
+        history.append(cross_entropy(probs, y))
 
     return GbdtModel(
         rounds=rounds,

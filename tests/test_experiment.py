@@ -376,6 +376,25 @@ class TestCli:
         assert result.returncode == 2, result.stderr
         assert "schema key 'n_classes' must be an integer, got 'x'" in result.stderr
 
+    def test_run_needs_three_classes_exit_2(self, fixture_dir_module, tmp_path):
+        schema = json.loads((fixture_dir_module / "fixture_schema.json").read_text())
+        four = tmp_path / "schema.json"
+        four.write_text(json.dumps({**schema, "n_classes": 4}))
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({
+            "data": str(fixture_dir_module / "fixture.csv"), "schema": str(four), "models": ["tree"],
+        }))
+        result = run_cli("run", "--config", str(config), cwd=tmp_path)
+        assert result.returncode == 2, result.stderr
+        assert "stage 1 (load and clean): schema key 'n_classes' is 4" in result.stderr
+        assert not (tmp_path / "reports").exists()
+        # the other commands take any class count
+        result = run_cli("validate-data", "--data", str(fixture_dir_module / "fixture.csv"), "--schema", str(four))
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[1].endswith(", 3=0")
+        result = run_cli("importance", "--config", str(config), cwd=tmp_path)
+        assert result.returncode == 0, result.stderr
+
     def test_non_integer_folds_exit_1(self, fixture_dir_module, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(json.dumps({

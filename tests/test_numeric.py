@@ -3,10 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from mppkit.data import generate_synthetic, stratified_kfold
+from mppkit.mlp import fit_mlp
 from mppkit.numeric import (
     SeededRng,
+    cross_entropy,
     derive_seed,
     finite_difference_gradient,
+    l2_penalty,
+    one_hot,
     sigmoid,
     softmax,
 )
@@ -151,3 +156,48 @@ class TestSeededRng:
     def test_derive_seed_deterministic(self):
         assert derive_seed(123, 4) == derive_seed(123, 4)
         assert derive_seed(123, 4) != derive_seed(123, 5)
+
+    @pytest.mark.parametrize("seed", [1.7, "x", True, None])
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            SeededRng,
+            lambda seed: fit_mlp(generate_synthetic(30, 2, {0}, seed=1), epochs=2, seed=seed),
+            lambda seed: stratified_kfold(generate_synthetic(30, 2, {0}, seed=1), 3, seed),
+            lambda seed: generate_synthetic(30, 2, {0}, seed=seed),
+        ],
+        ids=["SeededRng", "fit_mlp", "stratified_kfold", "generate_synthetic"],
+    )
+    def test_seed_must_be_an_integer(self, draw, seed):
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+            draw(seed)
+
+    def test_numpy_integer_seed_is_its_int(self):
+        assert np.array_equal(SeededRng(np.int64(5)).random(4), SeededRng(5).random(4))
+        assert np.array_equal(SeededRng(np.uint32(5)).random(4), SeededRng(5).random(4))
+
+
+class TestTrainingMath:
+    def test_one_hot(self):
+        assert one_hot(np.array([2, 0, 2]), 4).tolist() == [
+            [0.0, 0.0, 1.0, 0.0],
+            [1.0, 0.0, 0.0, 0.0],
+            [0.0, 0.0, 1.0, 0.0],
+        ]
+
+    def test_cross_entropy_is_mean_negative_log_of_the_label_probability(self):
+        probs = np.array([[0.5, 0.25, 0.25], [0.1, 0.2, 0.7]])
+        loss = cross_entropy(probs, np.array([0, 2]))
+        assert type(loss) is float
+        assert loss == pytest.approx(-(math.log(0.5) + math.log(0.7)) / 2)
+
+    def test_cross_entropy_floors_a_zero_probability(self):
+        loss = cross_entropy(np.array([[1.0, 0.0]]), np.array([1]))
+        assert loss == pytest.approx(-math.log(1e-300))
+
+    def test_l2_penalty_skips_the_bias_column(self):
+        w = np.array([[1.0, 2.0, 100.0], [3.0, 0.0, -100.0]])
+        assert l2_penalty(0.5, w) == 0.5 * 0.5 * 14.0
+        assert l2_penalty(2.0, np.array([3.0, 4.0, 9.0])) == 25.0  # a 1-D weight vector
+        assert l2_penalty(2.0, w, np.array([[1.0, 5.0]])) == 15.0
+        assert type(l2_penalty(0, w)) is float

@@ -168,6 +168,18 @@ class TestDocumentShape:
         with pytest.raises(ValueError, match="tree node must be a JSON object, got list"):
             from_document(doc)
 
+    def test_mlp_activation_must_be_tanh(self, dataset):
+        model = fit_mlp(dataset, hidden=3, epochs=2, l2=0.0, seed=1)
+        doc = to_document(model, dataset.schema)
+        assert doc["hyperparameters"]["activation"] == "tanh"
+        del doc["hyperparameters"]["activation"]  # a missing activation reads as tanh
+        clone = from_document(doc)
+        assert np.array_equal(predict_mlp_batch(clone, dataset.x)[1], predict_mlp_batch(model, dataset.x)[1])
+        for other in ("relu", None, 1):
+            doc["hyperparameters"]["activation"] = other
+            with pytest.raises(ValueError, match=f"mlp hyperparameter 'activation' must be 'tanh', got {other!r}"):
+                from_document(doc)
+
     def test_unserializable_object_rejected(self, dataset):
         with pytest.raises(TypeError):
             to_document(object(), dataset.schema)

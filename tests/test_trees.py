@@ -8,7 +8,7 @@ import pytest
 
 from conftest import FIXTURE_DIR, make_dataset
 from mppkit.data import generate_synthetic, load_dataset, load_schema
-from mppkit.numeric import SeededRng, softmax
+from mppkit.numeric import SeededRng, cross_entropy, softmax
 from mppkit.serialize import to_document
 from mppkit.trees import (
     GbdtModel,
@@ -209,6 +209,14 @@ class TestFitGbdt:
         _, pa = predict_gbdt_batch(a, ds.x)
         _, pb = predict_gbdt_batch(b, ds.x)
         assert np.array_equal(pa, pb)
+
+    @pytest.mark.parametrize("rounds", [1, 7, 30])
+    def test_loss_history_ends_at_the_training_predictions(self, rounds):
+        ds = generate_synthetic(90, 4, {0, 1}, seed=21, noise=0.1)
+        model = fit_gbdt(ds, rounds=rounds)
+        assert len(model.loss_history) == rounds + 1
+        # bit for bit: the last entry is the log-loss of the probabilities the model predicts
+        assert model.loss_history[-1] == cross_entropy(predict_gbdt_batch(model, ds.x)[1], ds.y)
 
     def test_tree_count_invariant(self):
         ds = generate_synthetic(60, 3, {0}, seed=4)
