@@ -171,16 +171,11 @@ MODELS: dict[str, ModelEntry] = {
 }
 
 
-def fit_model(name: str, params: dict, dataset: Dataset, seed: int):
-    """Fit model `name` with `params` over its defaults (see resolve_params)."""
+def fit_predictor(name: str, params: dict, dataset: Dataset, seed: int):
+    """Fit model `name` with `params` over its defaults (see resolve_params);
+    `MODELS[name].predict(model, x)` labels rows with the returned model."""
     resolved = resolve_params(name, params)  # first: it names an unknown model
     return MODELS[name].fit(dataset, resolved, seed)
-
-
-def fit_predictor(name: str, params: dict, dataset: Dataset, seed: int):
-    """Fit one model and return a batch label-prediction callable."""
-    model = fit_model(name, params, dataset, seed)
-    return lambda x: MODELS[name].predict(model, x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,10 +214,8 @@ def cross_validate(spec: ModelSpec, dataset: Dataset, k: int = 5, seed: int = 0)
         test_idx = np.asarray(fold, dtype=np.int64)
         train_idx = np.setdiff1d(everything, test_idx)
         try:
-            predictor = fit_predictor(
-                spec.name, params, dataset.subset(train_idx), derive_seed(seed, f)
-            )
-            fold_preds = np.asarray(predictor(dataset.x[test_idx]), dtype=np.int64)
+            model = fit_predictor(spec.name, params, dataset.subset(train_idx), derive_seed(seed, f))
+            fold_preds = np.asarray(MODELS[spec.name].predict(model, dataset.x[test_idx]), dtype=np.int64)
         except Exception as exc:
             raise CrossValidationError(f"fold {f}: {exc}") from exc
         preds[test_idx] = fold_preds

@@ -1,9 +1,10 @@
 """Configuration-driven experiment runner and report emission.
 
-A run walks four stages: load and clean the dataset, build the stratified
-fold plan, cross-validate every configured model, and assemble the
-comparison (plus a GBDT importance ranking fitted on the full cleaned
-dataset).  Emitted CSV/JSON files are byte-identical for a fixed
+A run walks three stages: load and clean the dataset, cross-validate every
+configured model (each on its stratified fold plan, built before any fit,
+so a class too small for k fails the run before training starts), and
+assemble the comparison (plus a GBDT importance ranking fitted on the full
+cleaned dataset).  Emitted CSV/JSON files are byte-identical for a fixed
 (config, seed, dataset); wall-clock timestamps stay on the in-memory
 bundle and never reach the report files.
 """
@@ -19,7 +20,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .data import DataError, load_dataset, load_schema, stratified_kfold
+from .data import DataError, load_dataset, load_schema
 from .evaluation import N_CLASSES, CvReport, ModelSpec, cross_validate, resolve_params
 from .trees import ImportanceReport, feature_importance, fit_gbdt
 
@@ -173,7 +174,7 @@ def _now() -> str:
 
 
 def run_experiment(config: ExperimentConfig) -> ReportBundle:
-    """Execute the four-stage workflow for every configured model (3 classes only)."""
+    """Execute the three-stage workflow for every configured model (3 classes only)."""
     started = _now()
 
     try:  # stage 1: load and clean
@@ -184,22 +185,16 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
     except DataError as exc:
         raise DataError(f"stage 1 (load and clean): {exc}") from exc
 
-    try:  # stage 2: fold plan (cross_validate rebuilds the identical plan)
-        stratified_kfold(dataset, config.k, config.seed)
-    except (DataError, ValueError) as exc:
-        raise DataError(f"stage 2 (fold plan): {exc}") from exc
-
-    # stage 3: per-model cross-validation
+    # stage 2: per-model cross-validation; the first model's fold plan
+    # raises DataError for a class smaller than k, before any fit
     reports = tuple(
         cross_validate(spec, dataset, config.k, config.seed) for spec in config.models
     )
 
-    # stage 4: comparison assembly; importance from a full-dataset GBDT fit
-    importance = None
-    for spec in config.models:
-        if spec.name == "gbdt":
-            full_fit = fit_gbdt(dataset, **resolve_params("gbdt", spec.params))
-            importance = feature_importance(full_fit, schema)
+    # stage 3: comparison assembly; importance from a full-dataset GBDT fit
+    # with the gbdt report's resolved params
+    gbdt = next((r for r in reports if r.model == "gbdt"), None)
+    importance = None if gbdt is None else feature_importance(fit_gbdt(dataset, **gbdt.params), schema)
 
     return ReportBundle(
         reports=reports,
@@ -226,11 +221,6 @@ def compare_models(bundle: ReportBundle) -> list[dict]:
             row[f"f1_{cm.class_id}"] = cm.f1
         rows.append(row)
     return sorted(rows, key=lambda row: (-row["accuracy"], row["model"]))
-
-
-_COMPARISON_COLUMNS = ["model", "accuracy"] + [
-    f"{metric}_{c}" for c in range(3) for metric in ("precision", "recall", "f1")
-]
 
 
 def _fmt(value) -> str:
@@ -287,18 +277,14 @@ def emit_report(bundle: ReportBundle, formats: tuple[str, ...], out_dir) -> list
     if "csv" in formats:
         comparison = compare_models(bundle)
         path = out / "comparison.csv"
-        _write_csv(path, _COMPARISON_COLUMNS, [[row[c] for c in _COMPARISON_COLUMNS] for row in comparison])
+        _write_csv(path, list(comparison[0]), [list(row.values()) for row in comparison])
         written.append(path)
         for r in bundle.reports:
             path = out / f"metrics_{r.model}.csv"
-            header = [
-                "class", "tp", "fp", "fn", "tn",
-                "precision", "recall", "f1",
-                "precision_defined", "recall_defined", "f1_defined",
-            ]
-            # ClassMetrics' fields in the header's order, the flags written as 0/1
-            rows = [[int(v) if isinstance(v, bool) else v for v in asdict(cm).values()] for cm in r.per_class]
-            _write_csv(path, header, rows)
+            # one row of ClassMetrics' fields per class, class_id headed "class", the flags written as 0/1
+            records = [asdict(cm) for cm in r.per_class]
+            rows = [[int(v) if isinstance(v, bool) else v for v in rec.values()] for rec in records]
+            _write_csv(path, ["class", *list(records[0])[1:]], rows)
             written.append(path)
         if bundle.importance is not None:
             path = out / "importance.csv"

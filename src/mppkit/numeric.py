@@ -30,8 +30,16 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _check_integer(name: str, value) -> None:
+    # bool is an Integral, but True as a seed or index is a mistake, not 1
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def derive_seed(seed: int, index: int) -> int:
     """Deterministic child seed for stream `index` (one stream per CV fold)."""
+    _check_integer("seed", seed)
+    _check_integer("index", index)
     return _mix64((int(seed) + (int(index) + 1) * _GAMMA) & _MASK64)
 
 
@@ -47,8 +55,7 @@ class SeededRng:
     """
 
     def __init__(self, seed: int):
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral):
-            raise ValueError(f"seed must be an integer, got {seed!r}")
+        _check_integer("seed", seed)
         self._seed = int(seed) & _MASK64
         self._counter = 0
 

@@ -13,7 +13,6 @@ from mppkit.evaluation import (
     ModelSpec,
     confusion_matrix,
     cross_validate,
-    fit_model,
     fit_predictor,
     overall_accuracy,
     per_class_metrics,
@@ -262,18 +261,17 @@ class TestModelTable:
     def test_predictor_predicts_with_the_fitted_model(self, name):
         ds = generate_synthetic(60, 3, {0}, seed=5)
         params = resolve_params(name, self.QUICK[name])
-        labels = MODELS[name].predict(fit_model(name, params, ds, 1), ds.x)
+        labels = MODELS[name].predict(fit_predictor(name, params, ds, 1), ds.x)
         assert labels.shape == (60,)
         assert set(labels.tolist()) <= {0, 1, 2}
-        assert np.array_equal(fit_predictor(name, params, ds, 1)(ds.x), labels)
 
     def test_gradient_trainers_get_their_params_and_seed(self):
         ds = generate_synthetic(60, 3, {0}, seed=5)
         p = resolve_params("svm", {"epochs": 5, "learning_rate": 0.05, "reg_c": 2.0})
-        via_table = fit_model("svm", p, ds, 3)
+        via_table = fit_predictor("svm", p, ds, 3)
         assert np.array_equal(via_table.weights, fit_svm(ds, learning_rate=0.05, epochs=5, reg_c=2.0).weights)
         p = resolve_params("mlp", {"epochs": 5, "hidden": 4, "l2": 0.01, "batch_size": 8})
-        via_table = fit_model("mlp", p, ds, 3)
+        via_table = fit_predictor("mlp", p, ds, 3)
         direct = fit_mlp(ds, hidden=4, learning_rate=0.1, epochs=5, l2=0.01, seed=3, batch_size=8)
         assert np.array_equal(via_table.w1, direct.w1)
         assert np.array_equal(via_table.w2, direct.w2)
@@ -286,12 +284,12 @@ class TestModelTable:
             return hashlib.sha256(json.dumps(to_document(model, ds.schema), sort_keys=True).encode()).hexdigest()
 
         direct = TRAINERS[name](ds, seed=3) if name == "mlp" else TRAINERS[name](ds)
-        assert digest(fit_model(name, {}, ds, 3)) == digest(direct)
+        assert digest(fit_predictor(name, {}, ds, 3)) == digest(direct)
 
     def test_unknown_model(self):
         ds = generate_synthetic(60, 3, {0}, seed=5)
         with pytest.raises(ValueError, match="unknown model name 'forest'"):
-            fit_model("forest", {}, ds, 0)
+            fit_predictor("forest", {}, ds, 0)
 
     @pytest.mark.parametrize("extra", [-1, 1])
     @pytest.mark.parametrize("name", list(MODEL_DEFAULTS))
@@ -299,14 +297,14 @@ class TestModelTable:
         # without the check, one column short broadcasts against the 2-wide
         # standardization, and the trees read only the columns they split on
         ds = generate_synthetic(60, 2, {0}, seed=5)
-        model = fit_model(name, resolve_params(name, self.QUICK[name]), ds, 1)
+        model = fit_predictor(name, resolve_params(name, self.QUICK[name]), ds, 1)
         with pytest.raises(ValueError, match="dimension"):
             MODELS[name].predict(model, np.zeros((4, 2 + extra)))
 
     @pytest.mark.parametrize("name", list(MODEL_DEFAULTS))
     def test_single_row_predictor_takes_one_feature_vector(self, name):
         ds = generate_synthetic(60, 2, {0}, seed=5)
-        model = fit_model(name, resolve_params(name, self.QUICK[name]), ds, 1)
+        model = fit_predictor(name, resolve_params(name, self.QUICK[name]), ds, 1)
         predict = self.SINGLE_ROW[name]
         labels = MODELS[name].predict(model, ds.x)
         for i in (0, 31, 59):
@@ -352,7 +350,7 @@ class TestGoldenPredictions:
     def test_prediction_bytes(self, name):
         predict, params, expected = self.CASES[name]
         train = generate_synthetic(90, 4, {0, 2}, seed=12, noise=0.1)
-        model = fit_model(name, resolve_params(name, params), train, 4)
+        model = fit_predictor(name, resolve_params(name, params), train, 4)
         held_out = generate_synthetic(40, 4, {0, 2}, seed=13, noise=0.1).x
         assert _prediction_digest(predict(model, np.vstack([train.x, held_out]))) == expected
 

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import cli_env
+from mppkit import evaluation
 from mppkit.data import DataError
 from mppkit.evaluation import ModelSpec
 from mppkit.experiment import (
@@ -152,6 +153,14 @@ class TestRunExperiment:
         with pytest.raises(DataError, match="stage 1"):
             run_experiment(config)
 
+    def test_class_smaller_than_k_fails_before_any_fit(self, fixture_config, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a model was fitted before the fold plan was checked")
+
+        monkeypatch.setattr(evaluation, "fit_predictor", no_fit)
+        with pytest.raises(DataError, match="class 0 has 100 members, fewer than k=200"):
+            run_experiment(load_config(fixture_config, folds=200))
+
 
 class TestCompareModels:
     def test_sorted_by_accuracy_desc(self, small_bundle):
@@ -252,6 +261,17 @@ class TestEmitReport:
             emit_report(bundle, ("csv", "json"), dir_a), emit_report(bundle, ("csv", "json"), dir_b)
         ):
             assert path_a.read_bytes() == path_b.read_bytes()
+
+    def test_csv_headers(self, small_bundle, tmp_path):
+        # read from compare_models' row keys and ClassMetrics' fields: pinned here
+        bundle, _ = small_bundle
+        emit_report(bundle, ("csv",), tmp_path)
+        assert (tmp_path / "comparison.csv").read_text().splitlines()[0] == (
+            "model,accuracy,precision_0,recall_0,f1_0,precision_1,recall_1,f1_1,precision_2,recall_2,f1_2"
+        )
+        assert (tmp_path / "metrics_tree.csv").read_text().splitlines()[0] == (
+            "class,tp,fp,fn,tn,precision,recall,f1,precision_defined,recall_defined,f1_defined"
+        )
 
     def test_unknown_format_rejected(self, small_bundle, tmp_path):
         bundle, _ = small_bundle
@@ -394,6 +414,13 @@ class TestCli:
         assert result.stdout.splitlines()[1].endswith(", 3=0")
         result = run_cli("importance", "--config", str(config), cwd=tmp_path)
         assert result.returncode == 0, result.stderr
+
+    def test_class_smaller_than_k_exit_2(self, fixture_config, tmp_path):
+        out = tmp_path / "reports"
+        result = run_cli("run", "--config", str(fixture_config), "--folds", "200", "--out", str(out))
+        assert result.returncode == 2, result.stderr
+        assert "class 0" in result.stderr and "k=200" in result.stderr
+        assert not out.exists()
 
     def test_non_integer_folds_exit_1(self, fixture_dir_module, tmp_path):
         config = tmp_path / "config.json"

@@ -157,24 +157,31 @@ class TestSeededRng:
         assert derive_seed(123, 4) == derive_seed(123, 4)
         assert derive_seed(123, 4) != derive_seed(123, 5)
 
-    @pytest.mark.parametrize("seed", [1.7, "x", True, None])
+    @pytest.mark.parametrize("value", [1.7, "x", True, None])
     @pytest.mark.parametrize(
-        "draw",
+        "what, draw",
         [
-            SeededRng,
-            lambda seed: fit_mlp(generate_synthetic(30, 2, {0}, seed=1), epochs=2, seed=seed),
-            lambda seed: stratified_kfold(generate_synthetic(30, 2, {0}, seed=1), 3, seed),
-            lambda seed: generate_synthetic(30, 2, {0}, seed=seed),
+            ("seed", SeededRng),
+            ("seed", lambda seed: fit_mlp(generate_synthetic(30, 2, {0}, seed=1), epochs=2, seed=seed)),
+            ("seed", lambda seed: stratified_kfold(generate_synthetic(30, 2, {0}, seed=1), 3, seed)),
+            ("seed", lambda seed: generate_synthetic(30, 2, {0}, seed=seed)),
+            ("seed", lambda seed: derive_seed(seed, 0)),
+            ("index", lambda index: derive_seed(1, index)),
+            ("index", lambda index: SeededRng(3).spawn(index)),
         ],
-        ids=["SeededRng", "fit_mlp", "stratified_kfold", "generate_synthetic"],
+        ids=["SeededRng", "fit_mlp", "stratified_kfold", "generate_synthetic", "derive_seed",
+             "derive_seed_index", "spawn_index"],
     )
-    def test_seed_must_be_an_integer(self, draw, seed):
-        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
-            draw(seed)
+    def test_seed_must_be_an_integer(self, what, draw, value):
+        # without the check, derive_seed and spawn truncate: 1.7 and True act as 1
+        with pytest.raises(ValueError, match=f"{what} must be an integer, got {value!r}"):
+            draw(value)
 
     def test_numpy_integer_seed_is_its_int(self):
         assert np.array_equal(SeededRng(np.int64(5)).random(4), SeededRng(5).random(4))
         assert np.array_equal(SeededRng(np.uint32(5)).random(4), SeededRng(5).random(4))
+        assert derive_seed(np.int64(5), np.int32(2)) == derive_seed(5, 2)
+        assert SeededRng(3).spawn(np.int64(2)).seed == SeededRng(3).spawn(2).seed
 
 
 class TestTrainingMath:

@@ -3,8 +3,8 @@
 
     python3 tools/model_digests.py
 
-Fits, through ``mppkit.evaluation.fit_model`` (the model table the CV
-driver fits through), the fixture's five models on the whole fixture with
+Fits, through ``mppkit.evaluation.fit_predictor`` (the fit the CV driver
+makes for each fold), the fixture's five models on the whole fixture with
 their default hyperparameters and the fixture config's seed, a 200-round
 GBDT on a 2000x20 synthetic set and a tree on a 960x20 one.  It prints
 ``<name> <sha256 of the sorted-key JSON document>`` for each fit, then
@@ -26,7 +26,7 @@ REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
 from mppkit.data import generate_synthetic, load_dataset, load_schema
-from mppkit.evaluation import MODELS, fit_model
+from mppkit.evaluation import MODELS, fit_predictor
 from mppkit.serialize import to_document
 
 FIXTURE_DIR = REPO / "tests" / "fixtures"
@@ -35,7 +35,7 @@ SEED = 7  # the fixture config's seed
 
 def _digests(name: str, dataset) -> tuple[str, str]:
     """sha256 of the fitted model's document and of its labels for the same rows."""
-    model = fit_model(name, {}, dataset, SEED)
+    model = fit_predictor(name, {}, dataset, SEED)
     doc = to_document(model, dataset.schema)
     labels = MODELS[name].predict(model, dataset.x)
     return (
