@@ -84,6 +84,8 @@ class FeatureSchema:
             raise DataError("feature names must be unique")
         if not self.label_name:
             raise DataError("label column name must be non-empty")
+        if self.label_name in names:
+            raise DataError(f"label column {self.label_name!r} is also listed as a feature")
         if isinstance(self.n_classes, bool) or not isinstance(self.n_classes, numbers.Integral):
             raise DataError(f"schema key 'n_classes' must be an integer, got {self.n_classes!r}")
         if self.n_classes < 2:

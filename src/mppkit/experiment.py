@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import __version__
 from .data import DataError, load_dataset, load_schema
-from .evaluation import N_CLASSES, CvReport, ModelSpec, cross_validate, resolve_params
+from .evaluation import MODELS, N_CLASSES, CvReport, ModelSpec, cross_validate, resolve_params
 from .trees import ImportanceReport, feature_importance, fit_gbdt
 
 REPORT_FORMATS = ("csv", "json")
@@ -115,6 +115,15 @@ def _config_int(key: str, value) -> int:
     return int(value)
 
 
+def _out_dir(value) -> Path:
+    """The output directory, checked without creating it: its nearest existing part must be a directory."""
+    out = Path(value)
+    nearest = next((part for part in (out, *out.parents) if part.exists()), out)
+    if nearest.exists() and not nearest.is_dir():
+        raise ConfigError(f"output directory 'out' {str(out)!r}: {str(nearest)!r} is not a directory")
+    return out
+
+
 def load_config(
     path,
     seed: int | None = None,
@@ -126,7 +135,8 @@ def load_config(
     """Parse a JSON config file; keyword overrides mirror the CLI flags.
 
     Dataset and schema paths are resolved relative to the config file, the
-    output directory relative to the working directory.
+    output directory relative to the working directory; one that is or lies
+    under a file is rejected here, before any data is read.
     """
     path = Path(path)
     if not path.is_file():
@@ -152,7 +162,7 @@ def load_config(
         models=specs,
         k=_config_int("folds", folds if folds is not None else doc.get("folds", 5)),
         seed=_config_int("seed", seed if seed is not None else doc.get("seed", 0)),
-        out_dir=Path(out_dir if out_dir is not None else _config_str("out", doc.get("out", "reports"))),
+        out_dir=_out_dir(out_dir if out_dir is not None else _config_str("out", doc.get("out", "reports"))),
         formats=_parse_formats(fmt if fmt is not None else doc.get("format", "both")),
     )
 
@@ -269,8 +279,8 @@ def emit_report(bundle: ReportBundle, formats: tuple[str, ...], out_dir) -> list
         raise ValueError(f"unknown report format in {formats!r}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    # the directory describes this run only: drop report files an earlier run left
-    for stale in [*(out / name for name in REPORT_NAMES), *out.glob("metrics_*.csv")]:
+    # the directory describes this run only: drop report files an earlier run left, and no other file
+    for stale in [*(out / name for name in REPORT_NAMES), *(out / f"metrics_{name}.csv" for name in MODELS)]:
         stale.unlink(missing_ok=True)
     written: list[Path] = []
 

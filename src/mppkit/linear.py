@@ -7,11 +7,11 @@ features and halve the step size whenever an update would increase the
 training loss or make it non-finite, which makes the recorded loss history
 non-increasing by construction.
 
-Both share one descent loop (`_descend`).  The forward pass that gives the
-loss of an accepted step (the softmax probabilities, or the SVM's signed
-margins) is the one the next gradient is computed from; after a rejected
-step the gradient at the unchanged weights is reused.  Each epoch thus
-evaluates one forward pass.
+`_descend` is the one descent loop of these two trainers and the MLP.  The
+forward pass that gives the loss of an accepted step (the softmax
+probabilities, or the SVM's signed margins) is the one the next gradient is
+computed from; a rejected step recomputes the gradient at the unchanged
+weights from it.  Each epoch thus evaluates one forward pass.
 
 Each trainer takes its hyperparameters as keywords whose defaults are the
 model's (`evaluation.MODEL_DEFAULTS` reads them) and checks them first with
@@ -77,32 +77,37 @@ class SvmModel:
         return int(self.weights.shape[1]) - 1
 
 
-def _descend(w: np.ndarray, lr: float, epochs: int, evaluate, gradient):
-    """Full-batch gradient descent with reject-and-halve step control.
+def _descend(w, lr: float, epochs: int, evaluate, step, patience: int | None = None):
+    """The descent loop of every gradient trainer, with reject-and-halve step control.
 
     ``evaluate(w) -> (loss, forward)`` returns the loss at `w` with the
-    forward pass it computed, and ``gradient(w, forward)`` turns that pass
-    into the gradient at `w`, so each accepted step evaluates its forward
-    pass once.  A step whose loss is not at most the current one (a nan loss
-    included) is rejected and the step size halved; the gradient at the
-    unchanged `w` is reused.  Returns the final weights and the loss history.
+    forward pass it computed; ``step(w, forward, lr)`` proposes new weights.
+    A proposal whose loss is not at most the current one (a nan loss
+    included) is rejected and the step size halved.  Each epoch appends the
+    current loss.  Stops after `epochs`, once a halving takes the step below
+    1e-15, or after `patience` epochs in a row that fail to beat the best loss
+    by 1e-7.  Returns the final weights and the loss history.
     """
     loss, forward = evaluate(w)
     history = [loss]
-    g = None
+    best, stale = loss, 0
     for _ in range(epochs):
-        if g is None:
-            g = gradient(w, forward)
-        step = w - lr * g
-        new_loss, new_forward = evaluate(step)
-        if not new_loss <= loss:
+        proposal = step(w, forward, lr)
+        new_loss, new_forward = evaluate(proposal)
+        rejected = not new_loss <= loss
+        if rejected:
             lr *= 0.5
-            history.append(loss)
-            if lr < 1e-15:
-                break
-            continue
-        w, loss, forward, g = step, new_loss, new_forward, None
+        else:
+            w, loss, forward = proposal, new_loss, new_forward
         history.append(loss)
+        if rejected and lr < 1e-15:
+            break
+        if loss < best - 1e-7:
+            best, stale = loss, 0
+        else:
+            stale += 1
+        if stale == patience:
+            break
     return w, history
 
 
@@ -155,7 +160,7 @@ def fit_logistic(
         learning_rate,
         epochs,
         lambda w: _logistic_evaluate(w, xb, y, l2),
-        lambda w, p: _logistic_gradient(w, p, xb, targets, l2),
+        lambda w, p, lr: w - lr * _logistic_gradient(w, p, xb, targets, l2),
     )
     return LogisticModel(weights=w, standardization=std, n_classes=k, loss_history=tuple(history))
 
@@ -225,7 +230,7 @@ def fit_svm(
             learning_rate,
             epochs,
             lambda w: _svm_evaluate(w, xb, t, reg_c),
-            lambda w, signed: _svm_subgradient(w, signed, xb, t, reg_c),
+            lambda w, signed, lr: w - lr * _svm_subgradient(w, signed, xb, t, reg_c),
         )
         histories.append(tuple(history))
     return SvmModel(

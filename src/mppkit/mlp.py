@@ -2,10 +2,10 @@
 
 tanh hidden activation, softmax output, cross-entropy loss.  Weights start
 from the seeded generator at scale 1/sqrt(fan-in); batches are reshuffled
-every epoch from the same stream.  An epoch that raises the full training
-loss, or makes it non-finite, is rolled back with a halved step, and
-training stops early once the loss improves by less than 1e-7 over 10
-epochs.
+every epoch from the same stream.  `linear._descend` runs each epoch as one
+step: an epoch that raises the full training loss, or makes it non-finite,
+is dropped with a halved step, and a patience of 10 stops training once 10
+epochs in a row fail to beat the best loss by 1e-7.
 
 One forward pass (`_forward`) serves every job.  Each minibatch runs it on
 its rows, and its hidden layer and probabilities feed that batch's
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .linear import Standardization, add_bias, _check_trainable
+from .linear import Standardization, add_bias, _check_trainable, _descend
 from .numeric import (
     SeededRng, check_hyperparameters, cross_entropy, feature_rows, l2_penalty, one_hot, softmax,
 )
@@ -102,6 +102,11 @@ def fit_mlp(
     dataset: Dataset, hidden: int = 16, learning_rate: float = 0.1, epochs: int = 500, l2: float = 1e-4,
     batch_size: int = 32, seed: int = 0,
 ) -> MlpModel:
+    """Mini-batch backpropagation on L2-regularized cross-entropy, from the seeded generator.
+
+    Each epoch updates copies of the weights once per `batch_size` reshuffled
+    rows; `_descend` keeps the epoch only if the full training loss does not rise.
+    """
     check_hyperparameters("mlp", hidden=hidden, learning_rate=learning_rate, epochs=epochs, l2=l2,
                           batch_size=batch_size)
     _check_trainable(dataset)
@@ -119,15 +124,10 @@ def fit_mlp(
 
     batch_hidden = _hidden_buffer(min(batch_size, n), hidden)
 
-    lr = learning_rate
-    loss = mlp_loss(w1, w2, xb, y, l2)
-    history = [loss]
-    best = loss
-    stale = 0
-    for _ in range(epochs):
+    def epoch(w, _, lr):  # the loss pass leaves nothing for the step to reuse
+        w1, w2 = w[0].copy(), w[1].copy()
         perm = rng.permutation(n)
         xp, tp = xb[perm], targets[perm]  # each batch is then a contiguous slice
-        snap1, snap2 = w1.copy(), w2.copy()
         for start in range(0, n, batch_size):
             xs = xp[start : start + batch_size]
             layer = batch_hidden[: xs.shape[0]]
@@ -135,32 +135,13 @@ def fit_mlp(
             g1, g2 = _grads(w1, w2, xs, layer, probs, tp[start : start + batch_size], l2)
             w1 -= lr * g1
             w2 -= lr * g2
-        new_loss = mlp_loss(w1, w2, xb, y, l2)
-        if not new_loss <= loss:  # a nan loss is a rise too
-            w1, w2 = snap1, snap2
-            lr *= 0.5
-            history.append(loss)
-            if lr < 1e-15:
-                break
-        else:
-            loss = new_loss
-            history.append(loss)
-        if loss < best - 1e-7:
-            best = loss
-            stale = 0
-        else:
-            stale += 1
-            if stale >= 10:
-                break
+        return w1, w2
 
-    return MlpModel(
-        w1=w1,
-        w2=w2,
-        standardization=std,
-        h=hidden,
-        n_classes=k,
-        loss_history=tuple(history),
+    (w1, w2), history = _descend(
+        (w1, w2), learning_rate, epochs, lambda w: (mlp_loss(*w, xb, y, l2), None), epoch, patience=10
     )
+
+    return MlpModel(w1=w1, w2=w2, standardization=std, h=hidden, n_classes=k, loss_history=tuple(history))
 
 
 def predict_mlp(model: MlpModel, x) -> tuple[int, np.ndarray]:

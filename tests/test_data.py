@@ -11,6 +11,7 @@ from mppkit.data import (
     FeatureSpec,
     clean_and_encode,
     generate_synthetic,
+    load_dataset,
     load_raw,
     load_schema,
     stratified_kfold,
@@ -40,6 +41,14 @@ class TestSchema:
     def test_duplicate_names_rejected(self):
         with pytest.raises(DataError):
             schema_of([("a", "continuous"), ("a", "binary")])
+
+    def test_label_listed_as_feature_rejected(self):
+        with pytest.raises(DataError, match="label column 'label' is also listed as a feature"):
+            schema_of([("a", "continuous"), ("label", "ordinal")])
+        with pytest.raises(DataError, match="label column 'y' is also listed as a feature"):
+            FeatureSchema.from_manifest(
+                {"label": "y", "features": [{"name": "y", "kind": "continuous"}]}
+            )
 
     def test_empty_feature_list_rejected(self):
         with pytest.raises(DataError):
@@ -274,6 +283,28 @@ class TestDatasetInvariants:
         ds = generate_synthetic(12, 2, {0}, seed=1)
         with pytest.raises(ValueError):
             ds.x[0, 0] = 9.9
+
+    @pytest.mark.parametrize("source", ["load_dataset", "subset", "generate_synthetic", "constructor"])
+    def test_arrays_read_only_from_every_source(self, source, fixture_dir):
+        if source == "load_dataset":
+            ds = load_dataset(fixture_dir / "fixture.csv", load_schema(fixture_dir / "fixture_schema.json"))
+        elif source == "subset":
+            ds = generate_synthetic(12, 2, {0}, seed=1).subset([3, 1, 4])
+        elif source == "generate_synthetic":
+            ds = generate_synthetic(12, 2, {0}, seed=1)
+        else:
+            ds = Dataset(schema_of([("a", "continuous")]), np.array([[1.0], [2.0]]), np.array([0, 1]))
+        for array in (ds.x, ds.y):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+    def test_constructor_copies_callers_arrays(self):
+        x, y = np.array([[1.0], [2.0]]), np.array([0, 1])
+        ds = Dataset(schema_of([("a", "continuous")]), x, y)
+        x[0, 0], y[0] = 9.0, 2
+        assert x.flags.writeable and y.flags.writeable  # the caller's arrays stay theirs
+        assert ds.x.tolist() == [[1.0], [2.0]] and ds.y.tolist() == [0, 1]
 
 
 class TestStratifiedKfold:

@@ -124,6 +124,27 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="must hold a JSON object"):
             load_config(path)
 
+    @pytest.mark.parametrize("under", [(), ("sub",), ("sub", "deeper")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_out_naming_a_file_rejected(self, fixture_config, tmp_path, under, source):
+        blocker = tmp_path / "notes.txt"
+        blocker.write_text("keep")
+        out = blocker.joinpath(*under)
+        doc = json.loads(fixture_config.read_text())
+        if source == "config":
+            doc["out"] = str(out)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        message = f"output directory 'out' {str(out)!r}: {str(blocker)!r} is not a directory"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            load_config(path, out_dir=out if source == "flag" else None)
+        assert blocker.read_text() == "keep"
+
+    def test_out_may_be_an_existing_or_new_directory(self, fixture_config, tmp_path):
+        assert load_config(fixture_config, out_dir=tmp_path).out_dir == tmp_path
+        assert load_config(fixture_config, out_dir=tmp_path / "a" / "b").out_dir == tmp_path / "a" / "b"
+        assert not (tmp_path / "a").exists()
+
 
 class TestRunExperiment:
     def test_bundle_shape(self, small_bundle):
@@ -261,6 +282,15 @@ class TestEmitReport:
             emit_report(bundle, ("csv", "json"), dir_a), emit_report(bundle, ("csv", "json"), dir_b)
         ):
             assert path_a.read_bytes() == path_b.read_bytes()
+
+    def test_stale_cleanup_spares_other_files(self, small_bundle, tmp_path):
+        bundle, _ = small_bundle
+        for name in ("metrics_svm.csv", "metrics_notes.csv", "notes.txt"):
+            (tmp_path / name).write_text("earlier")
+        emit_report(bundle, ("csv",), tmp_path)
+        assert not (tmp_path / "metrics_svm.csv").exists()  # an earlier run's report
+        assert (tmp_path / "metrics_notes.csv").read_text() == "earlier"
+        assert (tmp_path / "notes.txt").read_text() == "earlier"
 
     def test_csv_headers(self, small_bundle, tmp_path):
         # read from compare_models' row keys and ClassMetrics' fields: pinned here
@@ -458,6 +488,28 @@ class TestCli:
         wrote = {line.split(" ", 1)[1] for line in result.stdout.splitlines() if line.startswith("wrote ")}
         assert {str(p) for p in out.iterdir()} == wrote
         assert sorted(p.name for p in out.iterdir()) == ["comparison.csv", "metrics_tree.csv", "summary.json"]
+
+    @pytest.mark.parametrize("under", [(), ("sub",)])
+    def test_run_out_naming_a_file_exit_1(self, fixture_config, tmp_path, under):
+        blocker = tmp_path / "notes.txt"
+        blocker.write_text("keep")
+        out = blocker.joinpath(*under)
+        result = run_cli("run", "--config", str(fixture_config), "--out", str(out), cwd=tmp_path)
+        assert result.returncode == 1, result.stderr
+        assert f"error: output directory 'out' {str(out)!r}" in result.stderr
+        assert blocker.read_text() == "keep"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["notes.txt"]
+
+    def test_importance_out_naming_a_file_exit_1(self, fixture_config, tmp_path):
+        blocker = tmp_path / "notes.txt"
+        blocker.write_text("keep")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**json.loads(fixture_config.read_text()), "out": str(blocker)}))
+        result = run_cli("importance", "--config", str(config), cwd=tmp_path)
+        assert result.returncode == 1, result.stderr
+        assert f"error: output directory 'out' {str(blocker)!r}" in result.stderr
+        assert blocker.read_text() == "keep"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "notes.txt"]
 
     def test_unknown_subcommand_exit_1(self):
         result = run_cli("serve")

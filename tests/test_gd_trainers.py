@@ -1,7 +1,8 @@
 """Behaviour shared by the three gradient-descent trainers (logistic, SVM, MLP).
 
 Golden digests pin the fitted models bit for bit; the remaining tests pin the
-reject-and-halve step control at the edge where a step overflows.
+shared descent loop's stops and its reject-and-halve step control at the
+edge where a step overflows.
 """
 
 import hashlib
@@ -12,7 +13,7 @@ import pytest
 
 from conftest import FIXTURE_DIR
 from mppkit.data import generate_synthetic, load_dataset, load_schema
-from mppkit.linear import fit_logistic, fit_svm
+from mppkit.linear import _descend, fit_logistic, fit_svm
 from mppkit.mlp import fit_mlp
 from mppkit.serialize import to_document
 
@@ -91,6 +92,47 @@ class TestGoldenModels:
         model = fit(fixture_dataset)
         assert _halvings(model) == halvings
         assert _digest(model) == expected
+
+
+class TestDescentStops:
+    """The two stops of `linear._descend` besides the epoch budget."""
+
+    def test_step_size_floor(self):
+        # every proposal is nan, so each epoch halves the step from 1.0 until
+        # 2**-50 < 1e-15; the weights and the recorded loss never move
+        steps = []
+
+        def step(w, forward, lr):
+            steps.append(lr)
+            return w + 1.0
+
+        w, history = _descend(
+            0.0, 1.0, 1000, lambda w: (2.0 if w == 0.0 else float("nan"), None), step
+        )
+        assert w == 0.0
+        assert history == [2.0] * 51
+        assert steps == [2.0**-i for i in range(50)]
+
+    @pytest.mark.parametrize("patience", [1, 3, 10])
+    def test_patience(self, patience):
+        # a constant loss accepts every step but never beats the best
+        w, history = _descend(0, 0.1, 1000, lambda w: (1.0, None), lambda w, _, lr: w + 1, patience)
+        assert w == patience
+        assert history == [1.0] * (patience + 1)
+
+    def test_patience_counts_from_the_last_gain(self):
+        losses = [5.0, 4.0, 4.0, 3.0, 3.0, 3.0 - 1e-8, 3.0]
+        w, history = _descend(0, 0.1, 1000, lambda w: (losses[w], None), lambda w, _, lr: w + 1, 2)
+        assert history == [5.0, 4.0, 4.0, 3.0, 3.0, 3.0 - 1e-8]
+
+    def test_no_patience_runs_every_epoch(self):
+        w, history = _descend(0, 0.1, 40, lambda w: (1.0, None), lambda w, _, lr: w + 1)
+        assert w == 40 and len(history) == 41
+
+    def test_mlp_stops_early_through_the_public_api(self):
+        # a step too small to move the loss by 1e-7: 10 epochs, then the stop
+        model = fit_mlp(generate_synthetic(60, 3, {0}, seed=1), learning_rate=1e-12, epochs=100, seed=1)
+        assert len(model.loss_history) == 11
 
 
 class TestOverflowingStep:

@@ -80,8 +80,6 @@ def csv_files(draw):
     n_classes = draw(st.sampled_from([3, 2]))
     specs = draw(st.lists(columns(rnd), min_size=1, max_size=3))
     names = [f"f{j}" for j in range(len(specs))]
-    if rnd.random() < 0.1:
-        names[-1] = "label"  # a feature may share the label's column
     schema = FeatureSchema(
         features=tuple(FeatureSpec(n, kind, mapping=m) for n, (kind, m, _) in zip(names, specs)),
         label_name="label",
@@ -89,7 +87,7 @@ def csv_files(draw):
     )
     pools = {n: pool for n, (_, _, pool) in zip(names, specs)}
     label_noise = rnd.choice(["none", "none", "odd but valid", "odd but valid", "bad"])
-    pools.setdefault("label", [str(c) for c in range(n_classes)] * 12 + [""] + LABEL_NOISE[label_noise])
+    pools["label"] = [str(c) for c in range(n_classes)] * 12 + [""] + LABEL_NOISE[label_noise]
     pools["extra"] = ["siteA", "", "x,y"]
     header = draw(st.permutations(sorted(set(names) | {"label", "extra"})))
     layout = rnd.choice(["plain"] * 18 + ["missing column", "duplicate column"])
