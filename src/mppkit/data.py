@@ -17,8 +17,14 @@ and continuous cells, a code index for binary ones) plus a blank mask,
 keeping the text only of cells an error message may quote.  A column block
 is parsed in one pass of C-level calls; only a block holding padded,
 whitespace-only or unparsable cells, or a binary code not yet seen, takes
-the per-cell path.  ``clean_and_encode`` then works on whole columns: drop
-unlabelled rows, map binary codes, impute, and pick the error to report.
+the per-cell path.  Each column's numbers and blank mask are written into
+one float64 and one bool buffer that grow in place (doubling, trimmed at
+the end of the file), so no list of blocks is joined into a second copy.
+``clean_and_encode`` then works on whole columns: drop unlabelled rows
+straight into the row of the feature matrix that column becomes, map
+binary codes, impute, and pick the error to report.  The Dataset adopts
+that matrix without copying it.  Every file is read as UTF-8 with an
+optional leading byte-order mark, as spreadsheet "CSV UTF-8" exports write.
 """
 
 from __future__ import annotations
@@ -140,7 +146,7 @@ def load_schema(path) -> FeatureSchema:
     if not path.is_file():
         raise DataError(f"schema manifest not found: {path}")
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(path.read_text(encoding="utf-8-sig"))
     except json.JSONDecodeError as exc:
         raise DataError(f"schema manifest {path} is not valid JSON: {exc}") from exc
     return FeatureSchema.from_manifest(doc)
@@ -181,15 +187,32 @@ class RawTable:
 
 @dataclass(frozen=True, eq=False)
 class Dataset:
-    """Clean numeric matrix with labels in {0..n_classes-1}."""
+    """Clean numeric matrix with labels in {0..n_classes-1}.
+
+    `x` (float64, n*d) and `y` (int64, length n) are read-only and belong
+    to the dataset alone.  The constructor copies the arrays a caller
+    passes, so a later write to them cannot reach the dataset.  Arrays the
+    library has just built and holds no other reference to (the loader's
+    matrix, `subset`'s slices, synthetic draws) are adopted through
+    `_adopt` instead: checked the same way and made read-only, not copied.
+    """
 
     schema: FeatureSchema
     x: np.ndarray
     y: np.ndarray
 
     def __post_init__(self):
-        x = np.array(self.x, dtype=np.float64)
-        y = np.array(self.y, dtype=np.int64)
+        self._own(np.array(self.x, dtype=np.float64), np.array(self.y, dtype=np.int64))
+
+    @classmethod
+    def _adopt(cls, schema: FeatureSchema, x: np.ndarray, y: np.ndarray) -> "Dataset":
+        """A Dataset over fresh float64 `x` and int64 `y` that no one else holds."""
+        dataset = object.__new__(cls)
+        object.__setattr__(dataset, "schema", schema)
+        dataset._own(x, y)
+        return dataset
+
+    def _own(self, x: np.ndarray, y: np.ndarray) -> None:
         if x.ndim != 2 or y.ndim != 1 or x.shape[0] != y.shape[0]:
             raise DataError("x must be n*d and y length n")
         if x.shape[1] != self.schema.d:
@@ -215,7 +238,7 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return Dataset(self.schema, self.x[idx], self.y[idx])
+        return Dataset._adopt(self.schema, self.x[idx], self.y[idx])
 
 
 @dataclass(frozen=True)
@@ -246,7 +269,8 @@ def load_raw(path, schema: FeatureSchema) -> RawTable:
     try:
         return _read_table(path, schema)
     except UnicodeDecodeError:
-        # the streaming decoder's offset is relative to its buffer; find the file offset
+        # the streaming decoder's offset is relative to its buffer, and past any BOM;
+        # a BOM is valid UTF-8, so decoding the whole file as plain UTF-8 gives the file offset
         try:
             path.read_bytes().decode("utf-8")
         except UnicodeDecodeError as exc:
@@ -255,7 +279,7 @@ def load_raw(path, schema: FeatureSchema) -> RawTable:
 
 
 def _read_table(path: Path, schema: FeatureSchema) -> RawTable:
-    with path.open(newline="", encoding="utf-8") as fh:
+    with path.open(newline="", encoding="utf-8-sig") as fh:  # skips a leading BOM
         reader = csv.reader(fh)
         try:
             return _encode_rows(path, reader, schema)
@@ -292,8 +316,8 @@ def _encode_rows(path: Path, reader, schema: FeatureSchema) -> RawTable:
     return RawTable(
         header=header,
         n_rows=n_rows,
-        label=label.finish(),
-        features=tuple(encoder.finish() for encoder in features),
+        label=label.finish(n_rows),
+        features=tuple(encoder.finish(n_rows) for encoder in features),
     )
 
 
@@ -321,8 +345,8 @@ class _ColumnEncoder:
         self.valid = valid  # values -> mask of the cells no message needs to quote
         # binary: stripped code -> its index in RawColumn.codes; a blank maps to nan
         self.codes = {"": math.nan} if binary else None
-        self.values: list[np.ndarray] = []
-        self.blanks: list[np.ndarray] = []
+        self.values = np.empty(BLOCK_ROWS)
+        self.blank = np.empty(BLOCK_ROWS, dtype=bool)
         self.texts: dict[int, str] = {}
 
     def add(self, cells: tuple[str, ...], start: int) -> None:
@@ -340,8 +364,16 @@ class _ColumnEncoder:
             if text:
                 self.texts[start + i] = text
                 blank[i] = False
-        self.values.append(values)
-        self.blanks.append(blank)
+        end = start + len(cells)
+        if end > self.values.size:
+            self._resize(max(end, 2 * self.values.size))
+        self.values[start:end] = values
+        self.blank[start:end] = blank
+
+    def _resize(self, size: int) -> None:
+        # realloc in place; no view of either buffer outlives add() or finish()
+        self.values.resize(size, refcheck=False)
+        self.blank.resize(size, refcheck=False)
 
     def _cell_value(self, cell: str) -> float:
         if self.codes is None:
@@ -351,10 +383,11 @@ class _ColumnEncoder:
                 return math.nan
         return self.codes.setdefault(cell.strip(), float(len(self.codes) - 1))
 
-    def finish(self) -> RawColumn:
+    def finish(self, n_rows: int) -> RawColumn:
+        self._resize(n_rows)
         return RawColumn(
-            values=np.concatenate(self.values) if self.values else np.empty(0),
-            blank=np.concatenate(self.blanks) if self.blanks else np.empty(0, dtype=bool),
+            values=self.values,
+            blank=self.blank,
             texts=self.texts,
             codes=None if self.codes is None else tuple(self.codes)[1:],
         )
@@ -446,7 +479,7 @@ def clean_and_encode(raw: RawTable, schema: FeatureSchema) -> Dataset:
         present = ~column.blank[kept]
         if not present.any():
             raise DataError(f"column {spec.name!r} is entirely missing")
-        values = column.values[kept]
+        values = np.compress(kept, column.values, out=columns[j])  # a view of row j
         if spec.kind == "binary":
             values[present] = _encode_binary(values[present], column.codes, spec)
         quoted = [(row_number[r], text) for r, text in column.texts.items() if kept[r]]
@@ -457,12 +490,11 @@ def clean_and_encode(raw: RawTable, schema: FeatureSchema) -> Dataset:
             non_finite.append((quoted[0][0], j, quoted[0][1]))
         elif not non_finite and not present.all():  # no fill when an error is due
             values[~present] = _fill_value(values[present], spec.kind)
-        columns[j] = values
 
     if non_finite:
         n, j, text = min(non_finite)
         raise DataError(f"row {n}, column {schema.features[j].name!r}: non-finite value {text!r}")
-    return Dataset(schema=schema, x=columns.T, y=labels)
+    return Dataset._adopt(schema, columns.T, labels)
 
 
 def load_dataset(data_path, schema: FeatureSchema) -> Dataset:
@@ -560,4 +592,4 @@ def generate_synthetic(
         label_name="label",
         n_classes=3,
     )
-    return Dataset(schema=schema, x=x, y=labels)
+    return Dataset._adopt(schema, x, labels)

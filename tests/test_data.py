@@ -1,5 +1,6 @@
 import json
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ def write_csv(tmp_path, text, name="data.csv"):
     return path
 
 
+BOM = b"\xef\xbb\xbf"
 MPP_LIKE_COLUMNS = [(f"c{i}", "continuous") for i in range(41)] + [("Cough", "binary")]
 
 
@@ -87,6 +89,12 @@ class TestSchema:
         path.write_text(json.dumps({**doc, **change}))
         with pytest.raises(DataError, match=re.escape(message)):
             load_schema(path)
+
+    def test_manifest_with_byte_order_mark(self, tmp_path):
+        schema = schema_of([("a", "continuous")])
+        path = tmp_path / "schema.json"
+        path.write_bytes(BOM + json.dumps(schema.to_manifest()).encode("utf-8"))
+        assert load_schema(path) == schema
 
     def test_missing_manifest_file(self, tmp_path):
         with pytest.raises(DataError):
@@ -148,6 +156,23 @@ class TestLoadRaw:
         path = tmp_path / "late.csv"
         path.write_bytes(head + b"\xff,1\n")
         with pytest.raises(DataError, match=f"byte {len(head)}:"):
+            load_raw(path, schema)
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        # spreadsheet "CSV UTF-8" exports start with one
+        schema = schema_of([("a", "continuous")])
+        text = "a,label\n1,0\n2,1\n"
+        plain = load_dataset(write_csv(tmp_path, text), schema)
+        path = tmp_path / "bom.csv"
+        path.write_bytes(BOM + text.encode("utf-8"))
+        marked = load_dataset(path, schema)
+        assert marked.x.tobytes() == plain.x.tobytes() and marked.y.tobytes() == plain.y.tobytes()
+
+    def test_non_utf8_offset_counts_the_byte_order_mark(self, tmp_path):
+        schema = schema_of([("a", "continuous")])
+        path = tmp_path / "bom.csv"
+        path.write_bytes(BOM + b"a,label\n1,0\n\xe9,1\n")
+        with pytest.raises(DataError, match=r"bom\.csv: byte 15: not valid UTF-8"):
             load_raw(path, schema)
 
 
@@ -262,6 +287,36 @@ class TestCleanAndEncode:
             assert float(ds.x[:, j].min()) == float(col["min"])
             assert float(ds.x[:, j].max()) == float(col["max"])
 
+    def test_peak_memory_above_input(self, tmp_path):
+        # the matrix is built once: no second copy of it, and no per-column copy
+        rng = SeededRng(3)
+        n, per_kind = 20_000, 10
+        kinds = ["binary"] * per_kind + ["ordinal"] * per_kind + ["continuous"] * per_kind
+        schema = schema_of([(f"f{j}", kind) for j, kind in enumerate(kinds)])
+        draws = rng.random((n, len(kinds)))
+        blank = rng.random((n, len(kinds))) < 0.02
+        lines = [",".join(schema.feature_names + ["label"])]
+        for i in range(n):
+            cells = []
+            for j, kind in enumerate(kinds):
+                v = draws[i, j]
+                if blank[i, j]:
+                    cells.append("")
+                elif kind == "binary":
+                    cells.append("yes" if v < 0.5 else "no")
+                else:
+                    cells.append(str(int(v * 5)) if kind == "ordinal" else repr(float(v)))
+            lines.append(",".join(cells + [str(i % 3)]))
+        raw = load_raw(write_csv(tmp_path, "\n".join(lines) + "\n"), schema)
+        tracemalloc.start()
+        try:
+            ds = clean_and_encode(raw, schema)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ds.x.shape == (n, len(kinds))
+        assert peak <= 1.75 * ds.x.nbytes, f"peak {peak / ds.x.nbytes:.2f}x the matrix"
+
 
 class TestDatasetInvariants:
     def test_rejects_non_finite(self):
@@ -298,6 +353,18 @@ class TestDatasetInvariants:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 1
+
+    def test_subsets_are_private_and_read_only(self, fixture_dir):
+        ds = load_dataset(fixture_dir / "fixture.csv", load_schema(fixture_dir / "fixture_schema.json"))
+        sub = ds.subset(np.arange(0, ds.n, 2))
+        subsub = sub.subset([4, 0, 2])
+        assert subsub.x.tolist() == ds.x[[8, 0, 4]].tolist()
+        for child, parent in ((sub, ds), (subsub, sub), (subsub, ds)):
+            for array, parent_array in ((child.x, parent.x), (child.y, parent.y)):
+                assert not array.flags.writeable
+                assert not np.shares_memory(array, parent_array)
+                with pytest.raises(ValueError):
+                    array[0] = 1
 
     def test_constructor_copies_callers_arrays(self):
         x, y = np.array([[1.0], [2.0]]), np.array([0, 1])

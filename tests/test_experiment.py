@@ -118,6 +118,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=re.escape(message)):
             load_config(path)
 
+    def test_byte_order_mark_skipped(self, fixture_config, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_bytes(b"\xef\xbb\xbf" + fixture_config.read_bytes())
+        config, plain = load_config(path), load_config(fixture_config)
+        assert (config.models, config.k, config.seed) == (plain.models, plain.k, plain.seed)
+        assert config.data_path.name == plain.data_path.name
+
     def test_config_must_be_an_object(self, tmp_path):
         path = tmp_path / "config.json"
         path.write_text("[1]")
