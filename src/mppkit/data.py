@@ -24,7 +24,8 @@ the end of the file), so no list of blocks is joined into a second copy.
 straight into the row of the feature matrix that column becomes, map
 binary codes, impute, and pick the error to report.  The Dataset adopts
 that matrix without copying it.  Every file is read as UTF-8 with an
-optional leading byte-order mark, as spreadsheet "CSV UTF-8" exports write.
+optional leading byte-order mark, as spreadsheet "CSV UTF-8" exports write;
+`read_json` reads the JSON ones: schema manifest, config, model documents.
 """
 
 from __future__ import annotations
@@ -134,22 +135,39 @@ class FeatureSchema:
         except (KeyError, TypeError) as exc:
             raise DataError(f"malformed schema manifest: {exc}") from exc
 
-    def canonical_json(self) -> str:
-        return json.dumps(self.to_manifest(), sort_keys=True, separators=(",", ":"))
-
     def schema_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode("utf-8")).hexdigest()
+        return json_digest(self.to_manifest())
+
+
+def json_digest(doc) -> str:
+    """sha256 of `doc` as key-sorted compact JSON, the one canonical form every digest hashes."""
+    blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def read_text(path: Path, error) -> str:
+    """The file as UTF-8 text less a leading BOM; an invalid byte raises `error` with its file offset."""
+    try:
+        text = path.read_bytes().decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: byte {exc.start}: not valid UTF-8 ({exc.reason})") from None
+    return text.removeprefix("\ufeff")
+
+
+def read_json(path, what: str, error):
+    """The JSON value in file `path`; a missing, undecodable or unparsable file raises `error`."""
+    path = Path(path)
+    if not path.is_file():
+        raise error(f"{what} not found: {path}")
+    text = read_text(path, error)
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # also an over-long integer, or nesting too deep
+        raise error(f"{what} {path} is not valid JSON: {exc}") from exc
 
 
 def load_schema(path) -> FeatureSchema:
-    path = Path(path)
-    if not path.is_file():
-        raise DataError(f"schema manifest not found: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8-sig"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"schema manifest {path} is not valid JSON: {exc}") from exc
-    return FeatureSchema.from_manifest(doc)
+    return FeatureSchema.from_manifest(read_json(path, "schema manifest", DataError))
 
 
 @dataclass
@@ -250,9 +268,7 @@ class FoldPlan:
     seed: int
 
     def digest(self) -> str:
-        doc = {"k": self.k, "seed": self.seed, "folds": [list(f) for f in self.folds]}
-        blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        return json_digest({"k": self.k, "seed": self.seed, "folds": [list(f) for f in self.folds]})
 
 
 def load_raw(path, schema: FeatureSchema) -> RawTable:
@@ -267,24 +283,17 @@ def load_raw(path, schema: FeatureSchema) -> RawTable:
     if not path.is_file():
         raise DataError(f"dataset file not found: {path}")
     try:
-        return _read_table(path, schema)
+        with path.open(newline="", encoding="utf-8-sig") as fh:  # skips a leading BOM
+            reader = csv.reader(fh)
+            try:
+                return _encode_rows(path, reader, schema)
+            except csv.Error as exc:
+                raise DataError(f"{path}: row {reader.line_num}: {exc}") from None
     except UnicodeDecodeError:
-        # the streaming decoder's offset is relative to its buffer, and past any BOM;
-        # a BOM is valid UTF-8, so decoding the whole file as plain UTF-8 gives the file offset
-        try:
-            path.read_bytes().decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise DataError(f"{path}: byte {exc.start}: not valid UTF-8 ({exc.reason})") from None
+        # the streaming decoder's offset is relative to its buffer, and past any BOM:
+        # only on this error path is the whole file read, for the file offset
+        read_text(path, DataError)
         raise
-
-
-def _read_table(path: Path, schema: FeatureSchema) -> RawTable:
-    with path.open(newline="", encoding="utf-8-sig") as fh:  # skips a leading BOM
-        reader = csv.reader(fh)
-        try:
-            return _encode_rows(path, reader, schema)
-        except csv.Error as exc:
-            raise DataError(f"{path}: row {reader.line_num}: {exc}") from None
 
 
 def _encode_rows(path: Path, reader, schema: FeatureSchema) -> RawTable:

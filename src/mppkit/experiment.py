@@ -12,7 +12,6 @@ bundle and never reach the report files.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import numbers
 from dataclasses import asdict, dataclass, field
@@ -20,7 +19,7 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .data import DataError, load_dataset, load_schema
+from .data import DataError, json_digest, load_dataset, load_schema, read_json
 from .evaluation import MODELS, N_CLASSES, CvReport, ModelSpec, cross_validate, resolve_params
 from .trees import ImportanceReport, feature_importance, fit_gbdt
 
@@ -61,16 +60,14 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown report format {fmt!r}")
 
     def digest(self) -> str:
-        doc = {
+        return json_digest({
             "data": str(self.data_path),
             "schema": str(self.schema_path),
             "models": {m.name: m.params for m in self.models},
             "folds": self.k,
             "seed": self.seed,
             "formats": list(self.formats),
-        }
-        blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+        })
 
 
 def _model_spec(name, params) -> ModelSpec:
@@ -139,12 +136,7 @@ def load_config(
     under a file is rejected here, before any data is read.
     """
     path = Path(path)
-    if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8-sig"))
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
+    doc = read_json(path, "config file", ConfigError)
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     for key in ("data", "schema", "models"):
@@ -253,19 +245,11 @@ def write_importance(path: Path, ranking: ImportanceReport) -> None:
 
 
 def _report_to_obj(r: CvReport) -> dict:
-    return {
-        "model": r.model,
-        "params": r.params,
-        "confusion_matrix": [[int(v) for v in row] for row in r.matrix],
-        "accuracy": r.accuracy,
-        "per_class": [asdict(cm) for cm in r.per_class],
-        "fold_accuracies": list(r.fold_accuracies),
-        "fold_accuracy_mean": r.fold_accuracy_mean,
-        "fold_accuracy_std": r.fold_accuracy_std,
-        "seed": r.seed,
-        "folds": r.k,
-        "fold_plan_digest": r.fold_plan_digest,
-    }
+    """The report's fields, `matrix` as `confusion_matrix` (int lists) and `k` as `folds`."""
+    obj = asdict(r)
+    obj["confusion_matrix"] = obj.pop("matrix").tolist()
+    obj["folds"] = obj.pop("k")
+    return obj
 
 
 def emit_report(bundle: ReportBundle, formats: tuple[str, ...], out_dir) -> list[Path]:
@@ -312,12 +296,7 @@ def emit_report(bundle: ReportBundle, formats: tuple[str, ...], out_dir) -> list
             },
             "comparison": compare_models(bundle),
             "reports": {r.model: _report_to_obj(r) for r in bundle.reports},
-            "importance": None
-            if bundle.importance is None
-            else {
-                "entries": [[name, weight] for name, weight in bundle.importance.entries],
-                "total": bundle.importance.total,
-            },
+            "importance": None if bundle.importance is None else asdict(bundle.importance),
         }
         path = out / "summary.json"
         path.write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")

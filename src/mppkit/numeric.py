@@ -12,8 +12,8 @@ function of its seeds.
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -47,11 +47,13 @@ class SeededRng:
     """Counter-based splitmix64 generator.
 
     The i-th raw draw is ``mix64(seed + i * golden_gamma)``: a pure function
-    of (seed, counter), with identical output on every platform.  Uniform
-    doubles take the top 53 bits of a draw; normals come from Box-Muller on
-    uniform pairs; permutations are argsorts of uniform keys.  This is the
-    only randomness source in the toolkit, which is what makes reports
-    byte-reproducible.
+    of (seed, counter).  Uniform doubles take the top 53 bits of a draw;
+    integers scale uniforms and permutations argsort them.  All three use
+    integer math and correctly rounded float operations only, so they are
+    the same on every platform.  Normals come from Box-Muller on uniform
+    pairs, through ``np.log`` and ``np.cos``, whose last bits may differ
+    between CPUs.  This is the only randomness source in the toolkit, which
+    is what makes reports byte-reproducible on one machine.
     """
 
     def __init__(self, seed: int):
@@ -169,7 +171,8 @@ def _integer(low: int):
 
 
 def _number(test, text: str):
-    return lambda v: isinstance(v, numbers.Real) and math.isfinite(v) and test(v), text
+    # an int too large for a float fails this bound, where math.isfinite raises OverflowError
+    return lambda v: isinstance(v, numbers.Real) and abs(v) <= sys.float_info.max and test(v), text
 
 
 # hyperparameter -> (check of a value, what the check asks for)

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import FeatureSchema
+from .data import FeatureSchema, read_json
 from .linear import LogisticModel, Standardization, SvmModel
 from .mlp import MlpModel
 from .trees import GbdtModel, TreeModel, TreeNode
@@ -51,22 +51,23 @@ def _node_from_obj(obj) -> TreeNode:
     )
 
 
-def _std_to_obj(std: Standardization | None):
-    if std is None:
-        return None
+def _std_to_obj(std: Standardization) -> dict:
     return {"mean": [float(v) for v in std.mean], "std": [float(v) for v in std.std]}
 
 
-def _std_from_obj(obj) -> Standardization | None:
-    if obj is None:
-        return None
+def _std_from_obj(obj, weights: np.ndarray) -> Standardization:
+    """The z-scoring that feeds `weights`: a mean and a std per column but the last (bias) one."""
     if not isinstance(obj, dict):
         raise ValueError(
-            f"model document key 'standardization' must be a JSON object or null, got {type(obj).__name__}"
+            f"model document key 'standardization' must be a JSON object, got {type(obj).__name__}"
         )
-    return Standardization(
-        mean=np.array(obj["mean"], dtype=float), std=np.array(obj["std"], dtype=float)
-    )
+    std = Standardization(mean=np.array(obj["mean"], dtype=float), std=np.array(obj["std"], dtype=float))
+    if weights.ndim != 2 or not std.mean.shape == std.std.shape == (weights.shape[1] - 1,):
+        raise ValueError(
+            f"model document key 'standardization' must hold a 'mean' and a 'std' per feature of "
+            f"weights shaped {weights.shape}, got shapes {std.mean.shape} and {std.std.shape}"
+        )
+    return std
 
 
 def _matrix(w: np.ndarray) -> list[list[float]]:
@@ -143,8 +144,9 @@ def from_document(doc: dict):
     An unsupported version, an unknown model type or a missing key (a
     truncated document) raises ValueError, as does a document, a
     hyperparameters or weights section, or a tree node that is not a JSON
-    object, a standardization section that is neither an object nor null,
-    and an MLP activation other than "tanh" (a missing one reads as "tanh").
+    object, a standardization section that is not an object with a mean and
+    a std per feature of the first weight matrix, and an MLP activation
+    other than "tanh" (a missing one reads as "tanh").
     """
     if not isinstance(doc, dict):
         raise ValueError(f"model document must be a JSON object, got {type(doc).__name__}")
@@ -165,16 +167,18 @@ def _model_from_document(kind, doc: dict):
     hp = doc.get("hyperparameters", {})
     weights = doc.get("weights", {})
     if kind == "logistic":
+        coef = np.array(weights["coef"], dtype=float)
         return LogisticModel(
-            weights=np.array(weights["coef"], dtype=float),
-            standardization=_std_from_obj(doc["standardization"]),
+            weights=coef,
+            standardization=_std_from_obj(doc["standardization"], coef),
             n_classes=int(hp["n_classes"]),
         )
     if kind == "svm":
+        coef = np.array(weights["coef"], dtype=float)
         return SvmModel(
-            weights=np.array(weights["coef"], dtype=float),
+            weights=coef,
             reg_c=float(hp["reg_c"]),
-            standardization=_std_from_obj(doc["standardization"]),
+            standardization=_std_from_obj(doc["standardization"], coef),
             n_classes=int(hp["n_classes"]),
         )
     if kind == "tree":
@@ -205,10 +209,11 @@ def _model_from_document(kind, doc: dict):
         activation = hp.get("activation", "tanh")
         if activation != "tanh":
             raise ValueError(f"mlp hyperparameter 'activation' must be 'tanh', got {activation!r}")
+        w1 = np.array(weights["w1"], dtype=float)
         return MlpModel(
-            w1=np.array(weights["w1"], dtype=float),
+            w1=w1,
             w2=np.array(weights["w2"], dtype=float),
-            standardization=_std_from_obj(doc["standardization"]),
+            standardization=_std_from_obj(doc["standardization"], w1),
             h=int(hp["hidden"]),
             n_classes=int(hp["n_classes"]),
         )
@@ -223,7 +228,7 @@ def save_model(model, schema: FeatureSchema, path) -> Path:
 
 def load_model(path, schema: FeatureSchema | None = None):
     """Load a model document; if a schema is given, its hash must match."""
-    doc = json.loads(Path(path).read_text())
+    doc = read_json(path, "model document", ValueError)
     # a non-object document falls through to from_document's ValueError
     if schema is not None and isinstance(doc, dict) and doc.get("schema_hash") != schema.schema_hash():
         raise ValueError("model document was fitted against a different schema")

@@ -5,8 +5,9 @@ ensemble fits one regression tree per class per round to the softmax
 log-loss residuals, with variance-reduction splits and the one-step
 closed-form leaf update.  Candidate thresholds sit at midpoints between
 consecutive distinct sorted values, and all tie-breaks are fixed (lowest
-feature index, then lowest threshold) so fitted trees are stable across
-platforms.
+feature index, then lowest threshold).  A tree is then a function of its
+inputs alone; GBDT's residuals, though, pass through ``np.exp``, whose last
+bits may differ between CPUs.
 
 Both learners grow on one exact split kernel, `_best_split`, which scores
 every (feature, threshold) of a node in one vectorized pass over a

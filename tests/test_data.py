@@ -96,6 +96,12 @@ class TestSchema:
         path.write_bytes(BOM + json.dumps(schema.to_manifest()).encode("utf-8"))
         assert load_schema(path) == schema
 
+    def test_non_utf8_manifest_names_file_and_byte(self, tmp_path):
+        path = tmp_path / "schema.json"
+        path.write_bytes(BOM + b'{"label": "\xe9"}')
+        with pytest.raises(DataError, match=r"schema\.json: byte 14: not valid UTF-8"):
+            load_schema(path)
+
     def test_missing_manifest_file(self, tmp_path):
         with pytest.raises(DataError):
             load_schema(tmp_path / "nope.json")

@@ -246,6 +246,13 @@ class TestEmitReport:
         assert set(summary["reports"]) == {"tree", "gbdt"}
         matrix = np.array(summary["reports"]["tree"]["confusion_matrix"])
         assert matrix.sum() == 300
+        # a report's fields, `matrix` written as `confusion_matrix` and `k` as `folds`
+        assert set(summary["reports"]["tree"]) == {
+            "model", "params", "confusion_matrix", "accuracy", "per_class", "fold_accuracies",
+            "fold_accuracy_mean", "fold_accuracy_std", "seed", "folds", "fold_plan_digest",
+        }
+        assert summary["reports"]["tree"]["folds"] == 3
+        assert set(summary["importance"]) == {"entries", "total"}
 
     def test_importance_csv_sorted_and_normalized(self, small_bundle, tmp_path):
         bundle, _ = small_bundle
@@ -373,6 +380,22 @@ class TestCli:
         )
         assert result.returncode == 2, result.stderr
         assert "latin1.csv: byte 13: not valid UTF-8" in result.stderr
+
+    def test_non_utf8_schema_exit_2(self, fixture_dir_module, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"label": "\xe9tat", "features": []}')
+        result = run_cli(
+            "validate-data", "--data", str(fixture_dir_module / "fixture.csv"), "--schema", str(bad),
+        )
+        assert result.returncode == 2, result.stderr
+        assert "latin1.json: byte 11: not valid UTF-8" in result.stderr
+
+    def test_non_utf8_config_exit_1(self, tmp_path):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b'{"data": "\xe9.csv"}')
+        result = run_cli("run", "--config", str(bad), cwd=tmp_path)
+        assert result.returncode == 1, result.stderr
+        assert "latin1.json: byte 10: not valid UTF-8" in result.stderr
 
     def test_missing_dataset_exit_2(self, fixture_dir_module, tmp_path):
         result = run_cli(

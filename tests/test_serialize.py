@@ -10,6 +10,10 @@ from mppkit.serialize import FORMAT_VERSION, from_document, load_model, save_mod
 from mppkit.trees import fit_gbdt, fit_tree, predict_gbdt_batch, predict_tree_batch
 
 
+# the models whose documents carry a standardization
+STANDARDIZED_FITS = [fit_logistic, fit_svm, lambda ds: fit_mlp(ds, hidden=3, epochs=2, l2=0.0, seed=1)]
+
+
 @pytest.fixture(scope="module")
 def dataset():
     return generate_synthetic(80, 5, {0, 1}, seed=77, noise=0.05)
@@ -137,26 +141,47 @@ class TestDocumentShape:
         with pytest.raises(ValueError, match="model document must be a JSON object, got list"):
             load_model(path, dataset.schema)
 
+    def test_model_file_not_found(self, tmp_path):
+        with pytest.raises(ValueError, match="model document not found"):
+            load_model(tmp_path / "none.json")
+
+    def test_model_file_read_as_utf8(self, dataset, tmp_path):
+        model = fit_tree(dataset, max_depth=2)
+        path = save_model(model, dataset.schema, tmp_path / "m.json")
+        marked = tmp_path / "bom.json"
+        marked.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        clone = load_model(marked, dataset.schema)
+        assert np.array_equal(predict_tree_batch(clone, dataset.x), predict_tree_batch(model, dataset.x))
+        marked.write_bytes(b"\xef\xbb\xbf{\"model_type\": \"\xe9\"}")
+        with pytest.raises(ValueError, match=r"bom\.json: byte 19: not valid UTF-8"):
+            load_model(marked)
+        marked.write_text("{")
+        with pytest.raises(ValueError, match=r"model document .*bom\.json is not valid JSON"):
+            load_model(marked)
+
     def test_non_object_hyperparameters_rejected(self, dataset):
         doc = to_document(fit_tree(dataset, max_depth=2), dataset.schema)
         doc["hyperparameters"] = [1]
         with pytest.raises(ValueError, match="key 'hyperparameters' must be a JSON object"):
             from_document(doc)
 
-    @pytest.mark.parametrize(
-        "fit",
-        [
-            fit_logistic,
-            fit_svm,
-            lambda ds: fit_mlp(ds, hidden=3, epochs=2, l2=0.0, seed=1),
-        ],
-        ids=["logistic", "svm", "mlp"],
-    )
+    @pytest.mark.parametrize("fit", STANDARDIZED_FITS, ids=["logistic", "svm", "mlp"])
     def test_non_object_standardization_rejected(self, dataset, fit):
         doc = to_document(fit(dataset), dataset.schema)
-        doc["standardization"] = [1]
-        with pytest.raises(ValueError, match="key 'standardization' must be a JSON object or null"):
-            from_document(doc)
+        for value in ([1], None):
+            doc["standardization"] = value
+            with pytest.raises(ValueError, match="key 'standardization' must be a JSON object, got "
+                               f"{type(value).__name__}"):
+                from_document(doc)
+
+    @pytest.mark.parametrize("fit", STANDARDIZED_FITS, ids=["logistic", "svm", "mlp"])
+    def test_standardization_must_match_the_feature_count(self, dataset, fit):
+        doc = to_document(fit(dataset), dataset.schema)
+        assert len(doc["standardization"]["mean"]) == dataset.d
+        for key in ("mean", "std"):
+            short = {**doc, "standardization": {**doc["standardization"], key: [1.0]}}
+            with pytest.raises(ValueError, match="'standardization' must hold a 'mean' and a 'std' per feature"):
+                from_document(short)
 
     def test_non_object_tree_node_rejected(self, dataset):
         doc = to_document(fit_tree(dataset, max_depth=2), dataset.schema)

@@ -1,10 +1,12 @@
+import importlib.util
 import re
 import subprocess
 import sys
 
-from conftest import SRC_DIR, cli_env
+from conftest import FIXTURE_DIR, SRC_DIR, cli_env
 
 MODEL_DIGESTS = SRC_DIR.parent / "tools" / "model_digests.py"
+MAKE_FIXTURE = SRC_DIR.parent / "tools" / "make_fixture.py"
 
 
 def test_model_digests_prints_every_fit_then_every_predict():
@@ -19,3 +21,16 @@ def test_model_digests_prints_every_fit_then_every_predict():
     lines = result.stdout.splitlines()
     assert [line.split(" ")[0] for line in lines] == fits + [f"{label}/predict" for label in fits]
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)
+
+
+def test_make_fixture_rewrites_the_bundled_fixture(tmp_path):
+    # perfbench's recorded report digests rest on these bytes
+    spec = importlib.util.spec_from_file_location("make_fixture", MAKE_FIXTURE)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    tool.FIXTURE_DIR = tmp_path
+    tool.main()
+    names = ["fixture.csv", "fixture_config.json", "fixture_manifest.json", "fixture_schema.json"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (FIXTURE_DIR / name).read_bytes(), name
