@@ -13,13 +13,14 @@ observed codes are mapped low -> 0, high -> 1.
 
 Loading streams the file: ``load_raw`` reads BLOCK_ROWS rows at a time and
 encodes each schema column of the block to float64 (``float`` for ordinal
-and continuous cells, a code index for binary ones) plus a blank mask,
-keeping the text only of cells an error message may quote.  A column block
-is parsed in one pass of C-level calls; only a block holding padded,
-whitespace-only or unparsable cells, or a binary code not yet seen, takes
-the per-cell path.  Each column's numbers and blank mask are written into
-one float64 and one bool buffer that grow in place (doubling, trimmed at
-the end of the file), so no list of blocks is joined into a second copy.
+and continuous cells, a code index for binary ones, nan for a blank or
+unparsable cell), keeping the text only of the present cells an error
+message may quote; a cell is blank when it is nan and has no such text.
+A column block is parsed in one pass of C-level calls; only a block
+holding padded, whitespace-only or unparsable cells, or a binary code not
+yet seen, takes the per-cell path.  Each column's numbers are written into
+one float64 buffer that grows in place (doubling, trimmed at the end of the
+file), so no list of blocks is joined into a second copy.
 ``clean_and_encode`` then works on whole columns: drop unlabelled rows
 straight into the row of the feature matrix that column becomes, map
 binary codes, impute, and pick the error to report.  The Dataset adopts
@@ -171,30 +172,13 @@ def load_schema(path) -> FeatureSchema:
 
 
 @dataclass
-class RawColumn:
-    """One schema column of a RawTable, encoded to float64 block by block.
-
-    `values` holds each row's number (for a binary column, the index of
-    its code in `codes`) and nan where the cell is blank or does not
-    parse; `blank` marks the cells that are empty after stripping.
-    `texts` keeps, by row, the stripped text of each present cell that a
-    message may quote: one that does not parse or is non-finite, and for
-    the label column one outside the class range.
-    """
-
-    values: np.ndarray
-    blank: np.ndarray
-    texts: dict[int, str]
-    codes: tuple[str, ...] | None = None
-
-
-@dataclass
 class RawTable:
     """A parsed CSV: its header, row count and encoded schema columns.
 
-    Cell text is not kept: the label column and each feature column (in
-    schema order) are RawColumns, and other columns are dropped after the
-    ragged-row check.
+    Cell text is not kept beyond the cells a message may quote: the label
+    column and each feature column (in schema order) are RawColumns, one
+    float64 buffer each, and other columns are dropped after the ragged-row
+    check.
     """
 
     header: list[str]
@@ -274,7 +258,7 @@ class FoldPlan:
 def load_raw(path, schema: FeatureSchema) -> RawTable:
     """Parse a CSV file and check that every schema column is present.
 
-    Extra columns are permitted (and ignored by the encoder) so a released
+    Extra columns are permitted (and not encoded) so a released
     dataset file can carry provenance columns.  Ragged rows are rejected
     with their physical line number.  Cell errors are left for
     clean_and_encode, which decides which of them is reported.
@@ -307,26 +291,26 @@ def _encode_rows(path: Path, reader, schema: FeatureSchema) -> RawTable:
         raise DataError(f"{path}: header is missing column {missing[0]!r}")
 
     n_classes = schema.n_classes
-    label = _ColumnEncoder(
+    label = RawColumn(
         header.index(schema.label_name),
         lambda v: (v >= 0) & (v < n_classes) & (np.floor(v) == v),
         binary=False,
     )
     features = [
-        _ColumnEncoder(header.index(spec.name), np.isfinite, binary=spec.kind == "binary")
+        RawColumn(header.index(spec.name), np.isfinite, binary=spec.kind == "binary")
         for spec in schema.features
     ]
     n_rows = 0
     for block in _row_blocks(path, reader, len(header)):
         columns = list(zip(*block))
-        for encoder in (label, *features):
-            encoder.add(columns[encoder.index], n_rows)
+        for column in (label, *features):
+            column.add(columns[column.index], n_rows)
         n_rows += len(block)
     return RawTable(
         header=header,
         n_rows=n_rows,
         label=label.finish(n_rows),
-        features=tuple(encoder.finish(n_rows) for encoder in features),
+        features=tuple(column.finish(n_rows) for column in features),
     )
 
 
@@ -346,16 +330,25 @@ def _row_blocks(path: Path, reader, width: int):
         yield block
 
 
-class _ColumnEncoder:
-    """Turns one CSV column, a block of cells at a time, into a RawColumn."""
+class RawColumn:
+    """One schema column of a RawTable, encoded to float64 a block of cells at a time.
+
+    `values` holds each row's number (for a binary column, the index of
+    its code in `codes`) and nan where the cell is blank or does not
+    parse: one float64 buffer that grows in place, trimmed by `finish`.
+    `texts` keeps, by row, the stripped text of each present cell that a
+    message may quote: one that does not parse or is non-finite, and for
+    the label column one outside the class range.  So a cell is blank
+    (empty after stripping) exactly when its value is nan and `texts` has
+    no entry for its row.
+    """
 
     def __init__(self, index: int, valid, binary: bool):
         self.index = index
         self.valid = valid  # values -> mask of the cells no message needs to quote
-        # binary: stripped code -> its index in RawColumn.codes; a blank maps to nan
+        # binary: stripped code -> its index in the finished `codes`; a blank maps to nan
         self.codes = {"": math.nan} if binary else None
         self.values = np.empty(BLOCK_ROWS)
-        self.blank = np.empty(BLOCK_ROWS, dtype=bool)
         self.texts: dict[int, str] = {}
 
     def add(self, cells: tuple[str, ...], start: int) -> None:
@@ -367,22 +360,14 @@ class _ColumnEncoder:
             values = np.fromiter(parsed, np.float64, len(cells))
         except (ValueError, KeyError):  # padding, whitespace-only, a new code or bad text
             values = np.fromiter(map(self._cell_value, cells), np.float64, len(cells))
-        blank = ~self.valid(values)  # so far: blank, or a present cell to quote
-        for i in np.flatnonzero(blank).tolist():
+        for i in np.flatnonzero(~self.valid(values)).tolist():  # blank, or present to quote
             text = cells[i].strip()
             if text:
                 self.texts[start + i] = text
-                blank[i] = False
         end = start + len(cells)
-        if end > self.values.size:
-            self._resize(max(end, 2 * self.values.size))
+        if end > self.values.size:  # realloc in place; no view of the buffer outlives add()
+            self.values.resize(max(end, 2 * self.values.size), refcheck=False)
         self.values[start:end] = values
-        self.blank[start:end] = blank
-
-    def _resize(self, size: int) -> None:
-        # realloc in place; no view of either buffer outlives add() or finish()
-        self.values.resize(size, refcheck=False)
-        self.blank.resize(size, refcheck=False)
 
     def _cell_value(self, cell: str) -> float:
         if self.codes is None:
@@ -392,14 +377,18 @@ class _ColumnEncoder:
                 return math.nan
         return self.codes.setdefault(cell.strip(), float(len(self.codes) - 1))
 
-    def finish(self, n_rows: int) -> RawColumn:
-        self._resize(n_rows)
-        return RawColumn(
-            values=self.values,
-            blank=self.blank,
-            texts=self.texts,
-            codes=None if self.codes is None else tuple(self.codes)[1:],
-        )
+    def finish(self, n_rows: int) -> "RawColumn":
+        """Trim the buffer to `n_rows` and freeze the binary codes to a tuple in index order."""
+        self.values.resize(n_rows, refcheck=False)
+        if self.codes is not None:
+            self.codes = tuple(self.codes)[1:]
+        return self
+
+    def present(self) -> np.ndarray:
+        """Mask of the rows whose cell is not blank: a number, or text a message may quote."""
+        mask = ~np.isnan(self.values)
+        mask[list(self.texts)] = True
+        return mask
 
 
 def _parses(text: str) -> bool:
@@ -465,27 +454,23 @@ def clean_and_encode(raw: RawTable, schema: FeatureSchema) -> Dataset:
     its binary codes, then its first unparsable cell; the first non-finite
     cell in row-major order.
     """
-    kept = ~raw.label.blank
+    kept = raw.label.present()
     if not kept.any():
         raise DataError("no rows with a label")
     row_number = np.cumsum(kept)  # position of each raw row among the labelled rows
 
-    for r, text in raw.label.texts.items():
-        if kept[r]:
-            if _parses(text):
-                raise DataError(
-                    f"row {row_number[r]}: label {text!r} outside 0..{schema.n_classes - 1}"
-                )
-            raise DataError(
-                f"row {row_number[r]}, column {schema.label_name!r}: "
-                f"cannot parse {text!r} as a number"
-            )
+    for r, text in raw.label.texts.items():  # every row with text is labelled
+        if _parses(text):
+            raise DataError(f"row {row_number[r]}: label {text!r} outside 0..{schema.n_classes - 1}")
+        raise DataError(
+            f"row {row_number[r]}, column {schema.label_name!r}: cannot parse {text!r} as a number"
+        )
     labels = raw.label.values[kept].astype(np.int64)
 
     columns = np.empty((schema.d, labels.size))
     non_finite = []
     for j, (spec, column) in enumerate(zip(schema.features, raw.features)):
-        present = ~column.blank[kept]
+        present = column.present()[kept]
         if not present.any():
             raise DataError(f"column {spec.name!r} is entirely missing")
         values = np.compress(kept, column.values, out=columns[j])  # a view of row j
@@ -531,24 +516,17 @@ def stratified_kfold(dataset: Dataset, k: int, seed: int) -> FoldPlan:
             raise DataError(f"class {c} has {cnt} members, fewer than k={k}")
 
     rng = SeededRng(seed)
-    folds: list[list[int]] = [[] for _ in range(k)]
-    loads = [0] * k
+    fold_of = np.empty(n, dtype=np.int64)
+    loads = np.zeros(k, dtype=np.int64)
     for c in range(dataset.schema.n_classes):
-        idx = np.flatnonzero(y == c)
-        if idx.size == 0:
-            continue
-        shuffled = idx[rng.permutation(idx.size)]
-        base, rem = divmod(idx.size, k)
-        order = sorted(range(k), key=lambda f: (loads[f], f))
-        extra = set(order[:rem])
-        pos = 0
-        for f in range(k):
-            take = base + (1 if f in extra else 0)
-            folds[f].extend(int(i) for i in shuffled[pos : pos + take])
-            loads[f] += take
-            pos += take
-
-    return FoldPlan(k=k, folds=tuple(tuple(sorted(f)) for f in folds), seed=int(seed))
+        members = np.flatnonzero(y == c)
+        base, rem = divmod(members.size, k)
+        sizes = np.full(k, base)
+        sizes[np.argsort(loads, kind="stable")[:rem]] += 1  # the smallest folds, lowest index first
+        fold_of[members[rng.permutation(members.size)]] = np.repeat(np.arange(k), sizes)
+        loads += sizes
+    folds = tuple(tuple(np.flatnonzero(fold_of == f).tolist()) for f in range(k))
+    return FoldPlan(k=k, folds=folds, seed=int(seed))
 
 
 def generate_synthetic(

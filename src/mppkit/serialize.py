@@ -9,7 +9,8 @@ Every fitted model serializes to a single JSON object::
 Floats are written with Python's shortest round-trip representation, so a
 reloaded model makes bit-identical decisions.  Tree nodes nest as
 ``{"feature": j, "threshold": t, "left": ..., "right": ...}`` with leaves
-as ``{"leaf": [values]}``.
+as ``{"leaf": [values]}``; a tree deeper than MAX_TREE_DEPTH is refused,
+since json can neither write nor read back a document nested that far.
 """
 
 from __future__ import annotations
@@ -25,6 +26,18 @@ from .mlp import MlpModel
 from .trees import GbdtModel, TreeModel, TreeNode
 
 FORMAT_VERSION = 1
+MAX_TREE_DEPTH = 500  # json.dumps and json.loads recurse once per level, under a 1000-frame limit
+
+
+def _tree_to_obj(root: TreeNode) -> dict:
+    depth, level = 0, [root]
+    while level := [child for node in level if not node.is_leaf for child in (node.left, node.right)]:
+        depth += 1
+    if depth > MAX_TREE_DEPTH:
+        raise ValueError(
+            f"tree of depth {depth} is too deep for a model document (at most {MAX_TREE_DEPTH})"
+        )
+    return _node_to_obj(root)
 
 
 def _node_to_obj(node: TreeNode) -> dict:
@@ -38,16 +51,20 @@ def _node_to_obj(node: TreeNode) -> dict:
     }
 
 
-def _node_from_obj(obj) -> TreeNode:
+def _node_from_obj(obj, d: int) -> TreeNode:
+    """The tree under node `obj`, whose splits must each name one of the `d` feature columns."""
     if not isinstance(obj, dict):
         raise ValueError(f"tree node must be a JSON object, got {type(obj).__name__}")
     if "leaf" in obj:
         return TreeNode(value=np.array(obj["leaf"], dtype=float))
+    feature = obj["feature"]
+    if isinstance(feature, bool) or not isinstance(feature, int) or not 0 <= feature < d:
+        raise ValueError(f"tree node 'feature' must be an integer in 0..{d - 1}, got {feature!r}")
     return TreeNode(
-        feature=int(obj["feature"]),
+        feature=feature,
         threshold=float(obj["threshold"]),
-        left=_node_from_obj(obj["left"]),
-        right=_node_from_obj(obj["right"]),
+        left=_node_from_obj(obj["left"], d),
+        right=_node_from_obj(obj["right"], d),
     )
 
 
@@ -101,7 +118,7 @@ def to_document(model, schema: FeatureSchema) -> dict:
                 "d": model.d,
             },
             standardization=None,
-            weights={"root": _node_to_obj(model.root)},
+            weights={"root": _tree_to_obj(model.root)},
         )
     elif isinstance(model, GbdtModel):
         doc.update(
@@ -118,7 +135,7 @@ def to_document(model, schema: FeatureSchema) -> dict:
             weights={
                 "init_scores": [float(v) for v in model.init_scores],
                 "importance_raw": [float(v) for v in model.importance_raw],
-                "trees": [[_node_to_obj(root) for root in group] for group in model.trees],
+                "trees": [[_tree_to_obj(root) for root in group] for group in model.trees],
                 "loss_history": [float(v) for v in model.loss_history],
             },
         )
@@ -141,12 +158,14 @@ def to_document(model, schema: FeatureSchema) -> dict:
 def from_document(doc: dict):
     """Rebuild the model a document describes.
 
-    An unsupported version, an unknown model type or a missing key (a
-    truncated document) raises ValueError, as does a document, a
+    A malformed document raises ValueError and nothing else: an
+    unsupported version, an unknown model type, a missing key (a truncated
+    document), a value of the wrong type or out of range, a document, a
     hyperparameters or weights section, or a tree node that is not a JSON
-    object, a standardization section that is not an object with a mean and
-    a std per feature of the first weight matrix, and an MLP activation
-    other than "tanh" (a missing one reads as "tanh").
+    object, a tree node whose feature is not a column index in 0..d-1, a
+    standardization section that is not an object with a mean and a std
+    per feature of the first weight matrix, and an MLP activation other
+    than "tanh" (a missing one reads as "tanh").
     """
     if not isinstance(doc, dict):
         raise ValueError(f"model document must be a JSON object, got {type(doc).__name__}")
@@ -161,6 +180,8 @@ def from_document(doc: dict):
         return _model_from_document(kind, doc)
     except KeyError as exc:
         raise ValueError(f"truncated {kind} model document: missing key {exc.args[0]!r}") from None
+    except (TypeError, OverflowError, RecursionError) as exc:  # e.g. int(None), int(inf), a deep tree
+        raise ValueError(f"malformed {kind} model document: {exc}") from None
 
 
 def _model_from_document(kind, doc: dict):
@@ -182,16 +203,18 @@ def _model_from_document(kind, doc: dict):
             n_classes=int(hp["n_classes"]),
         )
     if kind == "tree":
+        d = int(hp["d"])
         return TreeModel(
-            root=_node_from_obj(weights["root"]),
+            root=_node_from_obj(weights["root"], d),
             max_depth=int(hp["max_depth"]),
             min_samples_leaf=int(hp["min_samples_leaf"]),
-            d=int(hp["d"]),
+            d=d,
             n_classes=int(hp["n_classes"]),
         )
     if kind == "gbdt":
+        d = int(hp["d"])
         groups = tuple(
-            tuple(_node_from_obj(obj) for obj in group) for group in weights["trees"]
+            tuple(_node_from_obj(obj, d) for obj in group) for group in weights["trees"]
         )
         return GbdtModel(
             rounds=int(hp["rounds"]),
@@ -199,7 +222,7 @@ def _model_from_document(kind, doc: dict):
             trees=groups,
             init_scores=np.array(weights["init_scores"], dtype=float),
             importance_raw=np.array(weights["importance_raw"], dtype=float),
-            d=int(hp["d"]),
+            d=d,
             n_classes=int(hp["n_classes"]),
             max_depth=int(hp["max_depth"]),
             min_samples_leaf=int(hp["min_samples_leaf"]),

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -329,6 +330,22 @@ class TestEmitReport:
             assert bundle.started_at not in path.read_text()
 
 
+# sha256 of each report of the fixture run at seed 7.  comparison.csv and importance.csv
+# are perfbench/workloads.py's FIXTURE_DIGESTS; the metrics files were recorded from the
+# same run.  summary.json is pinned by its fold plan digest alone: its config_digest
+# hashes file paths.
+FIXTURE_REPORT_DIGESTS = {
+    "comparison.csv": "b0fd5215415151c83708ba24c6a027e90da3df11ef990f32eed38f7acdf62314",
+    "importance.csv": "837c54b9aeb8f4fe94ef4fea14a02aafc4cfa6b3adfe4c48385b1389008f1c9c",
+    "metrics_gbdt.csv": "1650dd64cb8127b84c2a60ed8c0e1c487af56e5655c81ce8f875312ca7f9470a",
+    "metrics_logistic.csv": "6901904e18ec837121e16d7d34e2f0ecc2702fe2c35227e89cb2b0f75942136c",
+    "metrics_mlp.csv": "2adcc36be9c9a271f42378896eddec2e9f69a5a7000844f1f1cfe3b73b6b63af",
+    "metrics_svm.csv": "a7aefdfb8372c5969457a689d8bb3c4441edf86c885aac2f4a8799343cc30835",
+    "metrics_tree.csv": "7b9e2d8c548f9de52f5cd3cdce6295fedb6dde8c303eb97b38b64aa50e0d983d",
+}
+FIXTURE_FOLD_PLAN_DIGEST = "9bc3f8ec8f36e742a49e4d8a9a8c0e7238a8152e429017653f1509a230382066"
+
+
 def run_cli(*args, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "mppkit.cli", *args],
@@ -349,6 +366,16 @@ class TestCli:
         assert result.returncode == 0, result.stderr
         assert (out / "comparison.csv").is_file()
         assert "tree" in result.stdout
+
+    def test_fixture_reports_match_the_recorded_digests(self, fixture_config, tmp_path):
+        out = tmp_path / "reports"
+        result = run_cli("run", "--config", str(fixture_config), "--seed", "7", "--out", str(out))
+        assert result.returncode == 0, result.stderr
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in FIXTURE_REPORT_DIGESTS}
+        assert digests == FIXTURE_REPORT_DIGESTS
+        reports = json.loads((out / "summary.json").read_text(encoding="utf-8"))["reports"]
+        assert {name: r["fold_plan_digest"] for name, r in reports.items()} == dict.fromkeys(
+            ["gbdt", "logistic", "mlp", "svm", "tree"], FIXTURE_FOLD_PLAN_DIGEST)
 
     def test_validate_data_ok(self, fixture_dir_module):
         result = run_cli(

@@ -176,6 +176,8 @@ LATE_CASES = {
         [["yes", *row[1:]] for row in many_rows()[:LATE]] + many_rows()[LATE:], None),
     "third binary code in a late block": (_set(many_rows(), LATE, 0, "maybe"), "more than two codes"),
     "bad cell in an unlabelled late row": (_set(_set(many_rows(), LATE, 2, "x"), LATE, 3, ""), None),
+    "nan label in a late block": (_set(many_rows(), LATE, 3, "nan"), "row 956: label 'nan' outside 0..2"),
+    "nan cell in an unlabelled late row": (_set(_set(many_rows(), LATE, 1, " nan "), LATE, 3, ""), None),
     "ragged row in a late block": (
         many_rows()[:LATE] + [["no", "1", "2", "1", "9"]], f"row {LATE + 2}: expected 4"),
 }

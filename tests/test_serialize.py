@@ -1,17 +1,37 @@
+import contextlib
+import copy
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from conftest import make_dataset
 from mppkit.data import generate_synthetic
 from mppkit.linear import fit_logistic, fit_svm, predict_logistic_batch, predict_svm_batch
 from mppkit.mlp import fit_mlp, predict_mlp_batch
-from mppkit.serialize import FORMAT_VERSION, from_document, load_model, save_model, to_document
+from mppkit.serialize import (
+    FORMAT_VERSION,
+    MAX_TREE_DEPTH,
+    from_document,
+    load_model,
+    save_model,
+    to_document,
+)
 from mppkit.trees import fit_gbdt, fit_tree, predict_gbdt_batch, predict_tree_batch
 
 
 # the models whose documents carry a standardization
 STANDARDIZED_FITS = [fit_logistic, fit_svm, lambda ds: fit_mlp(ds, hidden=3, epochs=2, l2=0.0, seed=1)]
+# each model type: a small fit taking one size knob in 1..4, and its batch predictor
+SMALL_FITS = {
+    "logistic": (lambda ds, i: fit_logistic(ds, epochs=5 * i), predict_logistic_batch),
+    "svm": (lambda ds, i: fit_svm(ds, epochs=5 * i), predict_svm_batch),
+    "tree": (lambda ds, i: fit_tree(ds, max_depth=i, min_samples_leaf=1), predict_tree_batch),
+    "gbdt": (lambda ds, i: fit_gbdt(ds, rounds=i, max_depth=2), predict_gbdt_batch),
+    "mlp": (lambda ds, i: fit_mlp(ds, hidden=i, epochs=2, seed=i), predict_mlp_batch),
+}
 
 
 @pytest.fixture(scope="module")
@@ -208,3 +228,120 @@ class TestDocumentShape:
     def test_unserializable_object_rejected(self, dataset):
         with pytest.raises(TypeError):
             to_document(object(), dataset.schema)
+
+
+def predict_bytes(name, model, x) -> bytes:
+    out = SMALL_FITS[name][1](model, x)
+    return b"".join(np.asarray(part).tobytes() for part in (out if isinstance(out, tuple) else (out,)))
+
+
+def chain_tree(n):
+    """A tree fitted into a chain of depth n - 1: x = 0..n-1 with labels cycling through 0, 1, 2."""
+    ds = make_dataset(np.arange(n)[:, None], np.arange(n) % 3)
+    return fit_tree(ds, max_depth=5000, min_samples_leaf=1), ds
+
+
+class TestMalformedValues:
+    @pytest.mark.parametrize(
+        ("fit", "section", "key", "value"),
+        [
+            (fit_logistic, "weights", "coef", {"a": 1}),
+            (fit_logistic, "hyperparameters", "n_classes", None),
+            (fit_svm, "hyperparameters", "n_classes", 1e400),
+            (lambda ds: fit_gbdt(ds, rounds=2), "weights", "trees", 5),
+            (lambda ds: fit_mlp(ds, hidden=3, epochs=2, l2=0.0, seed=1), "hyperparameters", "hidden", {}),
+        ],
+    )
+    def test_wrong_type_or_range_raises_value_error(self, dataset, fit, section, key, value):
+        doc = to_document(fit(dataset), dataset.schema)
+        doc[section][key] = value
+        with pytest.raises(ValueError, match=f"{doc['model_type']} model document"):
+            from_document(doc)
+
+    @pytest.mark.parametrize("feature", [None, -1, 1.9, 1.0, True, 5, 7, "0"])
+    def test_node_feature_must_be_a_column_index(self, dataset, feature):
+        assert dataset.d == 5
+        doc = to_document(fit_tree(dataset, max_depth=2), dataset.schema)
+        doc["weights"]["root"]["feature"] = feature
+        with pytest.raises(ValueError, match=r"tree node 'feature' must be an integer in 0\.\.4, got"):
+            from_document(doc)
+        doc = to_document(fit_gbdt(dataset, rounds=2), dataset.schema)
+        doc["weights"]["trees"][1][0]["feature"] = feature
+        with pytest.raises(ValueError, match=r"tree node 'feature' must be an integer in 0\.\.4, got"):
+            from_document(doc)
+
+
+class TestTreeDepthLimit:
+    @pytest.mark.parametrize("n", [MAX_TREE_DEPTH + 2, 3000])
+    def test_tree_too_deep_for_a_document_is_refused(self, tmp_path, n):
+        model, ds = chain_tree(n)
+        message = f"tree of depth {n - 1} is too deep for a model document"
+        with pytest.raises(ValueError, match=message):
+            to_document(model, ds.schema)
+        with pytest.raises(ValueError, match=message):
+            save_model(model, ds.schema, tmp_path / "deep.json")
+        assert not (tmp_path / "deep.json").exists()
+
+    def test_tree_at_the_limit_round_trips(self, tmp_path):
+        model, ds = chain_tree(MAX_TREE_DEPTH + 1)
+        clone = load_model(save_model(model, ds.schema, tmp_path / "limit.json"), ds.schema)
+        assert np.array_equal(predict_tree_batch(clone, ds.x), ds.y)
+        assert np.array_equal(predict_tree_batch(model, ds.x), ds.y)
+
+    def test_document_too_deep_to_rebuild_raises_value_error(self, dataset):
+        doc = to_document(fit_tree(dataset, max_depth=1), dataset.schema)
+        node = {"leaf": [1.0]}
+        for _ in range(3000):
+            node = {"feature": 0, "threshold": 0.5, "left": {"leaf": [1.0]}, "right": node}
+        doc["weights"]["root"] = node
+        with pytest.raises(ValueError, match="malformed tree model document: maximum recursion depth"):
+            from_document(doc)
+
+
+@st.composite
+def small_models(draw):
+    """(model type, fitted model, dataset) of a small random fit."""
+    name = draw(st.sampled_from(sorted(SMALL_FITS)))
+    ds = generate_synthetic(
+        draw(st.integers(12, 40)), draw(st.integers(1, 4)), draw(st.sampled_from([(), (0,)])),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    return name, SMALL_FITS[name][0](ds, draw(st.integers(1, 4))), ds
+
+
+def value_paths(value, path=()):
+    """The path (keys and list indices) to every value nested in `value`, itself excluded."""
+    items = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from value_paths(child, path + (key,))
+
+
+@pytest.fixture(scope="module")
+def mangle_targets(dataset):
+    """Model type -> (a document of a small fit, the path to each of its values)."""
+    docs = {name: to_document(fit(dataset, 2), dataset.schema) for name, (fit, _) in SMALL_FITS.items()}
+    return {name: (doc, list(value_paths(doc))) for name, doc in docs.items()}
+
+
+class TestDocumentProperties:
+    @settings(max_examples=60, deadline=None)
+    @given(case=small_models())
+    def test_round_trip_predicts_the_same_bytes(self, case):
+        name, model, ds = case
+        clone = from_document(json.loads(json.dumps(to_document(model, ds.schema))))
+        assert predict_bytes(name, clone, ds.x) == predict_bytes(name, model, ds.x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_mangled_document_loads_or_raises_value_error(self, mangle_targets, data):
+        doc, paths = mangle_targets[data.draw(st.sampled_from(sorted(SMALL_FITS)))]
+        path = data.draw(st.sampled_from(paths))
+        doc = copy.deepcopy(doc)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = data.draw(st.sampled_from([None, {"a": 1}, "x", 1e400, -1]))
+        with contextlib.suppress(ValueError):
+            from_document(doc)
+
