@@ -40,12 +40,9 @@ from .linear import (
     SvmModel,
     fit_logistic,
     fit_svm,
-    hinge_loss,
-    predict_logistic,
-    predict_svm,
 )
-from .mlp import MlpModel, fit_mlp, predict_mlp
-from .numeric import SeededRng, finite_difference_gradient, sigmoid, softmax
+from .mlp import MlpModel, fit_mlp
+from .numeric import SeededRng, finite_difference_gradient, softmax
 from .serialize import load_model, save_model
 from .trees import (
     GbdtModel,
@@ -55,8 +52,6 @@ from .trees import (
     feature_importance,
     fit_gbdt,
     fit_tree,
-    predict_gbdt,
-    predict_tree,
 )
 
 __all__ = [
@@ -91,15 +86,10 @@ __all__ = [
     "SvmModel",
     "fit_logistic",
     "fit_svm",
-    "hinge_loss",
-    "predict_logistic",
-    "predict_svm",
     "MlpModel",
     "fit_mlp",
-    "predict_mlp",
     "SeededRng",
     "finite_difference_gradient",
-    "sigmoid",
     "softmax",
     "load_model",
     "save_model",
@@ -110,6 +100,4 @@ __all__ = [
     "feature_importance",
     "fit_gbdt",
     "fit_tree",
-    "predict_gbdt",
-    "predict_tree",
 ]

@@ -165,34 +165,17 @@ def fit_logistic(
     return LogisticModel(weights=w, standardization=std, n_classes=k, loss_history=tuple(history))
 
 
-def _decide_logistic(probs: np.ndarray, n_classes: int) -> np.ndarray:
-    # For 2 classes the decision is the 0.5-threshold rule: label 1 when
-    # p1 >= 0.5, which puts the exact tie on class 1.  Three or more classes
-    # use argmax with the lowest-index tie-break.
-    if n_classes == 2:
-        return (probs[:, 1] >= 0.5).astype(np.int64)
-    return np.argmax(probs, axis=1).astype(np.int64)
-
-
-def predict_logistic(model: LogisticModel, x) -> tuple[int, np.ndarray]:
-    """Class label and calibrated probability vector for one feature vector."""
-    labels, probs = predict_logistic_batch(model, [x])
-    return int(labels[0]), probs[0]
-
-
 def predict_logistic_batch(model: LogisticModel, x) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's label and class probabilities.
+
+    For 2 classes the label is 1 when p1 >= 0.5, which puts the exact tie
+    on class 1; three or more classes take the argmax, ties to the lowest.
+    """
     xb = add_bias(model.standardization.apply(feature_rows(x, model.d)))
     probs = softmax(xb @ model.weights.T)
-    return _decide_logistic(probs, model.n_classes), probs
-
-
-def hinge_loss(y: float, fx: float) -> float:
-    """max(0, 1 - y*f(x)) for a sign label y in {-1, +1}."""
-    if y not in (-1, 1):
-        raise ValueError(f"sign label must be -1 or +1, got {y!r}")
-    if not np.isfinite(fx):
-        raise ValueError("score must be finite")
-    return float(max(0.0, 1.0 - y * fx))
+    if model.n_classes == 2:
+        return (probs[:, 1] >= 0.5).astype(np.int64), probs
+    return np.argmax(probs, axis=1).astype(np.int64), probs
 
 
 def _svm_evaluate(w: np.ndarray, xb: np.ndarray, t: np.ndarray, reg_c: float):
@@ -240,11 +223,6 @@ def fit_svm(
         n_classes=k,
         loss_history=tuple(histories),
     )
-
-
-def predict_svm(model: SvmModel, x) -> int:
-    """The label of one feature vector (see `predict_svm_batch`)."""
-    return int(predict_svm_batch(model, [x])[0])
 
 
 def predict_svm_batch(model: SvmModel, x) -> np.ndarray:

@@ -144,12 +144,6 @@ def fit_mlp(
     return MlpModel(w1=w1, w2=w2, standardization=std, h=hidden, n_classes=k, loss_history=tuple(history))
 
 
-def predict_mlp(model: MlpModel, x) -> tuple[int, np.ndarray]:
-    """Label and probability vector of one feature vector (see `predict_mlp_batch`)."""
-    labels, probs = predict_mlp_batch(model, [x])
-    return int(labels[0]), probs[0]
-
-
 def predict_mlp_batch(model: MlpModel, x) -> tuple[np.ndarray, np.ndarray]:
     """Each row's label and output probabilities, ties to the lowest class."""
     xb = add_bias(model.standardization.apply(feature_rows(x, model.d)))

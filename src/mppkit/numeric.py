@@ -1,7 +1,7 @@
 """Shared numeric primitives.
 
-Link functions (sigmoid, softmax), the trainers' shared math (`one_hot`,
-`cross_entropy`, `l2_penalty`), the predictors' one input shape check
+The softmax link, the trainers' shared math (`one_hot`, `cross_entropy`,
+`l2_penalty`), the predictors' one input shape check
 (`feature_rows`), the trainers' one hyperparameter check
 (`check_hyperparameters` over `PARAM_CHECKS`), the central-difference
 gradient oracle used by the gradient tests, and the toolkit's single seeded
@@ -108,21 +108,6 @@ class SeededRng:
 
     def spawn(self, index: int) -> "SeededRng":
         return SeededRng(derive_seed(self._seed, index))
-
-
-def sigmoid(t):
-    """1 / (1 + exp(-t)), sign-split so huge |t| saturates instead of overflowing."""
-    arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("sigmoid requires finite input")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.empty_like(arr)
-    pos = arr >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-arr[pos]))
-    e = np.exp(arr[~pos])
-    out[~pos] = e / (1.0 + e)
-    return float(out[0]) if scalar else out
 
 
 def softmax(v) -> np.ndarray:

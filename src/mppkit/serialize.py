@@ -51,21 +51,46 @@ def _node_to_obj(node: TreeNode) -> dict:
     }
 
 
-def _node_from_obj(obj, d: int) -> TreeNode:
-    """The tree under node `obj`, whose splits must each name one of the `d` feature columns."""
+def _node_from_obj(obj, d: int, width: int) -> TreeNode:
+    """The tree under node `obj`: each split names one of the `d` feature columns, each leaf holds `width` values."""
     if not isinstance(obj, dict):
         raise ValueError(f"tree node must be a JSON object, got {type(obj).__name__}")
     if "leaf" in obj:
-        return TreeNode(value=np.array(obj["leaf"], dtype=float))
+        return TreeNode(value=_floats(obj, "leaf", (width,)))
     feature = obj["feature"]
     if isinstance(feature, bool) or not isinstance(feature, int) or not 0 <= feature < d:
         raise ValueError(f"tree node 'feature' must be an integer in 0..{d - 1}, got {feature!r}")
     return TreeNode(
         feature=feature,
-        threshold=float(obj["threshold"]),
-        left=_node_from_obj(obj["left"], d),
-        right=_node_from_obj(obj["right"], d),
+        threshold=float(_floats(obj, "threshold", ())),
+        left=_node_from_obj(obj["left"], d, width),
+        right=_node_from_obj(obj["right"], d, width),
     )
+
+
+def _floats(section: dict, key: str, shape: tuple) -> np.ndarray:
+    """`section[key]` as a float array of `shape` (None: any length) with every value finite."""
+    try:
+        values = np.array(section[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"key {key!r} must hold numbers: {exc}") from None
+    if values.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, values.shape)):
+        expected = str(shape).replace("None", "any")
+        raise ValueError(f"key {key!r} must have shape {expected}, got {values.shape}")
+    if not np.isfinite(values).all():
+        raise ValueError(f"key {key!r} must hold finite numbers")
+    return values
+
+
+def _hyper(hp: dict, key: str, least, to=int):
+    """Hyperparameter `key` converted by `to`, or ValueError naming it unless finite and >= `least`."""
+    try:
+        value = to(hp[key])
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"hyperparameter {key!r}: {exc}") from None
+    if not least <= value < np.inf:
+        raise ValueError(f"hyperparameter {key!r} must be finite and at least {least}, got {value!r}")
+    return value
 
 
 def _std_to_obj(std: Standardization) -> dict:
@@ -73,17 +98,17 @@ def _std_to_obj(std: Standardization) -> dict:
 
 
 def _std_from_obj(obj, weights: np.ndarray) -> Standardization:
-    """The z-scoring that feeds `weights`: a mean and a std per column but the last (bias) one."""
+    """The z-scoring that feeds the matrix `weights`: a mean and a std per column but the last (bias) one."""
     if not isinstance(obj, dict):
-        raise ValueError(
-            f"model document key 'standardization' must be a JSON object, got {type(obj).__name__}"
-        )
+        raise ValueError(f"key 'standardization' must be a JSON object, got {type(obj).__name__}")
     std = Standardization(mean=np.array(obj["mean"], dtype=float), std=np.array(obj["std"], dtype=float))
-    if weights.ndim != 2 or not std.mean.shape == std.std.shape == (weights.shape[1] - 1,):
+    if not std.mean.shape == std.std.shape == (weights.shape[1] - 1,):
         raise ValueError(
-            f"model document key 'standardization' must hold a 'mean' and a 'std' per feature of "
+            f"key 'standardization' must hold a 'mean' and a 'std' per feature of "
             f"weights shaped {weights.shape}, got shapes {std.mean.shape} and {std.std.shape}"
         )
+    if not (np.isfinite(std.mean).all() and np.isfinite(std.std).all() and (std.std > 0).all()):
+        raise ValueError("key 'standardization' must hold finite means and finite positive stds")
     return std
 
 
@@ -158,14 +183,20 @@ def to_document(model, schema: FeatureSchema) -> dict:
 def from_document(doc: dict):
     """Rebuild the model a document describes.
 
-    A malformed document raises ValueError and nothing else: an
-    unsupported version, an unknown model type, a missing key (a truncated
-    document), a value of the wrong type or out of range, a document, a
-    hyperparameters or weights section, or a tree node that is not a JSON
-    object, a tree node whose feature is not a column index in 0..d-1, a
-    standardization section that is not an object with a mean and a std
-    per feature of the first weight matrix, and an MLP activation other
-    than "tanh" (a missing one reads as "tanh").
+    A malformed document raises ValueError and nothing else.  The document,
+    its hyperparameters and weights sections and each tree node must be
+    JSON objects, its version and model type known, and no key missing (a
+    truncated document).  Each hyperparameter must convert to a finite
+    number no less than its floor: 2 classes; 1 feature, hidden unit or
+    sample per leaf; 0 for the rest.  Weights, thresholds, leaf values,
+    means and stds must be finite and stds positive, and every array must
+    fit the hyperparameters: one row or value per class in `coef`, `w2`,
+    `init_scores` and a tree's leaves (a GBDT leaf holds one value), one
+    row of `w1` per hidden unit, one `importance_raw` value and one mean
+    and std per feature, and a split feature in 0..d-1.  An MLP activation
+    must be "tanh" (a missing one reads as "tanh").  Past the version and
+    type checks every message names the model type, and those of the
+    checks above name the key at fault.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"model document must be a JSON object, got {type(doc).__name__}")
@@ -176,71 +207,63 @@ def from_document(doc: dict):
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported model document version {version!r}")
     kind = doc.get("model_type")
+    if kind not in ("logistic", "svm", "tree", "gbdt", "mlp"):
+        raise ValueError(f"unknown model_type {kind!r}")
     try:
         return _model_from_document(kind, doc)
     except KeyError as exc:
         raise ValueError(f"truncated {kind} model document: missing key {exc.args[0]!r}") from None
-    except (TypeError, OverflowError, RecursionError) as exc:  # e.g. int(None), int(inf), a deep tree
+    except (ValueError, TypeError, OverflowError, RecursionError) as exc:  # e.g. "trees": 5, a deep tree
         raise ValueError(f"malformed {kind} model document: {exc}") from None
 
 
-def _model_from_document(kind, doc: dict):
+def _model_from_document(kind: str, doc: dict):
     hp = doc.get("hyperparameters", {})
     weights = doc.get("weights", {})
-    if kind == "logistic":
-        coef = np.array(weights["coef"], dtype=float)
-        return LogisticModel(
-            weights=coef,
-            standardization=_std_from_obj(doc["standardization"], coef),
-            n_classes=int(hp["n_classes"]),
-        )
-    if kind == "svm":
-        coef = np.array(weights["coef"], dtype=float)
-        return SvmModel(
-            weights=coef,
-            reg_c=float(hp["reg_c"]),
-            standardization=_std_from_obj(doc["standardization"], coef),
-            n_classes=int(hp["n_classes"]),
-        )
-    if kind == "tree":
-        d = int(hp["d"])
-        return TreeModel(
-            root=_node_from_obj(weights["root"], d),
-            max_depth=int(hp["max_depth"]),
-            min_samples_leaf=int(hp["min_samples_leaf"]),
-            d=d,
-            n_classes=int(hp["n_classes"]),
-        )
-    if kind == "gbdt":
-        d = int(hp["d"])
-        groups = tuple(
-            tuple(_node_from_obj(obj, d) for obj in group) for group in weights["trees"]
-        )
-        return GbdtModel(
-            rounds=int(hp["rounds"]),
-            shrinkage=float(hp["shrinkage"]),
-            trees=groups,
-            init_scores=np.array(weights["init_scores"], dtype=float),
-            importance_raw=np.array(weights["importance_raw"], dtype=float),
-            d=d,
-            n_classes=int(hp["n_classes"]),
-            max_depth=int(hp["max_depth"]),
-            min_samples_leaf=int(hp["min_samples_leaf"]),
-            loss_history=tuple(float(v) for v in weights.get("loss_history", ())),
-        )
+    k = _hyper(hp, "n_classes", 2)
+    if kind in ("logistic", "svm"):
+        coef = _floats(weights, "coef", (k, None))
+        std = _std_from_obj(doc["standardization"], coef)
+        if kind == "logistic":
+            return LogisticModel(weights=coef, standardization=std, n_classes=k)
+        return SvmModel(weights=coef, reg_c=_hyper(hp, "reg_c", 0, float), standardization=std, n_classes=k)
     if kind == "mlp":
         activation = hp.get("activation", "tanh")
         if activation != "tanh":
             raise ValueError(f"mlp hyperparameter 'activation' must be 'tanh', got {activation!r}")
-        w1 = np.array(weights["w1"], dtype=float)
+        h = _hyper(hp, "hidden", 1)
+        w1 = _floats(weights, "w1", (None, None))
+        if w1.shape[0] != h:
+            raise ValueError(f"hyperparameter 'hidden' is {h}, but key 'w1' has {w1.shape[0]} rows")
         return MlpModel(
             w1=w1,
-            w2=np.array(weights["w2"], dtype=float),
+            w2=_floats(weights, "w2", (k, h + 1)),
             standardization=_std_from_obj(doc["standardization"], w1),
-            h=int(hp["hidden"]),
-            n_classes=int(hp["n_classes"]),
+            h=h,
+            n_classes=k,
         )
-    raise ValueError(f"unknown model_type {kind!r}")
+    d = _hyper(hp, "d", 1)
+    max_depth, min_samples_leaf = _hyper(hp, "max_depth", 0), _hyper(hp, "min_samples_leaf", 1)
+    if kind == "tree":
+        return TreeModel(
+            root=_node_from_obj(weights["root"], d, k),
+            max_depth=max_depth,
+            min_samples_leaf=min_samples_leaf,
+            d=d,
+            n_classes=k,
+        )
+    return GbdtModel(
+        rounds=_hyper(hp, "rounds", 0),
+        shrinkage=_hyper(hp, "shrinkage", 0, float),
+        trees=tuple(tuple(_node_from_obj(obj, d, 1) for obj in group) for group in weights["trees"]),
+        init_scores=_floats(weights, "init_scores", (k,)),
+        importance_raw=_floats(weights, "importance_raw", (d,)),
+        d=d,
+        n_classes=k,
+        max_depth=max_depth,
+        min_samples_leaf=min_samples_leaf,
+        loss_history=tuple(float(v) for v in weights.get("loss_history", ())),
+    )
 
 
 def save_model(model, schema: FeatureSchema, path) -> Path:

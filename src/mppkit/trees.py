@@ -281,11 +281,6 @@ def fit_tree(dataset: Dataset, max_depth: int = 5, min_samples_leaf: int = 2) ->
     )
 
 
-def predict_tree(model: TreeModel, x) -> int:
-    """The label of one feature vector (see `predict_tree_batch`)."""
-    return int(predict_tree_batch(model, [x])[0])
-
-
 def predict_tree_batch(model: TreeModel, x) -> np.ndarray:
     """Each row's leaf majority class, ties to the lowest class."""
     return np.argmax(tree_apply(model.root, feature_rows(x, model.d)), axis=1).astype(np.int64)
@@ -355,12 +350,6 @@ def fit_gbdt(
         min_samples_leaf=min_samples_leaf,
         loss_history=tuple(history),
     )
-
-
-def predict_gbdt(model: GbdtModel, x) -> tuple[int, np.ndarray]:
-    """Label and probability vector of one feature vector (see `predict_gbdt_batch`)."""
-    labels, probs = predict_gbdt_batch(model, [x])
-    return int(labels[0]), probs[0]
 
 
 def predict_gbdt_batch(model: GbdtModel, x) -> tuple[np.ndarray, np.ndarray]:

@@ -18,25 +18,11 @@ from mppkit.evaluation import (
     per_class_metrics,
     resolve_params,
 )
-from mppkit.linear import (
-    fit_logistic,
-    fit_svm,
-    predict_logistic,
-    predict_logistic_batch,
-    predict_svm,
-    predict_svm_batch,
-)
-from mppkit.mlp import fit_mlp, predict_mlp, predict_mlp_batch
+from mppkit.linear import fit_logistic, fit_svm, predict_logistic_batch, predict_svm_batch
+from mppkit.mlp import fit_mlp, predict_mlp_batch
 from mppkit.numeric import SeededRng
 from mppkit.serialize import to_document
-from mppkit.trees import (
-    fit_gbdt,
-    fit_tree,
-    predict_gbdt,
-    predict_gbdt_batch,
-    predict_tree,
-    predict_tree_batch,
-)
+from mppkit.trees import fit_gbdt, fit_tree, predict_gbdt_batch, predict_tree_batch
 
 # model name -> its trainer, called directly rather than through MODELS
 TRAINERS = {"logistic": fit_logistic, "svm": fit_svm, "tree": fit_tree, "gbdt": fit_gbdt, "mlp": fit_mlp}
@@ -246,13 +232,6 @@ class TestModelTable:
         "gbdt": {"rounds": 3},
         "mlp": {"epochs": 5, "hidden": 4},
     }
-    SINGLE_ROW = {
-        "logistic": predict_logistic,
-        "svm": predict_svm,
-        "tree": predict_tree,
-        "gbdt": predict_gbdt,
-        "mlp": predict_mlp,
-    }
 
     def test_one_entry_per_model(self):
         assert list(MODELS) == list(MODEL_DEFAULTS)
@@ -295,25 +274,13 @@ class TestModelTable:
     @pytest.mark.parametrize("name", list(MODEL_DEFAULTS))
     def test_predict_rejects_a_width_mismatch(self, name, extra):
         # without the check, one column short broadcasts against the 2-wide
-        # standardization, and the trees read only the columns they split on
+        # standardization, and the trees read only the columns they split on;
+        # a feature vector or a scalar is not a matrix of rows, whatever its length
         ds = generate_synthetic(60, 2, {0}, seed=5)
         model = fit_predictor(name, resolve_params(name, self.QUICK[name]), ds, 1)
-        with pytest.raises(ValueError, match="dimension"):
-            MODELS[name].predict(model, np.zeros((4, 2 + extra)))
-
-    @pytest.mark.parametrize("name", list(MODEL_DEFAULTS))
-    def test_single_row_predictor_takes_one_feature_vector(self, name):
-        ds = generate_synthetic(60, 2, {0}, seed=5)
-        model = fit_predictor(name, resolve_params(name, self.QUICK[name]), ds, 1)
-        predict = self.SINGLE_ROW[name]
-        labels = MODELS[name].predict(model, ds.x)
-        for i in (0, 31, 59):
-            out = predict(model, ds.x[i])
-            label = out[0] if isinstance(out, tuple) else out
-            assert type(label) is int and label == labels[i]
-        for bad in (np.zeros(1), np.zeros(3), 0.5, ds.x[:1]):
-            with pytest.raises(ValueError, match="dimension"):
-                predict(model, bad)
+        for bad in (np.zeros((4, 2 + extra)), np.zeros(2 + extra), ds.x[0], 0.5):
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                MODELS[name].predict(model, bad)
 
 
 def _prediction_digest(out) -> str:

@@ -6,15 +6,13 @@ from mppkit.data import generate_synthetic
 from mppkit.linear import (
     LogisticModel,
     Standardization,
+    _svm_evaluate,
     add_bias,
     fit_logistic,
     fit_svm,
-    hinge_loss,
     logistic_grad,
     logistic_loss,
-    predict_logistic,
     predict_logistic_batch,
-    predict_svm,
     predict_svm_batch,
 )
 from mppkit.linear import SvmModel
@@ -91,9 +89,9 @@ class TestPredictLogistic:
         # all-zero weights give p1 = 0.5 exactly; Eq-style rule labels it 1
         std = Standardization(mean=np.zeros(2), std=np.ones(2))
         model = LogisticModel(weights=np.zeros((2, 3)), standardization=std, n_classes=2)
-        label, probs = predict_logistic(model, np.array([0.3, -0.7]))
-        assert probs[1] == 0.5
-        assert label == 1
+        labels, probs = predict_logistic_batch(model, np.array([[0.3, -0.7]]))
+        assert probs[0, 1] == 0.5
+        assert labels.tolist() == [1]
 
     def test_binary_rule_matches_threshold_everywhere(self):
         rng = SeededRng(7)
@@ -101,32 +99,31 @@ class TestPredictLogistic:
         model = LogisticModel(
             weights=np.asarray(rng.normal((2, 2))), standardization=std, n_classes=2
         )
-        for _ in range(300):
-            x = np.asarray([rng.random() * 6 - 3])
-            label, probs = predict_logistic(model, x)
-            assert label == (1 if probs[1] >= 0.5 else 0)
+        x = np.asarray(rng.random((300, 1))) * 6 - 3
+        labels, probs = predict_logistic_batch(model, x)
+        assert np.array_equal(labels, np.where(probs[:, 1] >= 0.5, 1, 0))
 
     def test_all_zero_weights_three_class(self):
         std = Standardization(mean=np.zeros(2), std=np.ones(2))
         model = LogisticModel(weights=np.zeros((3, 3)), standardization=std, n_classes=3)
-        label, probs = predict_logistic(model, np.array([1.0, 2.0]))
-        assert np.allclose(probs, [1 / 3] * 3, atol=1e-15)
-        assert label == 0
+        labels, probs = predict_logistic_batch(model, np.array([[1.0, 2.0]]))
+        assert np.allclose(probs, [[1 / 3] * 3], atol=1e-15)
+        assert labels.tolist() == [0]
 
     def test_dominant_class_two(self):
         std = Standardization(mean=np.zeros(1), std=np.ones(1))
         w = np.zeros((3, 2))
         w[2, 1] = 10.0  # bias pushes class 2 up by +10
         model = LogisticModel(weights=w, standardization=std, n_classes=3)
-        label, probs = predict_logistic(model, np.array([0.0]))
-        assert label == 2
-        assert probs[2] > 0.99
+        labels, probs = predict_logistic_batch(model, np.array([[0.0]]))
+        assert labels.tolist() == [2]
+        assert probs[0, 2] > 0.99
 
     def test_dimension_mismatch(self):
         ds = two_class_toy()
         model = fit_logistic(ds)
         with pytest.raises(ValueError, match="dimension"):
-            predict_logistic(model, np.array([1.0, 2.0]))
+            predict_logistic_batch(model, np.array([[1.0, 2.0]]))
 
     def test_standardization_uses_fit_time_stats_only(self):
         ds = generate_synthetic(90, 4, {0}, seed=12)
@@ -141,26 +138,30 @@ class TestPredictLogistic:
         assert np.array_equal(before[1], after[1])
 
 
+def row_hinge_loss(y: float, fx: float) -> float:
+    """max(0, 1 - y*f(x)) of one row with sign label y, as the SVM objective computes it.
+
+    A bias-only weight vector has no L2 penalty, so the objective is the hinge loss alone.
+    """
+    return _svm_evaluate(np.array([1.0]), np.array([[fx]]), np.array([float(y)]), 1.0)[0]
+
+
 class TestHingeLoss:
     def test_margin_satisfied(self):
-        assert hinge_loss(1, 2.0) == 0.0
+        assert row_hinge_loss(1, 2.0) == 0.0
 
     def test_on_boundary_score_zero(self):
-        assert hinge_loss(1, 0.0) == 1.0
+        assert row_hinge_loss(1, 0.0) == 1.0
 
     def test_negative_label_positive_score(self):
-        assert hinge_loss(-1, 0.5) == 1.5
-
-    def test_invalid_label(self):
-        with pytest.raises(ValueError):
-            hinge_loss(0, 1.0)
+        assert row_hinge_loss(-1, 0.5) == 1.5
 
     def test_non_negative_and_zero_region(self):
         rng = SeededRng(33)
         for _ in range(500):
             y = 1 if rng.random() < 0.5 else -1
             fx = rng.random() * 8 - 4
-            loss = hinge_loss(y, fx)
+            loss = row_hinge_loss(y, fx)
             assert loss >= 0.0
             assert (loss == 0.0) == (y * fx >= 1.0)
 
@@ -209,11 +210,11 @@ class TestPredictSvm:
 
     def test_largest_margin_wins(self):
         model = self._margin_model([0.2, 0.9, -1.0])
-        assert predict_svm(model, np.array([0.0])) == 1
+        assert predict_svm_batch(model, np.array([[0.0]])).tolist() == [1]
 
     def test_all_equal_margins_tie_to_zero(self):
         model = self._margin_model([0.4, 0.4, 0.4])
-        assert predict_svm(model, np.array([0.0])) == 0
+        assert predict_svm_batch(model, np.array([[0.0]])).tolist() == [0]
 
     def test_uniform_positive_scaling_keeps_label(self):
         rng = SeededRng(10)
@@ -221,10 +222,10 @@ class TestPredictSvm:
             margins = np.asarray(rng.normal(3))
             model = self._margin_model(margins)
             scaled = self._margin_model(margins * 7.5)
-            x = np.array([0.0])
-            assert predict_svm(model, x) == predict_svm(scaled, x)
+            x = np.array([[0.0]])
+            assert np.array_equal(predict_svm_batch(model, x), predict_svm_batch(scaled, x))
 
     def test_dimension_mismatch(self):
         model = self._margin_model([0.0, 0.0, 0.0])
         with pytest.raises(ValueError, match="dimension"):
-            predict_svm(model, np.array([1.0, 2.0]))
+            predict_svm_batch(model, np.array([[1.0, 2.0]]))

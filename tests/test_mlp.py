@@ -8,7 +8,6 @@ from mppkit.mlp import (
     MlpModel,
     fit_mlp,
     mlp_loss_and_grads,
-    predict_mlp,
     predict_mlp_batch,
 )
 from mppkit.numeric import SeededRng, finite_difference_gradient, softmax
@@ -95,16 +94,15 @@ class TestPredictMlp:
             h=4,
             n_classes=3,
         )
-        label, probs = predict_mlp(model, np.array([0.4, -1.2]))
-        assert np.allclose(probs, [1 / 3] * 3, atol=1e-15)
-        assert label == 0
+        labels, probs = predict_mlp_batch(model, np.array([[0.4, -1.2]]))
+        assert np.allclose(probs, [[1 / 3] * 3], atol=1e-15)
+        assert labels.tolist() == [0]
 
     def test_in_sample_prediction_matches_training(self):
         ds = xor_dataset()
         model = fit_mlp(ds, hidden=8, learning_rate=0.1, epochs=500, l2=1e-4, seed=3)
-        for i in (0, 1, 2, 3, 100):
-            label, _ = predict_mlp(model, ds.x[i])
-            assert label == ds.y[i]
+        rows = [0, 1, 2, 3, 100]
+        assert np.array_equal(predict_mlp_batch(model, ds.x[rows])[0], ds.y[rows])
 
     def test_batch_matches_single(self):
         ds = generate_synthetic(50, 3, {0}, seed=40)
@@ -118,12 +116,9 @@ class TestPredictMlp:
             expected = softmax(model.w2 @ hidden)
             assert np.argmax(expected) == labels[i]
             assert np.allclose(expected, probs[i], atol=1e-12)
-            label, p = predict_mlp(model, ds.x[i])
-            assert label == labels[i]
-            assert np.allclose(p, probs[i], atol=1e-12)
 
     def test_dimension_mismatch(self):
         ds = generate_synthetic(30, 3, {0}, seed=2)
         model = fit_mlp(ds, hidden=4, epochs=5, l2=0.0, seed=1)
         with pytest.raises(ValueError, match="dimension"):
-            predict_mlp(model, np.array([1.0]))
+            predict_mlp_batch(model, np.array([[1.0]]))

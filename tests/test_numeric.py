@@ -12,37 +12,8 @@ from mppkit.numeric import (
     finite_difference_gradient,
     l2_penalty,
     one_hot,
-    sigmoid,
     softmax,
 )
-
-
-class TestSigmoid:
-    def test_zero_is_half(self):
-        assert sigmoid(0.0) == 0.5
-
-    def test_log3_is_three_quarters(self):
-        # 1 / (1 + e^{-ln 3}) = 1 / (1 + 1/3) = 3/4
-        assert sigmoid(math.log(3.0)) == pytest.approx(0.75, abs=1e-15)
-
-    def test_extreme_negative_saturates_without_error(self):
-        v = sigmoid(-1000.0)
-        assert 0.0 <= v <= 1e-300
-
-    def test_extreme_positive(self):
-        assert sigmoid(1000.0) == 1.0
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            sigmoid(float("nan"))
-        with pytest.raises(ValueError):
-            sigmoid(float("inf"))
-
-    def test_symmetry_property(self):
-        rng = SeededRng(101)
-        t = np.asarray(rng.random(1000)) * 100 - 50
-        total = sigmoid(t) + sigmoid(-t)
-        assert np.all(np.abs(total - 1.0) < 1e-12)
 
 
 class TestSoftmax:

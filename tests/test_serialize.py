@@ -1,4 +1,3 @@
-import contextlib
 import copy
 import json
 
@@ -9,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import make_dataset
 from mppkit.data import generate_synthetic
+from mppkit.evaluation import MODELS
 from mppkit.linear import fit_logistic, fit_svm, predict_logistic_batch, predict_svm_batch
 from mppkit.mlp import fit_mlp, predict_mlp_batch
 from mppkit.serialize import (
@@ -22,8 +22,20 @@ from mppkit.serialize import (
 from mppkit.trees import fit_gbdt, fit_tree, predict_gbdt_batch, predict_tree_batch
 
 
+def small_mlp(ds):
+    return fit_mlp(ds, hidden=3, epochs=2, l2=0.0, seed=1)
+
+
+def small_tree(ds):
+    return fit_tree(ds, max_depth=2)
+
+
+def small_gbdt(ds):
+    return fit_gbdt(ds, rounds=2)
+
+
 # the models whose documents carry a standardization
-STANDARDIZED_FITS = [fit_logistic, fit_svm, lambda ds: fit_mlp(ds, hidden=3, epochs=2, l2=0.0, seed=1)]
+STANDARDIZED_FITS = [fit_logistic, fit_svm, small_mlp]
 # each model type: a small fit taking one size knob in 1..4, and its batch predictor
 SMALL_FITS = {
     "logistic": (lambda ds, i: fit_logistic(ds, epochs=5 * i), predict_logistic_batch),
@@ -241,6 +253,9 @@ def chain_tree(n):
     return fit_tree(ds, max_depth=5000, min_samples_leaf=1), ds
 
 
+STD_CHECK = "'standardization' must hold finite means and finite positive stds"
+
+
 class TestMalformedValues:
     @pytest.mark.parametrize(
         ("fit", "section", "key", "value"),
@@ -256,6 +271,40 @@ class TestMalformedValues:
         doc = to_document(fit(dataset), dataset.schema)
         doc[section][key] = value
         with pytest.raises(ValueError, match=f"{doc['model_type']} model document"):
+            from_document(doc)
+
+    @pytest.mark.parametrize(
+        ("fit", "section", "key", "value", "named"),
+        [
+            (small_mlp, "hyperparameters", "hidden", 7, "'hidden' is 7, but key 'w1' has 3 rows"),
+            (small_mlp, "hyperparameters", "hidden", -1, "'hidden' must be finite and at least 1, got -1"),
+            (small_mlp, "hyperparameters", "hidden", "x", r"'hidden': invalid literal for int\(\)"),
+            (small_gbdt, "weights", "init_scores", [0.0], r"'init_scores' must have shape \(3,\), got \(1,\)"),
+            (small_gbdt, "weights", "init_scores", [0.0] * 5, r"'init_scores' must have shape \(3,\), got \(5,\)"),
+            (small_tree, "weights", "root", {"leaf": 5}, r"'leaf' must have shape \(3,\), got \(\)"),
+            (small_tree, "weights", "root", {"leaf": [1.0, 2.0]}, r"'leaf' must have shape \(3,\), got \(2,\)"),
+            (small_gbdt, "weights", "trees", [[{"leaf": [0.0]}] * 2 + [{"leaf": 5}]] * 2,
+             r"'leaf' must have shape \(1,\), got \(\)"),
+            (fit_logistic, "hyperparameters", "n_classes", 1, "'n_classes' must be finite and at least 2, got 1"),
+            (fit_svm, "hyperparameters", "n_classes", 2, r"'coef' must have shape \(2, any\), got \(3, 6\)"),
+            (fit_svm, "hyperparameters", "reg_c", 1e400, "'reg_c' must be finite and at least 0, got inf"),
+            (small_mlp, "weights", "w2", [[0.0] * 4] * 2, r"'w2' must have shape \(3, 4\), got \(2, 4\)"),
+            (small_gbdt, "weights", "importance_raw", [0.0], r"'importance_raw' must have shape \(5,\)"),
+            (small_gbdt, "hyperparameters", "shrinkage", "x", "'shrinkage': could not convert string to float"),
+            (small_tree, "hyperparameters", "d", 0, "'d' must be finite and at least 1, got 0"),
+            (fit_logistic, "weights", "coef", [[1e400] + [0.0] * 5] + [[0.0] * 6] * 2, "'coef' must hold finite"),
+            (small_mlp, "weights", "w1", [[0.0] * 6, [0.0] * 6, [0.0] * 5 + [1e400]], "'w1' must hold finite"),
+            (small_tree, "weights", "root", {"feature": 0, "threshold": 1e400, "left": {"leaf": [1, 0, 0]},
+                                             "right": {"leaf": [0, 1, 0]}}, "'threshold' must hold finite"),
+            (fit_logistic, "standardization", "std", [1.0, 1.0, 0.0, 1.0, 1.0], STD_CHECK),
+            (fit_svm, "standardization", "std", [1.0, -1.0, 1.0, 1.0, 1.0], STD_CHECK),
+            (small_mlp, "standardization", "mean", [0.0, 0.0, 0.0, 0.0, 1e400], STD_CHECK),
+        ],
+    )
+    def test_value_that_does_not_fit_the_document_names_its_key(self, dataset, fit, section, key, value, named):
+        doc = to_document(fit(dataset), dataset.schema)
+        doc[section][key] = value
+        with pytest.raises(ValueError, match=f"^malformed {doc['model_type']} model document: .*{named}"):
             from_document(doc)
 
     @pytest.mark.parametrize("feature", [None, -1, 1.9, 1.0, True, 5, 7, "0"])
@@ -290,9 +339,9 @@ class TestTreeDepthLimit:
 
     def test_document_too_deep_to_rebuild_raises_value_error(self, dataset):
         doc = to_document(fit_tree(dataset, max_depth=1), dataset.schema)
-        node = {"leaf": [1.0]}
+        node = {"leaf": [1.0, 0.0, 0.0]}  # a valid leaf of the 3-class tree
         for _ in range(3000):
-            node = {"feature": 0, "threshold": 0.5, "left": {"leaf": [1.0]}, "right": node}
+            node = {"feature": 0, "threshold": 0.5, "left": {"leaf": [1.0, 0.0, 0.0]}, "right": node}
         doc["weights"]["root"] = node
         with pytest.raises(ValueError, match="malformed tree model document: maximum recursion depth"):
             from_document(doc)
@@ -342,6 +391,12 @@ class TestDocumentProperties:
         for key in path[:-1]:
             parent = parent[key]
         parent[path[-1]] = data.draw(st.sampled_from([None, {"a": 1}, "x", 1e400, -1]))
-        with contextlib.suppress(ValueError):
-            from_document(doc)
+        try:
+            model = from_document(doc)
+        except ValueError:
+            return
+        # a document that loads predicts: one label in 0..n_classes-1 per row of its width
+        labels = MODELS[doc["model_type"]].predict(model, np.resize(np.arange(-3.0, 4.0), (9, model.d)))
+        assert labels.shape == (9,)
+        assert set(labels.tolist()) <= set(range(model.n_classes))
 

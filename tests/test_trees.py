@@ -19,9 +19,7 @@ from mppkit.trees import (
     feature_importance,
     fit_gbdt,
     fit_tree,
-    predict_gbdt,
     predict_gbdt_batch,
-    predict_tree,
     predict_tree_batch,
     tree_apply,
 )
@@ -83,7 +81,7 @@ class TestFitTree:
         ds = make_dataset(np.array([[0.0], [1.0], [2.0], [3.0]]), [2, 2, 2, 1])
         model = fit_tree(ds, max_depth=0)
         assert model.root.is_leaf
-        assert predict_tree(model, np.array([99.0])) == 2
+        assert predict_tree_batch(model, np.array([[99.0]])).tolist() == [2]
 
     def test_empty_rejected(self):
         ds = make_dataset(np.empty((0, 1)), np.empty(0, dtype=int))
@@ -144,26 +142,25 @@ class TestPredictTree:
     def test_lone_leaf_predicts_majority_everywhere(self):
         ds = make_dataset(np.array([[0.0], [1.0], [5.0]]), [1, 1, 0])
         model = fit_tree(ds, max_depth=0)
-        for v in (-10.0, 0.0, 3.0, 100.0):
-            assert predict_tree(model, np.array([v])) == 1
+        assert predict_tree_batch(model, np.array([[-10.0], [0.0], [3.0], [100.0]])).tolist() == [1] * 4
 
     def test_routes_right_of_toy_threshold(self):
         ds = make_dataset(np.array([[0.0], [1.0], [2.0], [3.0]]), [0, 0, 1, 1])
         model = fit_tree(ds, max_depth=3, min_samples_leaf=1)
-        assert predict_tree(model, np.array([2.7])) == 1
+        assert predict_tree_batch(model, np.array([[2.7]])).tolist() == [1]
 
     def test_tied_counts_take_lowest_class(self):
         node = TreeNode(value=np.array([5.0, 5.0, 0.0]))
         from mppkit.trees import TreeModel
 
         model = TreeModel(root=node, max_depth=0, min_samples_leaf=1, d=1, n_classes=3)
-        assert predict_tree(model, np.array([0.0])) == 0
+        assert predict_tree_batch(model, np.array([[0.0]])).tolist() == [0]
 
     def test_dimension_mismatch(self):
         ds = make_dataset(np.array([[0.0], [1.0]]), [0, 1])
         model = fit_tree(ds)
         with pytest.raises(ValueError, match="dimension"):
-            predict_tree(model, np.array([1.0, 2.0]))
+            predict_tree_batch(model, np.array([[1.0, 2.0]]))
 
 
 class TestFitGbdt:
@@ -242,17 +239,16 @@ def _init_only_model(priors, d=2):
 class TestPredictGbdt:
     def test_init_only_model_uniform_priors(self):
         model = _init_only_model([1 / 3, 1 / 3, 1 / 3])
-        label, probs = predict_gbdt(model, np.array([5.0, -2.0]))
-        assert np.allclose(probs, [1 / 3] * 3, atol=1e-15)
+        labels, probs = predict_gbdt_batch(model, np.array([[5.0, -2.0]]))
+        assert np.allclose(probs, [[1 / 3] * 3], atol=1e-15)
         assert abs(probs.sum() - 1.0) < 1e-9
-        assert label == 0
+        assert labels.tolist() == [0]
 
     def test_in_sample_predictions_match_training(self):
         ds = generate_synthetic(300, 10, {0}, seed=7)
         model = fit_gbdt(ds, rounds=100, shrinkage=0.1)
-        for i in (0, 57, 123, 299):
-            label, _ = predict_gbdt(model, ds.x[i])
-            assert label == ds.y[i]
+        rows = [0, 57, 123, 299]
+        assert np.array_equal(predict_gbdt_batch(model, ds.x[rows])[0], ds.y[rows])
 
     def test_score_shift_invariance(self):
         rng = SeededRng(66)
@@ -278,14 +274,11 @@ class TestPredictGbdt:
             expected = softmax(scores)
             assert np.argmax(expected) == batch_labels[i]
             assert np.array_equal(expected, batch_probs[i])
-            label, probs = predict_gbdt(model, ds.x[i])
-            assert label == batch_labels[i]
-            assert np.array_equal(probs, expected)
 
     def test_dimension_mismatch(self):
         model = _init_only_model([0.5, 0.25, 0.25])
         with pytest.raises(ValueError, match="dimension"):
-            predict_gbdt(model, np.array([1.0]))
+            predict_gbdt_batch(model, np.array([[1.0]]))
 
 
 class TestFeatureImportance:
