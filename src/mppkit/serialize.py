@@ -189,11 +189,11 @@ def from_document(doc: dict):
     truncated document).  Each hyperparameter must convert to a finite
     number no less than its floor: 2 classes; 1 feature, hidden unit or
     sample per leaf; 0 for the rest.  Weights, thresholds, leaf values,
-    means and stds must be finite and stds positive, and every array must
-    fit the hyperparameters: one row or value per class in `coef`, `w2`,
-    `init_scores` and a tree's leaves (a GBDT leaf holds one value), one
-    row of `w1` per hidden unit, one `importance_raw` value and one mean
-    and std per feature, and a split feature in 0..d-1.  An MLP activation
+    GBDT loss values, means and stds must be finite and stds positive, and
+    every array must fit the hyperparameters: one row or value per class in
+    `coef`, `w2`, `init_scores` and a tree's leaves (a GBDT leaf holds one
+    value), one row of `w1` per hidden unit, one `importance_raw` value and
+    one mean and std per feature, and a split feature in 0..d-1.  An MLP activation
     must be "tanh" (a missing one reads as "tanh").  Past the version and
     type checks every message names the model type, and those of the
     checks above name the key at fault.
@@ -252,6 +252,7 @@ def _model_from_document(kind: str, doc: dict):
             d=d,
             n_classes=k,
         )
+    history = _floats(weights, "loss_history", (None,)).tolist() if "loss_history" in weights else []
     return GbdtModel(
         rounds=_hyper(hp, "rounds", 0),
         shrinkage=_hyper(hp, "shrinkage", 0, float),
@@ -262,7 +263,7 @@ def _model_from_document(kind: str, doc: dict):
         n_classes=k,
         max_depth=max_depth,
         min_samples_leaf=min_samples_leaf,
-        loss_history=tuple(float(v) for v in weights.get("loss_history", ())),
+        loss_history=tuple(history),
     )
 
 

@@ -14,21 +14,24 @@ every (feature, threshold) of a node in one vectorized pass over a
 presorted column block, as in XGBoost's exact greedy search (Chen &
 Guestrin, 2016, section 4.1).  Each column is stably argsorted once per fit
 (once per ensemble, since x never changes); a child inherits its parent's
-sorted rows filtered by the split mask.  The filter keeps order and a
-stable sort breaks value ties by row index, so every node sees exactly the
-order a fresh stable argsort of its members gives: trees match a per-node
-sort bit for bit.
+sorted rows filtered by the split mask, written into a two-generation arena
+that `_grow` reuses at every depth.  The filter keeps order and a stable
+sort breaks value ties by row index, so every node sees exactly the order
+a fresh stable argsort of its members gives: trees match a per-node sort
+bit for bit.
 
-The kernel allocates nothing of node size: it writes every intermediate
-into views of one `_SplitWorkspace` per fit (per ensemble for boosting),
-as XGBoost keeps its split statistics in reused buffers (section 4.2).
-Only a child that may still split (below the depth limit, with at least
-twice the leaf floor) gets a sorted block; any other child becomes a leaf
-from the statistic its node gathers, and the learner sets its value.  The
-Gini statistic is float64 one-hot counts: every partial sum is an integer
-below 2**53, so Gini gains are exact and one float kernel serves both
-learners.  A threshold is the midpoint of the two values it separates, or
-the lower value where the midpoint overflows or rounds up to the upper one.
+The kernel allocates nothing of node size: it writes every intermediate,
+and `_grow` every child block, into views of one `_SplitWorkspace` per fit
+(per ensemble for boosting), as XGBoost keeps its split statistics in
+reused buffers (section 4.2); the one node-sized temporary left is the
+index of a child's members in its parent's block.  Only a child that may
+still split (below the depth limit, with at least twice the leaf floor)
+gets a sorted block; any other child becomes a leaf from the statistic its
+node gathers, and the learner sets its value.  The Gini statistic is
+float64 one-hot counts: every partial sum is an integer below 2**53, so
+Gini gains are exact and one float kernel serves both learners.  A
+threshold is the midpoint of the two values it separates, or the lower
+value where the midpoint overflows or rounds up to the upper one.
 """
 
 from __future__ import annotations
@@ -126,19 +129,30 @@ def _presort(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _SplitWorkspace:
-    """Buffers `_best_split` writes into, allocated once per fit.
+    """Buffers `_best_split` and `_grow` write into, allocated once per fit.
 
     Sized for the root (n rows, d features, s statistic rows); a node of m
-    rows uses the first s*d*m elements of each block, so every view it takes
-    is contiguous.  `nl` and `nr` hold the left and right row counts of the
-    m split positions as `nl[:m]` = 1..m and `nr[-m:]` = m-1..1 plus a
-    sentinel 1 for the last position (everything left), which is never a
-    candidate but keeps its division finite.
+    rows uses the first s*d*m elements of each of the kernel's `blocks`, so
+    every view it takes is contiguous.  `nl` and `nr` hold the left and
+    right row counts of the m split positions as `nl[:m]` = 1..m and
+    `nr[-m:]` = m-1..1 plus a sentinel 1 for the last position (everything
+    left), which is never a candidate but keeps its division finite.
+
+    `rows` and `vals` are the child-block arena: two generations of d*n
+    elements each, where `_grow` writes the sorted blocks of the children
+    of a depth-t node into generation t % 2 (see `_grow`).  The kernel's
+    blocks and the arena are views of one array, so a fit makes one large
+    allocation, not one per node.
     """
 
     def __init__(self, s: int, d: int, n: int):
-        self.blocks = np.empty((2, s * d * n))
-        self.tied = np.empty(d * n, dtype=bool)
+        kernel, arena = 2 * s * d * n, 2 * d * n
+        words = np.empty(kernel + 2 * arena)  # float64 and intp are both 8 bytes
+        self.blocks = words[:kernel].reshape(2, s * d * n)
+        self.vals = words[kernel : kernel + arena].reshape(2, d * n)
+        self.rows = words[kernel + arena :].view(np.intp).reshape(2, d * n)
+        self.tied, self.keep = np.empty((2, d * n), dtype=bool)
+        self.go_left = np.empty(n, dtype=bool)
         self.nl = np.arange(1.0, n + 1.0)
         self.nr = np.append(np.arange(n - 1.0, 0.0, -1.0), 1.0)
 
@@ -163,7 +177,7 @@ def _best_split(rows: np.ndarray, vals: np.ndarray, stat: np.ndarray, total, min
     s = stat.shape[0]
     d, m = rows.shape
     left, right = (block[: s * d * m].reshape(s, d, m) for block in work.blocks)
-    np.take(stat, rows, axis=1, out=right, mode="clip")  # rows are in range: clip never clips
+    stat.take(rows, axis=1, out=right, mode="clip")  # rows are in range: clip never clips
     np.cumsum(right, axis=2, out=left)
     # right sums as sl - total: exactly -(total - sl), so their squares match
     np.subtract(left, total[:, None, None], out=right)
@@ -191,18 +205,6 @@ def _best_split(rows: np.ndarray, vals: np.ndarray, stat: np.ndarray, total, min
     return float(gains[j, i]), j, thr
 
 
-def _filter_block(block, keep: np.ndarray):
-    """The members of a sorted (rows, vals) block where the flat `keep` is set.
-
-    Filtering keeps each feature's sorted order, so the child block is the
-    one a fresh stable sort of the kept rows gives.
-    """
-    rows, vals = block
-    flat = np.flatnonzero(keep)
-    d = rows.shape[0]
-    return rows.take(flat).reshape(d, -1), vals.take(flat).reshape(d, -1)
-
-
 def _grow(x, presorted, stat, max_depth, min_leaf, importance, work):
     """Grow one tree depth-first on the shared split kernel; return (root, leaves).
 
@@ -215,18 +217,30 @@ def _grow(x, presorted, stat, max_depth, min_leaf, importance, work):
     its gain to `importance[feature]`, in preorder.  The pending nodes sit
     on an explicit stack, not in a recursive closure, whose reference cycle
     would keep `work` alive until the next garbage collection.
+
+    Child blocks go into the workspace's two-generation arena.  Each pending
+    node carries a flat offset `base` and owns [base, base + d*m) of both
+    generations, m being its row count.  A node at depth t reads its block
+    from generation (t - 1) % 2 (the root reads `presorted`) and writes its
+    children's into generation t % 2: the left child's d*ml elements at
+    [base, base + d*ml), the right child's at [base + d*ml, base + d*m).  A
+    node's descendants stay inside its slice and sibling slices are
+    disjoint, so no pending node's slice overlaps the current one; in the
+    generation a node writes, its slice holds part of its parent's block,
+    consumed when the parent split.  Two generations of d*n elements
+    therefore serve a tree of any depth.
     """
-    n = x.shape[0]
-    go_left = np.empty(n, dtype=bool)
+    n, d = x.shape
+    go_left = work.go_left
 
     def may_split(size: int, depth: int) -> bool:
         return depth < max_depth and size >= 2 * min_leaf
 
     root = TreeNode()
     leaves = []
-    pending = [(root, np.arange(n), presorted if may_split(n, 0) else None, 0)]
+    pending = [(root, np.arange(n), presorted if may_split(n, 0) else None, 0, 0)]
     while pending:
-        node, idx, block, depth = pending.pop()
+        node, idx, block, depth, base = pending.pop()
         node_stat = stat[:, idx]
         found = None
         if block is not None and (node_stat != node_stat[:, :1]).any():
@@ -239,18 +253,30 @@ def _grow(x, presorted, stat, max_depth, min_leaf, importance, work):
         importance[node.feature] += gain
         mask = x[idx, node.feature] <= node.threshold
         sides = (idx[mask], idx[~mask])
+        bases = (base, base + d * sides[0].size)
         blocks = [None, None]
         wanted = [may_split(side.size, depth + 1) for side in sides]
         if any(wanted):
+            rows, vals = block[0].ravel(), block[1].ravel()
             go_left[idx] = mask
-            keep = go_left[block[0]].ravel()
-            if wanted[0]:
-                blocks[0] = _filter_block(block, keep)
-            if wanted[1]:
-                blocks[1] = _filter_block(block, ~keep)
+            keep = work.keep[: rows.size]
+            go_left.take(rows, out=keep, mode="clip")  # rows are in range: clip never clips
+            # array methods, not np.take: the wrapper costs microseconds a call
+            arena_rows, arena_vals = work.rows[depth % 2], work.vals[depth % 2]
+            for c in (0, 1):
+                if not wanted[c]:
+                    continue
+                if c:
+                    np.logical_not(keep, out=keep)
+                # filtering keeps each feature's sorted order, so the child
+                # block is the one a fresh stable sort of its rows gives
+                members = np.flatnonzero(keep)
+                span, shape = slice(bases[c], bases[c] + members.size), (d, sides[c].size)
+                blocks[c] = (rows.take(members, out=arena_rows[span], mode="clip").reshape(shape),
+                             vals.take(members, out=arena_vals[span], mode="clip").reshape(shape))
         node.left, node.right = TreeNode(), TreeNode()
-        pending.append((node.right, sides[1], blocks[1], depth + 1))
-        pending.append((node.left, sides[0], blocks[0], depth + 1))  # popped first
+        pending.append((node.right, sides[1], blocks[1], depth + 1, bases[1]))
+        pending.append((node.left, sides[0], blocks[0], depth + 1, bases[0]))  # popped first
     return root, leaves
 
 

@@ -291,6 +291,8 @@ class TestMalformedValues:
             (small_mlp, "weights", "w2", [[0.0] * 4] * 2, r"'w2' must have shape \(3, 4\), got \(2, 4\)"),
             (small_gbdt, "weights", "importance_raw", [0.0], r"'importance_raw' must have shape \(5,\)"),
             (small_gbdt, "hyperparameters", "shrinkage", "x", "'shrinkage': could not convert string to float"),
+            (small_gbdt, "weights", "loss_history", [0.5, "x"], "key 'loss_history' must hold numbers"),
+            (small_gbdt, "weights", "loss_history", [0.5, 1e400], "'loss_history' must hold finite"),
             (small_tree, "hyperparameters", "d", 0, "'d' must be finite and at least 1, got 0"),
             (fit_logistic, "weights", "coef", [[1e400] + [0.0] * 5] + [[0.0] * 6] * 2, "'coef' must hold finite"),
             (small_mlp, "weights", "w1", [[0.0] * 6, [0.0] * 6, [0.0] * 5 + [1e400]], "'w1' must hold finite"),

@@ -8,6 +8,17 @@ from conftest import FIXTURE_DIR, SRC_DIR, cli_env
 MODEL_DIGESTS = SRC_DIR.parent / "tools" / "model_digests.py"
 MAKE_FIXTURE = SRC_DIR.parent / "tools" / "make_fixture.py"
 
+# The synthetic fits are the only ones whose split blocks are large enough to
+# exercise the tree kernel's buffer reuse at scale; the fixture fits are
+# pinned by the golden digests of test_trees.py and friends.  Recorded on an
+# X86_V4 (AVX512) CPU with numpy 2.4.6; see ROADMAP item 1 for other CPUs.
+SCALE_DIGESTS = {
+    "synthetic-2000x20/gbdt": "2549190dbd9e2c692cc37fa3ec53fda47ad70e98d099f620709872818fa4dd38",
+    "synthetic-960x20/tree": "7cb2cf13868bfa6e569c8eecbca7e99d0cbef3f8a7027da859be39dd350147ac",
+    "synthetic-2000x20/gbdt/predict": "c651df71cd2590e239740045e80d352300023a15d1bda79827db5601b072b0fd",
+    "synthetic-960x20/tree/predict": "b62659e88cba6595f653ebd59db26a21bd241a17c6268132f687126082217c2c",
+}
+
 
 def test_model_digests_prints_every_fit_then_every_predict():
     # the bit-identity check of every model and predict path: 7 fits, then
@@ -21,6 +32,8 @@ def test_model_digests_prints_every_fit_then_every_predict():
     lines = result.stdout.splitlines()
     assert [line.split(" ")[0] for line in lines] == fits + [f"{label}/predict" for label in fits]
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)
+    printed = dict(line.split(" ") for line in lines)
+    assert {label: printed[label] for label in SCALE_DIGESTS} == SCALE_DIGESTS
 
 
 def test_make_fixture_rewrites_the_bundled_fixture(tmp_path):

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -12,6 +13,7 @@ from mppkit.numeric import SeededRng, cross_entropy, softmax
 from mppkit.serialize import to_document
 from mppkit.trees import (
     GbdtModel,
+    TreeModel,
     TreeNode,
     _SplitWorkspace,
     _best_split,
@@ -214,6 +216,22 @@ class TestFitGbdt:
         assert len(model.loss_history) == rounds + 1
         # bit for bit: the last entry is the log-loss of the probabilities the model predicts
         assert model.loss_history[-1] == cross_entropy(predict_gbdt_batch(model, ds.x)[1], ds.y)
+
+    def test_workspace_freed_without_the_cycle_collector(self):
+        # the per-fit workspace (~1.9 MB at 2000x20) must die with the fit:
+        # a reference cycle through it would hold it until the next collection
+        ds = generate_synthetic(2000, 20, {0, 1, 2}, seed=7, noise=0.05)
+        gc.collect()
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            model = fit_gbdt(ds, rounds=5)
+            del model
+            assert tracemalloc.get_traced_memory()[0] - before < 256 * 1024
+        finally:
+            tracemalloc.stop()
+            gc.enable()
 
     def test_tree_count_invariant(self):
         ds = generate_synthetic(60, 3, {0}, seed=4)
@@ -467,6 +485,70 @@ class TestSplitKernel:
         assert self._kernel(x, stat, 1) is None  # the only split has zero gain
         assert self._kernel(x, stat[:, [0, 0, 1, 1]], 3) is None  # leaf floor too high
         assert self._kernel(np.ones((4, 2)), stat, 1) is None  # constant columns
+
+
+def per_node_sort_tree(dataset, max_depth, min_leaf):
+    """Reference for `fit_tree`: each node stably argsorts its own rows afresh.
+
+    The stopping rules, node statistic and leaf values are `_grow`'s and
+    `fit_tree`'s, and the split comes from `_best_split` on a freshly sorted
+    block; so a difference from `fit_tree` can only come from the sorted
+    blocks a child inherits from its parent.
+    """
+    x, k = dataset.x, dataset.schema.n_classes
+    stat = np.zeros((k, dataset.n))
+    stat[dataset.y, np.arange(dataset.n)] = 1.0
+    work = _SplitWorkspace(k, dataset.d, dataset.n)
+
+    def grow(idx, depth):
+        node_stat = stat[:, idx]
+        found = None
+        if depth < max_depth and idx.size >= 2 * min_leaf and (node_stat != node_stat[:, :1]).any():
+            order = np.argsort(x[idx].T, axis=1, kind="stable")
+            rows, vals = idx[order], np.take_along_axis(x[idx].T, order, axis=1)
+            found = _best_split(rows, vals, stat, node_stat.sum(axis=1), min_leaf, work)
+        if found is None:
+            return TreeNode(value=node_stat.sum(axis=1))
+        _, feature, threshold = found
+        mask = x[idx, feature] <= threshold
+        return TreeNode(feature, threshold, grow(idx[mask], depth + 1), grow(idx[~mask], depth + 1))
+
+    root = grow(np.arange(dataset.n), 0)
+    return TreeModel(root, max_depth, min_leaf, dataset.d, k)
+
+
+def _depth(node):
+    return 0 if node.is_leaf else 1 + max(_depth(node.left), _depth(node.right))
+
+
+class TestInheritedBlocks:
+    """Trees grown from inherited sorted blocks match a fresh sort per node.
+
+    Deep trees on tie-heavy data reuse every part of the child-block arena
+    many times over, past the depth-5 trees the golden digests pin.
+    """
+
+    @pytest.fixture(scope="class")
+    def tied_dataset(self):
+        rng = SeededRng(41)
+        n = 301  # odd: the root cannot split into equal halves
+        x = np.column_stack([
+            rng.integers(0, 3, n),  # binary-like and ordinal: heavy value ties
+            rng.integers(0, 6, n),
+            rng.integers(0, 40, n),
+            rng.integers(0, 40, n),
+        ]).astype(float)
+        x = np.column_stack([x, x[:, 2]])  # a duplicated column: exact gain ties
+        y = (x[:, 0] + (x[:, 2] > 20) + rng.integers(0, 2, n)) % 3  # learnable, with label noise
+        return make_dataset(x, y)
+
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    @pytest.mark.parametrize("max_depth", [8, 40])
+    def test_matches_per_node_sort(self, tied_dataset, max_depth, min_leaf):
+        model = fit_tree(tied_dataset, max_depth=max_depth, min_samples_leaf=min_leaf)
+        expected = per_node_sort_tree(tied_dataset, max_depth, min_leaf)
+        assert to_document(model, tied_dataset.schema) == to_document(expected, tied_dataset.schema)
+        assert _depth(model.root) >= min(max_depth, 10)  # past depth 5: both generations reused
 
 
 def _fixture_digest(model):
