@@ -41,7 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numeric import SeededRng
+from .numeric import SeededRng, _check_integer
 
 FEATURE_KINDS = ("binary", "ordinal", "continuous")
 
@@ -504,6 +504,7 @@ def stratified_kfold(dataset: Dataset, k: int, seed: int) -> FoldPlan:
     (ties to the lowest fold index), which keeps total fold sizes within one
     of each other as well.
     """
+    _check_integer("k", k)
     if k < 2:
         raise ValueError("k must be at least 2")
     y = dataset.y

@@ -162,6 +162,8 @@ def _number(test, text: str):
 
 # hyperparameter -> (check of a value, what the check asks for)
 PARAM_CHECKS = {
+    "n_classes": _integer(2),  # n_classes and d: the counts a model document records
+    "d": _integer(1),
     "learning_rate": _number(lambda v: v > 0, "a positive number"),
     "epochs": _integer(1),
     "l2": _number(lambda v: v >= 0, "a non-negative number"),

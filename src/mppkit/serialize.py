@@ -23,6 +23,7 @@ import numpy as np
 from .data import FeatureSchema, read_json
 from .linear import LogisticModel, Standardization, SvmModel
 from .mlp import MlpModel
+from .numeric import PARAM_CHECKS, check_hyperparameters
 from .trees import GbdtModel, TreeModel, TreeNode
 
 FORMAT_VERSION = 1
@@ -82,17 +83,6 @@ def _floats(section: dict, key: str, shape: tuple) -> np.ndarray:
     return values
 
 
-def _hyper(hp: dict, key: str, least, to=int):
-    """Hyperparameter `key` converted by `to`, or ValueError naming it unless finite and >= `least`."""
-    try:
-        value = to(hp[key])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"hyperparameter {key!r}: {exc}") from None
-    if not least <= value < np.inf:
-        raise ValueError(f"hyperparameter {key!r} must be finite and at least {least}, got {value!r}")
-    return value
-
-
 def _std_to_obj(std: Standardization) -> dict:
     return {"mean": [float(v) for v in std.mean], "std": [float(v) for v in std.std]}
 
@@ -101,14 +91,13 @@ def _std_from_obj(obj, weights: np.ndarray) -> Standardization:
     """The z-scoring that feeds the matrix `weights`: a mean and a std per column but the last (bias) one."""
     if not isinstance(obj, dict):
         raise ValueError(f"key 'standardization' must be a JSON object, got {type(obj).__name__}")
-    std = Standardization(mean=np.array(obj["mean"], dtype=float), std=np.array(obj["std"], dtype=float))
-    if not std.mean.shape == std.std.shape == (weights.shape[1] - 1,):
-        raise ValueError(
-            f"key 'standardization' must hold a 'mean' and a 'std' per feature of "
-            f"weights shaped {weights.shape}, got shapes {std.mean.shape} and {std.std.shape}"
-        )
-    if not (np.isfinite(std.mean).all() and np.isfinite(std.std).all() and (std.std > 0).all()):
-        raise ValueError("key 'standardization' must hold finite means and finite positive stds")
+    width = (weights.shape[1] - 1,)
+    try:
+        std = Standardization(mean=_floats(obj, "mean", width), std=_floats(obj, "std", width))
+    except ValueError as exc:
+        raise ValueError(f"key 'standardization': {exc}") from None
+    if not (std.std > 0).all():
+        raise ValueError("key 'standardization': key 'std' must hold positive numbers")
     return std
 
 
@@ -122,14 +111,14 @@ def to_document(model, schema: FeatureSchema) -> dict:
     if isinstance(model, LogisticModel):
         doc.update(
             model_type="logistic",
-            hyperparameters={"n_classes": model.n_classes},
+            hyperparameters={"n_classes": int(model.n_classes)},
             standardization=_std_to_obj(model.standardization),
             weights={"coef": _matrix(model.weights)},
         )
     elif isinstance(model, SvmModel):
         doc.update(
             model_type="svm",
-            hyperparameters={"n_classes": model.n_classes, "reg_c": float(model.reg_c)},
+            hyperparameters={"n_classes": int(model.n_classes), "reg_c": float(model.reg_c)},
             standardization=_std_to_obj(model.standardization),
             weights={"coef": _matrix(model.weights)},
         )
@@ -137,10 +126,10 @@ def to_document(model, schema: FeatureSchema) -> dict:
         doc.update(
             model_type="tree",
             hyperparameters={
-                "n_classes": model.n_classes,
-                "max_depth": model.max_depth,
-                "min_samples_leaf": model.min_samples_leaf,
-                "d": model.d,
+                "n_classes": int(model.n_classes),
+                "max_depth": int(model.max_depth),
+                "min_samples_leaf": int(model.min_samples_leaf),
+                "d": int(model.d),
             },
             standardization=None,
             weights={"root": _tree_to_obj(model.root)},
@@ -149,12 +138,12 @@ def to_document(model, schema: FeatureSchema) -> dict:
         doc.update(
             model_type="gbdt",
             hyperparameters={
-                "n_classes": model.n_classes,
-                "rounds": model.rounds,
+                "n_classes": int(model.n_classes),
+                "rounds": int(model.rounds),
                 "shrinkage": float(model.shrinkage),
-                "max_depth": model.max_depth,
-                "min_samples_leaf": model.min_samples_leaf,
-                "d": model.d,
+                "max_depth": int(model.max_depth),
+                "min_samples_leaf": int(model.min_samples_leaf),
+                "d": int(model.d),
             },
             standardization=None,
             weights={
@@ -168,8 +157,8 @@ def to_document(model, schema: FeatureSchema) -> dict:
         doc.update(
             model_type="mlp",
             hyperparameters={
-                "n_classes": model.n_classes,
-                "hidden": model.h,
+                "n_classes": int(model.n_classes),
+                "hidden": int(model.h),
                 "activation": "tanh",  # the one activation fit_mlp trains
             },
             standardization=_std_to_obj(model.standardization),
@@ -186,9 +175,10 @@ def from_document(doc: dict):
     A malformed document raises ValueError and nothing else.  The document,
     its hyperparameters and weights sections and each tree node must be
     JSON objects, its version and model type known, and no key missing (a
-    truncated document).  Each hyperparameter must convert to a finite
-    number no less than its floor: 2 classes; 1 feature, hidden unit or
-    sample per leaf; 0 for the rest.  Weights, thresholds, leaf values,
+    truncated document).  Each hyperparameter must pass its rule in
+    `numeric.PARAM_CHECKS`, the check the trainers make, and is used as
+    written: counts are integers (`n_classes` >= 2, `d` >= 1), so 2.7, "2"
+    and true are refused, not converted.  Weights, thresholds, leaf values,
     GBDT loss values, means and stds must be finite and stds positive, and
     every array must fit the hyperparameters: one row or value per class in
     `coef`, `w2`, `init_scores` and a tree's leaves (a GBDT leaf holds one
@@ -220,18 +210,20 @@ def from_document(doc: dict):
 def _model_from_document(kind: str, doc: dict):
     hp = doc.get("hyperparameters", {})
     weights = doc.get("weights", {})
-    k = _hyper(hp, "n_classes", 2)
+    # each hyperparameter the document holds must pass the check its trainer makes
+    check_hyperparameters(kind, **{key: value for key, value in hp.items() if key in PARAM_CHECKS})
+    k = hp["n_classes"]
     if kind in ("logistic", "svm"):
         coef = _floats(weights, "coef", (k, None))
         std = _std_from_obj(doc["standardization"], coef)
         if kind == "logistic":
             return LogisticModel(weights=coef, standardization=std, n_classes=k)
-        return SvmModel(weights=coef, reg_c=_hyper(hp, "reg_c", 0, float), standardization=std, n_classes=k)
+        return SvmModel(weights=coef, reg_c=hp["reg_c"], standardization=std, n_classes=k)
     if kind == "mlp":
         activation = hp.get("activation", "tanh")
         if activation != "tanh":
             raise ValueError(f"mlp hyperparameter 'activation' must be 'tanh', got {activation!r}")
-        h = _hyper(hp, "hidden", 1)
+        h = hp["hidden"]
         w1 = _floats(weights, "w1", (None, None))
         if w1.shape[0] != h:
             raise ValueError(f"hyperparameter 'hidden' is {h}, but key 'w1' has {w1.shape[0]} rows")
@@ -242,8 +234,7 @@ def _model_from_document(kind: str, doc: dict):
             h=h,
             n_classes=k,
         )
-    d = _hyper(hp, "d", 1)
-    max_depth, min_samples_leaf = _hyper(hp, "max_depth", 0), _hyper(hp, "min_samples_leaf", 1)
+    d, max_depth, min_samples_leaf = hp["d"], hp["max_depth"], hp["min_samples_leaf"]
     if kind == "tree":
         return TreeModel(
             root=_node_from_obj(weights["root"], d, k),
@@ -254,8 +245,8 @@ def _model_from_document(kind: str, doc: dict):
         )
     history = _floats(weights, "loss_history", (None,)).tolist() if "loss_history" in weights else []
     return GbdtModel(
-        rounds=_hyper(hp, "rounds", 0),
-        shrinkage=_hyper(hp, "shrinkage", 0, float),
+        rounds=hp["rounds"],
+        shrinkage=hp["shrinkage"],
         trees=tuple(tuple(_node_from_obj(obj, d, 1) for obj in group) for group in weights["trees"]),
         init_scores=_floats(weights, "init_scores", (k,)),
         importance_raw=_floats(weights, "importance_raw", (d,)),

@@ -142,7 +142,11 @@ class _SplitWorkspace:
     elements each, where `_grow` writes the sorted blocks of the children
     of a depth-t node into generation t % 2 (see `_grow`).  The kernel's
     blocks and the arena are views of one array, so a fit makes one large
-    allocation, not one per node.
+    allocation, not one per node.  Keep it one array: with `blocks`, `vals`
+    and `rows` as three `np.empty` arrays, 20 `fit_tree` fits on a 960x20
+    input (one Xeon core, numpy 2.4, glibc 2.36; minor faults from
+    `getrusage`) took ~435 page faults per fit, against ~22 with one array,
+    for bit-identical models.
     """
 
     def __init__(self, s: int, d: int, n: int):

@@ -419,6 +419,12 @@ class TestStratifiedKfold:
         with pytest.raises(ValueError):
             stratified_kfold(ds, 1, seed=0)
 
+    @pytest.mark.parametrize("k", [3.0, 2.5, "3", True])
+    def test_non_integer_k_rejected(self, k):
+        ds = generate_synthetic(30, 2, {0}, seed=2)
+        with pytest.raises(ValueError, match=re.escape(f"k must be an integer, got {k!r}")):
+            stratified_kfold(ds, k, seed=0)
+
     def test_properties_over_random_datasets(self):
         # disjointness, coverage, and per-class proportionality within 1
         rng = SeededRng(314)

@@ -363,6 +363,11 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match="'learning_rate' of model 'logistic'"):
             cross_validate(spec, ds, k=3, seed=0)
 
+    def test_non_integer_k_rejected(self):
+        ds = generate_synthetic(60, 3, {0}, seed=5)
+        with pytest.raises(ValueError, match="k must be an integer, got 3.0"):
+            cross_validate(ModelSpec("tree"), ds, k=3.0)
+
     def test_two_class_schema_rejected(self):
         ds = make_dataset(np.random.rand(20, 2), [0, 1] * 10, n_classes=2)
         with pytest.raises(ValueError, match="3-class"):

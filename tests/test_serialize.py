@@ -104,6 +104,21 @@ class TestRoundTrips:
         b = predict_mlp_batch(clone, dataset.x)
         assert np.array_equal(a[1], b[1])
 
+    @pytest.mark.parametrize(
+        ("fit", "count"),
+        [
+            (lambda ds, n: fit_tree(ds, max_depth=n), 3),
+            (lambda ds, n: fit_gbdt(ds, rounds=n), 2),
+            (lambda ds, n: fit_mlp(ds, hidden=n, epochs=2, seed=1), 4),
+        ],
+        ids=["tree", "gbdt", "mlp"],
+    )
+    def test_numpy_integer_hyperparameter_saves_as_a_python_int(self, dataset, tmp_path, fit, count):
+        path = save_model(fit(dataset, np.int64(count)), dataset.schema, tmp_path / "numpy.json")
+        expected = to_document(fit(dataset, count), dataset.schema)
+        assert json.loads(path.read_text()) == expected
+        assert to_document(load_model(path, dataset.schema), dataset.schema) == expected
+
 
 class TestDocumentShape:
     def test_versioned_fields_present(self, dataset):
@@ -212,7 +227,8 @@ class TestDocumentShape:
         assert len(doc["standardization"]["mean"]) == dataset.d
         for key in ("mean", "std"):
             short = {**doc, "standardization": {**doc["standardization"], key: [1.0]}}
-            with pytest.raises(ValueError, match="'standardization' must hold a 'mean' and a 'std' per feature"):
+            message = rf"key 'standardization': key '{key}' must have shape \(5,\), got \(1,\)"
+            with pytest.raises(ValueError, match=message):
                 from_document(short)
 
     def test_non_object_tree_node_rejected(self, dataset):
@@ -253,7 +269,7 @@ def chain_tree(n):
     return fit_tree(ds, max_depth=5000, min_samples_leaf=1), ds
 
 
-STD_CHECK = "'standardization' must hold finite means and finite positive stds"
+STD_POSITIVE = "key 'standardization': key 'std' must hold positive numbers"
 
 
 class TestMalformedValues:
@@ -277,30 +293,56 @@ class TestMalformedValues:
         ("fit", "section", "key", "value", "named"),
         [
             (small_mlp, "hyperparameters", "hidden", 7, "'hidden' is 7, but key 'w1' has 3 rows"),
-            (small_mlp, "hyperparameters", "hidden", -1, "'hidden' must be finite and at least 1, got -1"),
-            (small_mlp, "hyperparameters", "hidden", "x", r"'hidden': invalid literal for int\(\)"),
+            (small_mlp, "hyperparameters", "hidden", -1,
+             "'hidden' of model 'mlp' must be an integer >= 1, got -1"),
+            (small_mlp, "hyperparameters", "hidden", "x",
+             "'hidden' of model 'mlp' must be an integer >= 1, got 'x'"),
+            (small_mlp, "hyperparameters", "hidden", 3.0,
+             "'hidden' of model 'mlp' must be an integer >= 1, got 3.0"),
             (small_gbdt, "weights", "init_scores", [0.0], r"'init_scores' must have shape \(3,\), got \(1,\)"),
             (small_gbdt, "weights", "init_scores", [0.0] * 5, r"'init_scores' must have shape \(3,\), got \(5,\)"),
             (small_tree, "weights", "root", {"leaf": 5}, r"'leaf' must have shape \(3,\), got \(\)"),
             (small_tree, "weights", "root", {"leaf": [1.0, 2.0]}, r"'leaf' must have shape \(3,\), got \(2,\)"),
             (small_gbdt, "weights", "trees", [[{"leaf": [0.0]}] * 2 + [{"leaf": 5}]] * 2,
              r"'leaf' must have shape \(1,\), got \(\)"),
-            (fit_logistic, "hyperparameters", "n_classes", 1, "'n_classes' must be finite and at least 2, got 1"),
+            (fit_logistic, "hyperparameters", "n_classes", 1,
+             "'n_classes' of model 'logistic' must be an integer >= 2, got 1"),
+            (small_tree, "hyperparameters", "n_classes", 3.9,
+             "'n_classes' of model 'tree' must be an integer >= 2, got 3.9"),
             (fit_svm, "hyperparameters", "n_classes", 2, r"'coef' must have shape \(2, any\), got \(3, 6\)"),
-            (fit_svm, "hyperparameters", "reg_c", 1e400, "'reg_c' must be finite and at least 0, got inf"),
+            (fit_svm, "hyperparameters", "reg_c", 1e400,
+             "'reg_c' of model 'svm' must be a positive number, got inf"),
+            (fit_svm, "hyperparameters", "reg_c", 0, "'reg_c' of model 'svm' must be a positive number, got 0"),
             (small_mlp, "weights", "w2", [[0.0] * 4] * 2, r"'w2' must have shape \(3, 4\), got \(2, 4\)"),
             (small_gbdt, "weights", "importance_raw", [0.0], r"'importance_raw' must have shape \(5,\)"),
-            (small_gbdt, "hyperparameters", "shrinkage", "x", "'shrinkage': could not convert string to float"),
+            (small_gbdt, "hyperparameters", "shrinkage", "x",
+             r"'shrinkage' of model 'gbdt' must be a number in \(0, 1\], got 'x'"),
+            (small_gbdt, "hyperparameters", "shrinkage", 0,
+             r"'shrinkage' of model 'gbdt' must be a number in \(0, 1\], got 0"),
+            (small_gbdt, "hyperparameters", "shrinkage", 5.0,
+             r"'shrinkage' of model 'gbdt' must be a number in \(0, 1\], got 5.0"),
+            (small_gbdt, "hyperparameters", "rounds", 2.9,
+             "'rounds' of model 'gbdt' must be an integer >= 1, got 2.9"),
             (small_gbdt, "weights", "loss_history", [0.5, "x"], "key 'loss_history' must hold numbers"),
             (small_gbdt, "weights", "loss_history", [0.5, 1e400], "'loss_history' must hold finite"),
-            (small_tree, "hyperparameters", "d", 0, "'d' must be finite and at least 1, got 0"),
+            (small_tree, "hyperparameters", "d", 0, "'d' of model 'tree' must be an integer >= 1, got 0"),
+            (small_tree, "hyperparameters", "max_depth", 2.7,
+             "'max_depth' of model 'tree' must be an integer >= 0, got 2.7"),
+            (small_tree, "hyperparameters", "max_depth", "2",
+             "'max_depth' of model 'tree' must be an integer >= 0, got '2'"),
+            (small_tree, "hyperparameters", "max_depth", True,
+             "'max_depth' of model 'tree' must be an integer >= 0, got True"),
             (fit_logistic, "weights", "coef", [[1e400] + [0.0] * 5] + [[0.0] * 6] * 2, "'coef' must hold finite"),
             (small_mlp, "weights", "w1", [[0.0] * 6, [0.0] * 6, [0.0] * 5 + [1e400]], "'w1' must hold finite"),
             (small_tree, "weights", "root", {"feature": 0, "threshold": 1e400, "left": {"leaf": [1, 0, 0]},
                                              "right": {"leaf": [0, 1, 0]}}, "'threshold' must hold finite"),
-            (fit_logistic, "standardization", "std", [1.0, 1.0, 0.0, 1.0, 1.0], STD_CHECK),
-            (fit_svm, "standardization", "std", [1.0, -1.0, 1.0, 1.0, 1.0], STD_CHECK),
-            (small_mlp, "standardization", "mean", [0.0, 0.0, 0.0, 0.0, 1e400], STD_CHECK),
+            (fit_logistic, "standardization", "std", [1.0, 1.0, 0.0, 1.0, 1.0], STD_POSITIVE),
+            (fit_svm, "standardization", "std", [1.0, -1.0, 1.0, 1.0, 1.0], STD_POSITIVE),
+            (small_mlp, "standardization", "mean", [0.0, 0.0, 0.0, 0.0, 1e400],
+             "key 'standardization': key 'mean' must hold finite numbers"),
+            (fit_logistic, "standardization", "mean", {"a": 1},
+             "key 'standardization': key 'mean' must hold numbers"),
+            (small_mlp, "standardization", "std", "x", "key 'standardization': key 'std' must hold numbers"),
         ],
     )
     def test_value_that_does_not_fit_the_document_names_its_key(self, dataset, fit, section, key, value, named):
