@@ -5,7 +5,9 @@ maximum-likelihood extension of the binary logit model); the SVM trains one
 hinge-loss problem per class against the rest.  Both operate on z-scored
 features and halve the step size whenever an update would increase the
 training loss or make it non-finite, which makes the recorded loss history
-non-increasing by construction.
+non-increasing by construction.  Each model keeps the number of steps its
+descent rejected as `rejected_steps` (the SVM one per class), which the
+model document does not carry.
 
 `_descend` is the one descent loop of these two trainers and the MLP.  The
 forward pass that gives the loss of an accepted step (the softmax
@@ -58,6 +60,7 @@ class LogisticModel:
     standardization: Standardization
     n_classes: int
     loss_history: tuple[float, ...] = ()
+    rejected_steps: int = 0
 
     @property
     def d(self) -> int:
@@ -71,6 +74,7 @@ class SvmModel:
     standardization: Standardization
     n_classes: int
     loss_history: tuple[tuple[float, ...], ...] = ()
+    rejected_steps: tuple[int, ...] = ()
 
     @property
     def d(self) -> int:
@@ -86,17 +90,20 @@ def _descend(w, lr: float, epochs: int, evaluate, step, patience: int | None = N
     included) is rejected and the step size halved.  Each epoch appends the
     current loss.  Stops after `epochs`, once a halving takes the step below
     1e-15, or after `patience` epochs in a row that fail to beat the best loss
-    by 1e-7.  Returns the final weights and the loss history.
+    by 1e-7.  Returns the final weights, the loss history and the number of
+    rejected steps: a loss repeated in the history does not tell, since an
+    accepted step whose loss does not move repeats it too.
     """
     loss, forward = evaluate(w)
     history = [loss]
-    best, stale = loss, 0
+    best, stale, rejections = loss, 0, 0
     for _ in range(epochs):
         proposal = step(w, forward, lr)
         new_loss, new_forward = evaluate(proposal)
         rejected = not new_loss <= loss
         if rejected:
             lr *= 0.5
+            rejections += 1
         else:
             w, loss, forward = proposal, new_loss, new_forward
         history.append(loss)
@@ -108,7 +115,7 @@ def _descend(w, lr: float, epochs: int, evaluate, step, patience: int | None = N
             stale += 1
         if stale == patience:
             break
-    return w, history
+    return w, history, rejections
 
 
 def _logistic_evaluate(weights, xb, y, l2):
@@ -155,14 +162,16 @@ def fit_logistic(
     xb = add_bias(std.apply(dataset.x))
     y = dataset.y
     targets = one_hot(y, k)
-    w, history = _descend(
+    w, history, rejections = _descend(
         np.zeros((k, xb.shape[1])),
         learning_rate,
         epochs,
         lambda w: _logistic_evaluate(w, xb, y, l2),
         lambda w, p, lr: w - lr * _logistic_gradient(w, p, xb, targets, l2),
     )
-    return LogisticModel(weights=w, standardization=std, n_classes=k, loss_history=tuple(history))
+    return LogisticModel(
+        weights=w, standardization=std, n_classes=k, loss_history=tuple(history), rejected_steps=rejections
+    )
 
 
 def predict_logistic_batch(model: LogisticModel, x) -> tuple[np.ndarray, np.ndarray]:
@@ -205,10 +214,10 @@ def fit_svm(
     std = Standardization.fit(dataset.x)
     xb = add_bias(std.apply(dataset.x))
     weights = np.zeros((k, xb.shape[1]))
-    histories = []
+    histories, rejected_steps = [], []
     for c in range(k):
         t = np.where(dataset.y == c, 1.0, -1.0)
-        weights[c], history = _descend(
+        weights[c], history, rejections = _descend(
             np.zeros(xb.shape[1]),
             learning_rate,
             epochs,
@@ -216,12 +225,14 @@ def fit_svm(
             lambda w, signed, lr: w - lr * _svm_subgradient(w, signed, xb, t, reg_c),
         )
         histories.append(tuple(history))
+        rejected_steps.append(rejections)
     return SvmModel(
         weights=weights,
         reg_c=reg_c,
         standardization=std,
         n_classes=k,
         loss_history=tuple(histories),
+        rejected_steps=tuple(rejected_steps),
     )
 
 

@@ -9,12 +9,28 @@ epochs in a row fail to beat the best loss by 1e-7.
 
 One forward pass (`_forward`) serves every job.  Each minibatch runs it on
 its rows, and its hidden layer and probabilities feed that batch's
-gradients (`_grads`) and nothing else: no minibatch loss is computed.  The
+backprop (`_backprop`) and nothing else: no minibatch loss is computed.  The
 epoch's training loss comes from a forward pass over all rows, with no
 gradients.  Once per epoch the standardized rows and their one-hot targets
-are permuted together, so each batch is a contiguous slice; the hidden
-layer is written into a buffer whose bias column is preset to ones.
-Targets, cross-entropy and L2 penalty are `numeric`'s, as in `linear`.
+are gathered in permuted order into two buffers made once per fit, so each
+batch is a contiguous slice; the hidden layer is written into a buffer whose
+bias column is preset to ones.  Targets, cross-entropy and L2 penalty are
+`numeric`'s, as in `linear`.
+
+The parameters live in one flat float64 vector `theta`: `w1` (h x (d+1))
+and `w2` (K x (h+1)) are C-contiguous views of it (`_views`), and so are the
+two blocks of the gradient buffer, which the backprop fills with `out=`
+matmuls.  The L2 term then needs no per-matrix slicing: `_decay` is a
+vector of `theta`'s length that holds `l2` on every weight and 0.0 on each
+bias column, and `_add_l2` adds `decay * theta` to the gradient.  A step is
+that, `grad *= lr` and `theta -= grad`: four flat numpy calls.  This gives
+the same bits as adding `l2 * w[:, :-1]` to the non-bias columns alone.  On
+a non-bias weight the product is the same; on a finite bias weight
+`0.0 * w` is +-0.0, and adding it changes a gradient entry only from -0.0 to
++0.0, which leaves `w - lr * g` unchanged for every finite `w`.  (A bias
+weight that has overflowed to inf turns into nan instead, which the next
+softmax refuses.)  `mlp_loss_and_grads` goes through the same `_backprop`
+and `_add_l2`.
 
 `fit_mlp` takes its hyperparameters as keywords, with the model's defaults
 (`evaluation.MODEL_DEFAULTS` reads them), and checks them first with
@@ -42,6 +58,7 @@ class MlpModel:
     h: int
     n_classes: int
     loss_history: tuple[float, ...] = ()
+    rejected_steps: int = 0  # epochs `_descend` dropped; not in the model document
 
     @property
     def d(self) -> int:
@@ -61,34 +78,59 @@ def _forward(w1: np.ndarray, w2: np.ndarray, xb: np.ndarray, hidden: np.ndarray)
     return softmax(hidden @ w2.T)
 
 
-def _grads(
-    w1: np.ndarray,
+def _views(flat: np.ndarray, h: int, d1: int) -> tuple[np.ndarray, np.ndarray]:
+    """`w1` (h x d1) and `w2` (K x (h+1)) as C-contiguous views of one flat parameter-sized vector."""
+    split = h * d1
+    return flat[:split].reshape(h, d1), flat[split:].reshape(-1, h + 1)
+
+
+def _decay(theta: np.ndarray, h: int, d1: int, l2: float) -> np.ndarray:
+    """The L2 factor of each entry of `theta`: `l2` on a weight, 0.0 on a bias column."""
+    decay = np.full_like(theta, l2)
+    for block in _views(decay, h, d1):
+        block[:, -1] = 0.0
+    return decay
+
+
+def _backprop(
     w2: np.ndarray,
     xb: np.ndarray,
     hidden: np.ndarray,
     probs: np.ndarray,
     targets: np.ndarray,
-    l2: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Backprop of the forward pass `(hidden, probs)` on `xb` against one-hot `targets`."""
+    g1: np.ndarray,
+    g2: np.ndarray,
+) -> None:
+    """Cross-entropy gradient of the forward pass `(hidden, probs)` on `xb`, written into `g1`, `g2`.
+
+    One-hot `targets`; no L2 term (see `_add_l2`).
+    """
     delta = probs - targets
     delta /= xb.shape[0]
-    g2 = delta.T @ hidden
-    g2[:, :-1] += l2 * w2[:, :-1]
+    np.matmul(delta.T, hidden, out=g2)
     dz = delta @ w2[:, :-1]
     dz *= 1.0 - hidden[:, :-1] ** 2
-    g1 = dz.T @ xb
-    g1[:, :-1] += l2 * w1[:, :-1]
-    return g1, g2
+    np.matmul(dz.T, xb, out=g1)
+
+
+def _add_l2(theta: np.ndarray, grad: np.ndarray, decay: np.ndarray, tmp: np.ndarray) -> None:
+    """Add the L2 gradient `decay * theta` to `grad` in place, through the buffer `tmp`."""
+    np.multiply(theta, decay, out=tmp)
+    grad += tmp
 
 
 def mlp_loss_and_grads(
     w1: np.ndarray, w2: np.ndarray, xb: np.ndarray, y: np.ndarray, l2: float
 ) -> tuple[float, np.ndarray, np.ndarray]:
     """Cross-entropy (+ L2 on non-bias weights) and its backprop gradients."""
-    hidden = _hidden_buffer(xb.shape[0], w1.shape[0])
+    (h, d1), k = w1.shape, w2.shape[0]
+    theta = np.concatenate([w1.ravel(), w2.ravel()], dtype=float)
+    grad = np.empty_like(theta)
+    g1, g2 = _views(grad, h, d1)
+    hidden = _hidden_buffer(xb.shape[0], h)
     probs = _forward(w1, w2, xb, hidden)
-    g1, g2 = _grads(w1, w2, xb, hidden, probs, one_hot(y, w2.shape[0]), l2)
+    _backprop(w2, xb, hidden, probs, one_hot(y, k), g1, g2)
+    _add_l2(theta, grad, _decay(theta, h, d1, l2), np.empty_like(theta))
     return cross_entropy(probs, y) + l2_penalty(l2, w1, w2), g1, g2
 
 
@@ -104,8 +146,9 @@ def fit_mlp(
 ) -> MlpModel:
     """Mini-batch backpropagation on L2-regularized cross-entropy, from the seeded generator.
 
-    Each epoch updates copies of the weights once per `batch_size` reshuffled
-    rows; `_descend` keeps the epoch only if the full training loss does not rise.
+    Each epoch updates a copy of the parameters once per `batch_size`
+    reshuffled rows; `_descend` keeps the epoch only if the full training
+    loss does not rise.
     """
     check_hyperparameters("mlp", hidden=hidden, learning_rate=learning_rate, epochs=epochs, l2=l2,
                           batch_size=batch_size)
@@ -119,29 +162,45 @@ def fit_mlp(
     n, d1 = xb.shape
 
     rng = SeededRng(seed)
-    w1 = np.asarray(rng.normal((hidden, d1))) / np.sqrt(d1)
-    w2 = np.asarray(rng.normal((k, hidden + 1))) / np.sqrt(hidden + 1)
+    theta = np.empty(hidden * d1 + k * (hidden + 1))
+    w1, w2 = _views(theta, hidden, d1)
+    w1[...] = np.asarray(rng.normal((hidden, d1))) / np.sqrt(d1)
+    w2[...] = np.asarray(rng.normal((k, hidden + 1))) / np.sqrt(hidden + 1)
 
+    decay = _decay(theta, hidden, d1, l2)
+    grad, tmp = np.empty_like(theta), np.empty_like(theta)
+    g1, g2 = _views(grad, hidden, d1)
+    xp, tp = np.empty_like(xb), np.empty_like(targets)
     batch_hidden = _hidden_buffer(min(batch_size, n), hidden)
 
-    def epoch(w, _, lr):  # the loss pass leaves nothing for the step to reuse
-        w1, w2 = w[0].copy(), w[1].copy()
+    def epoch(theta, _, lr):  # the loss pass leaves nothing for the step to reuse
+        theta = theta.copy()
+        w1, w2 = _views(theta, hidden, d1)
         perm = rng.permutation(n)
-        xp, tp = xb[perm], targets[perm]  # each batch is then a contiguous slice
+        # each batch is then a contiguous slice; "clip" writes straight into the
+        # buffer, where "raise" gathers through a temporary, and a permutation
+        # has no index to clip
+        xb.take(perm, axis=0, out=xp, mode="clip")
+        targets.take(perm, axis=0, out=tp, mode="clip")
         for start in range(0, n, batch_size):
             xs = xp[start : start + batch_size]
             layer = batch_hidden[: xs.shape[0]]
             probs = _forward(w1, w2, xs, layer)
-            g1, g2 = _grads(w1, w2, xs, layer, probs, tp[start : start + batch_size], l2)
-            w1 -= lr * g1
-            w2 -= lr * g2
-        return w1, w2
+            _backprop(w2, xs, layer, probs, tp[start : start + batch_size], g1, g2)
+            _add_l2(theta, grad, decay, tmp)
+            np.multiply(grad, lr, out=grad)
+            theta -= grad
+        return theta
 
-    (w1, w2), history = _descend(
-        (w1, w2), learning_rate, epochs, lambda w: (mlp_loss(*w, xb, y, l2), None), epoch, patience=10
+    theta, history, rejections = _descend(
+        theta, learning_rate, epochs, lambda w: (mlp_loss(*_views(w, hidden, d1), xb, y, l2), None), epoch,
+        patience=10,
     )
-
-    return MlpModel(w1=w1, w2=w2, standardization=std, h=hidden, n_classes=k, loss_history=tuple(history))
+    w1, w2 = _views(theta, hidden, d1)
+    return MlpModel(
+        w1=w1, w2=w2, standardization=std, h=hidden, n_classes=k, loss_history=tuple(history),
+        rejected_steps=rejections,
+    )
 
 
 def predict_mlp_batch(model: MlpModel, x) -> tuple[np.ndarray, np.ndarray]:

@@ -52,20 +52,26 @@ def _node_to_obj(node: TreeNode) -> dict:
     }
 
 
-def _node_from_obj(obj, d: int, width: int) -> TreeNode:
-    """The tree under node `obj`: each split names one of the `d` feature columns, each leaf holds `width` values."""
+def _node_from_obj(obj, d: int, width: int, depth: int) -> TreeNode:
+    """The tree under node `obj`: each split names one of the `d` feature columns, each leaf holds `width` values.
+
+    `depth` is the number of levels of splits still allowed at `obj`: the
+    tree's `max_depth` at its root, one less at each level below.
+    """
     if not isinstance(obj, dict):
         raise ValueError(f"tree node must be a JSON object, got {type(obj).__name__}")
     if "leaf" in obj:
         return TreeNode(value=_floats(obj, "leaf", (width,)))
+    if depth == 0:
+        raise ValueError("tree is deeper than its hyperparameter 'max_depth'")
     feature = obj["feature"]
     if isinstance(feature, bool) or not isinstance(feature, int) or not 0 <= feature < d:
         raise ValueError(f"tree node 'feature' must be an integer in 0..{d - 1}, got {feature!r}")
     return TreeNode(
         feature=feature,
         threshold=float(_floats(obj, "threshold", ())),
-        left=_node_from_obj(obj["left"], d, width),
-        right=_node_from_obj(obj["right"], d, width),
+        left=_node_from_obj(obj["left"], d, width, depth - 1),
+        right=_node_from_obj(obj["right"], d, width, depth - 1),
     )
 
 
@@ -183,10 +189,11 @@ def from_document(doc: dict):
     every array must fit the hyperparameters: one row or value per class in
     `coef`, `w2`, `init_scores` and a tree's leaves (a GBDT leaf holds one
     value), one row of `w1` per hidden unit, one `importance_raw` value and
-    one mean and std per feature, and a split feature in 0..d-1.  An MLP activation
-    must be "tanh" (a missing one reads as "tanh").  Past the version and
-    type checks every message names the model type, and those of the
-    checks above name the key at fault.
+    one mean and std per feature, a split feature in 0..d-1, and no tree
+    deeper than its `max_depth` (no split at depth `max_depth` or below).
+    An MLP activation must be "tanh" (a missing one reads as "tanh").  Past
+    the version and type checks every message names the model type, and
+    those of the checks above name the key at fault.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"model document must be a JSON object, got {type(doc).__name__}")
@@ -237,7 +244,7 @@ def _model_from_document(kind: str, doc: dict):
     d, max_depth, min_samples_leaf = hp["d"], hp["max_depth"], hp["min_samples_leaf"]
     if kind == "tree":
         return TreeModel(
-            root=_node_from_obj(weights["root"], d, k),
+            root=_node_from_obj(weights["root"], d, k, max_depth),
             max_depth=max_depth,
             min_samples_leaf=min_samples_leaf,
             d=d,
@@ -247,7 +254,9 @@ def _model_from_document(kind: str, doc: dict):
     return GbdtModel(
         rounds=hp["rounds"],
         shrinkage=hp["shrinkage"],
-        trees=tuple(tuple(_node_from_obj(obj, d, 1) for obj in group) for group in weights["trees"]),
+        trees=tuple(
+            tuple(_node_from_obj(obj, d, 1, max_depth) for obj in group) for group in weights["trees"]
+        ),
         init_scores=_floats(weights, "init_scores", (k,)),
         importance_raw=_floats(weights, "importance_raw", (d,)),
         d=d,

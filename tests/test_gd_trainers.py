@@ -36,11 +36,6 @@ def _histories(model):
     return history if isinstance(history[0], tuple) else (history,)
 
 
-def _halvings(model) -> int:
-    # a rejected step repeats the previous loss in the history
-    return sum(int(np.sum(np.diff(h) == 0)) for h in map(np.asarray, _histories(model)))
-
-
 @pytest.fixture(scope="module")
 def fixture_dataset():
     schema = load_schema(FIXTURE_DIR / "fixture_schema.json")
@@ -52,8 +47,11 @@ class TestGoldenModels:
 
     The digests were recorded from the trainers that evaluated every forward
     pass twice, before the loops were rewritten to reuse them.  Each trainer
-    has a run at its CV defaults; the second column counts the rejected
-    (halved) steps, and every trainer has at least one run with some.
+    has a run at its CV defaults; the second column is the model's
+    `rejected_steps`, the steps `_descend` rejected and halved (one count per
+    class for the SVM), and every trainer has at least one run with some.
+    The SVM's 43 rejections all fall in class 1, whose history repeats a loss
+    161 times: at its last step sizes, accepted steps no longer move the loss.
     """
 
     CASES = {
@@ -69,7 +67,7 @@ class TestGoldenModels:
         ),
         "svm_default": (
             lambda ds: fit_svm(ds),
-            161,
+            (0, 43, 0),
             "930aef21a9d83fb5004d8dc7e7a980eb2a86aab63722f6b6bf60a84ddcac0b33",
         ),
         "mlp_default": (
@@ -88,9 +86,9 @@ class TestGoldenModels:
 
     @pytest.mark.parametrize("case", list(CASES))
     def test_document(self, fixture_dataset, case):
-        fit, halvings, expected = self.CASES[case]
+        fit, rejected_steps, expected = self.CASES[case]
         model = fit(fixture_dataset)
-        assert _halvings(model) == halvings
+        assert model.rejected_steps == rejected_steps
         assert _digest(model) == expected
 
 
@@ -106,33 +104,58 @@ class TestDescentStops:
             steps.append(lr)
             return w + 1.0
 
-        w, history = _descend(
+        w, history, rejections = _descend(
             0.0, 1.0, 1000, lambda w: (2.0 if w == 0.0 else float("nan"), None), step
         )
         assert w == 0.0
         assert history == [2.0] * 51
+        assert rejections == 50
         assert steps == [2.0**-i for i in range(50)]
 
     @pytest.mark.parametrize("patience", [1, 3, 10])
     def test_patience(self, patience):
         # a constant loss accepts every step but never beats the best
-        w, history = _descend(0, 0.1, 1000, lambda w: (1.0, None), lambda w, _, lr: w + 1, patience)
+        w, history, rejections = _descend(
+            0, 0.1, 1000, lambda w: (1.0, None), lambda w, _, lr: w + 1, patience
+        )
         assert w == patience
         assert history == [1.0] * (patience + 1)
+        # every step was accepted, though each repeats the loss in the history
+        assert rejections == 0
 
     def test_patience_counts_from_the_last_gain(self):
         losses = [5.0, 4.0, 4.0, 3.0, 3.0, 3.0 - 1e-8, 3.0]
-        w, history = _descend(0, 0.1, 1000, lambda w: (losses[w], None), lambda w, _, lr: w + 1, 2)
+        w, history, rejections = _descend(
+            0, 0.1, 1000, lambda w: (losses[w], None), lambda w, _, lr: w + 1, 2
+        )
         assert history == [5.0, 4.0, 4.0, 3.0, 3.0, 3.0 - 1e-8]
+        assert rejections == 0
 
     def test_no_patience_runs_every_epoch(self):
-        w, history = _descend(0, 0.1, 40, lambda w: (1.0, None), lambda w, _, lr: w + 1)
-        assert w == 40 and len(history) == 41
+        w, history, rejections = _descend(0, 0.1, 40, lambda w: (1.0, None), lambda w, _, lr: w + 1)
+        assert w == 40 and len(history) == 41 and rejections == 0
 
     def test_mlp_stops_early_through_the_public_api(self):
         # a step too small to move the loss by 1e-7: 10 epochs, then the stop
         model = fit_mlp(generate_synthetic(60, 3, {0}, seed=1), learning_rate=1e-12, epochs=100, seed=1)
         assert len(model.loss_history) == 11
+
+    def test_rejections_counted_apart_from_repeated_losses(self):
+        # losses 3, 3 (accepted: equal is not a rise), 4 (rejected), 2, 2
+        # (accepted), 5 (rejected): four repeats in the history, two rejections
+        losses = [3.0, 3.0, 4.0, 2.0, 2.0, 5.0]
+        steps = []
+
+        def step(w, forward, lr):
+            steps.append(lr)
+            return len(steps)
+
+        w, history, rejections = _descend(0, 1.0, 5, lambda w: (losses[w], None), step)
+        assert history == [3.0, 3.0, 3.0, 2.0, 2.0, 2.0]
+        assert int(np.sum(np.diff(history) == 0)) == 4
+        assert rejections == 2
+        assert steps == [1.0, 1.0, 0.5, 0.5, 0.5]
+        assert w == 4
 
 
 class TestOverflowingStep:

@@ -3,14 +3,16 @@ import pytest
 
 from conftest import make_dataset
 from mppkit.data import generate_synthetic
-from mppkit.linear import Standardization, add_bias, fit_logistic, predict_logistic_batch
+from mppkit.linear import Standardization, _descend, add_bias, fit_logistic, predict_logistic_batch
 from mppkit.mlp import (
     MlpModel,
     fit_mlp,
     mlp_loss_and_grads,
     predict_mlp_batch,
 )
-from mppkit.numeric import SeededRng, finite_difference_gradient, softmax
+from mppkit.numeric import (
+    SeededRng, cross_entropy, finite_difference_gradient, l2_penalty, one_hot, softmax,
+)
 
 
 def xor_dataset(n=200, seed=99):
@@ -82,6 +84,69 @@ class TestFitMlp:
         single = make_dataset(np.ones((4, 2)), np.zeros(4, dtype=int))
         with pytest.raises(ValueError, match="single-class"):
             fit_mlp(single, hidden=4)
+
+
+def reference_fit(ds, hidden, learning_rate, epochs, l2, batch_size, seed):
+    """`fit_mlp` written out one weight matrix at a time, with the L2 term added to each non-bias block.
+
+    It draws the initial weights and each epoch's permutation from the same
+    seeded stream as `fit_mlp`, and runs its epochs through the same descent
+    loop.  Returns (w1, w2, loss history).
+    """
+    std = Standardization.fit(ds.x)
+    xb = add_bias(std.apply(ds.x))
+    k = ds.schema.n_classes
+    targets = one_hot(ds.y, k)
+    n, d1 = xb.shape
+    rng = SeededRng(seed)
+    w1 = np.asarray(rng.normal((hidden, d1))) / np.sqrt(d1)
+    w2 = np.asarray(rng.normal((k, hidden + 1))) / np.sqrt(hidden + 1)
+
+    def forward(w1, w2, x):
+        layer = np.hstack([np.tanh(x @ w1.T), np.ones((x.shape[0], 1))])
+        return layer, softmax(layer @ w2.T)
+
+    def loss(w):
+        return cross_entropy(forward(*w, xb)[1], ds.y) + l2_penalty(l2, *w), None
+
+    def epoch(w, _, lr):
+        w1, w2 = w[0].copy(), w[1].copy()
+        perm = rng.permutation(n)
+        xp, tp = xb[perm], targets[perm]
+        for start in range(0, n, batch_size):
+            x, t = xp[start : start + batch_size], tp[start : start + batch_size]
+            layer, probs = forward(w1, w2, x)
+            delta = (probs - t) / x.shape[0]
+            g2 = delta.T @ layer
+            g2[:, :-1] += l2 * w2[:, :-1]
+            dz = (delta @ w2[:, :-1]) * (1.0 - layer[:, :-1] ** 2)
+            g1 = dz.T @ x
+            g1[:, :-1] += l2 * w1[:, :-1]
+            w1 -= lr * g1
+            w2 -= lr * g2
+        return w1, w2
+
+    (w1, w2), history, _ = _descend((w1, w2), learning_rate, epochs, loss, epoch, patience=10)
+    return w1, w2, history
+
+
+class TestReferenceStep:
+    """`fit_mlp` on its flat parameter buffer gives the bits of the per-matrix step."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return generate_synthetic(45, 4, {0, 2}, seed=12, noise=0.1)  # 45 = 6 * 7 + 3 rows
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 45, 64])
+    @pytest.mark.parametrize("l2", [0.0, 0.05])
+    @pytest.mark.parametrize("hidden", [1, 16])
+    def test_weights_and_history_match_bit_for_bit(self, dataset, batch_size, l2, hidden):
+        params = dict(hidden=hidden, learning_rate=1.5, epochs=12, l2=l2, batch_size=batch_size, seed=5)
+        model = fit_mlp(dataset, **params)
+        w1, w2, history = reference_fit(dataset, **params)
+        assert model.w1.tobytes() == w1.tobytes()
+        assert model.w2.tobytes() == w2.tobytes()
+        assert model.loss_history == tuple(history)
 
 
 class TestPredictMlp:

@@ -270,6 +270,7 @@ def chain_tree(n):
 
 
 STD_POSITIVE = "key 'standardization': key 'std' must hold positive numbers"
+TOO_DEEP = "tree is deeper than its hyperparameter 'max_depth'"
 
 
 class TestMalformedValues:
@@ -332,6 +333,10 @@ class TestMalformedValues:
              "'max_depth' of model 'tree' must be an integer >= 0, got '2'"),
             (small_tree, "hyperparameters", "max_depth", True,
              "'max_depth' of model 'tree' must be an integer >= 0, got True"),
+            # the small tree holds two levels of splits, each small GBDT tree three
+            (small_tree, "hyperparameters", "max_depth", 0, TOO_DEEP),
+            (small_tree, "hyperparameters", "max_depth", 1, TOO_DEEP),
+            (small_gbdt, "hyperparameters", "max_depth", 2, TOO_DEEP),
             (fit_logistic, "weights", "coef", [[1e400] + [0.0] * 5] + [[0.0] * 6] * 2, "'coef' must hold finite"),
             (small_mlp, "weights", "w1", [[0.0] * 6, [0.0] * 6, [0.0] * 5 + [1e400]], "'w1' must hold finite"),
             (small_tree, "weights", "root", {"feature": 0, "threshold": 1e400, "left": {"leaf": [1, 0, 0]},
@@ -387,6 +392,7 @@ class TestTreeDepthLimit:
         for _ in range(3000):
             node = {"feature": 0, "threshold": 0.5, "left": {"leaf": [1.0, 0.0, 0.0]}, "right": node}
         doc["weights"]["root"] = node
+        doc["hyperparameters"]["max_depth"] = 3000  # so the depth check does not stop it first
         with pytest.raises(ValueError, match="malformed tree model document: maximum recursion depth"):
             from_document(doc)
 

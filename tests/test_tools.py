@@ -9,26 +9,29 @@ MODEL_DIGESTS = SRC_DIR.parent / "tools" / "model_digests.py"
 MAKE_FIXTURE = SRC_DIR.parent / "tools" / "make_fixture.py"
 
 # The synthetic fits are the only ones whose split blocks are large enough to
-# exercise the tree kernel's buffer reuse at scale; the fixture fits are
-# pinned by the golden digests of test_trees.py and friends.  Recorded on an
+# exercise the tree kernel's buffer reuse at scale, and the MLP's at the
+# benchmark's 960x20 shape; the fixture fits are pinned by the golden digests
+# of test_trees.py and friends.  Recorded on an
 # X86_V4 (AVX512) CPU with numpy 2.4.6; see ROADMAP item 1 for other CPUs.
 SCALE_DIGESTS = {
     "synthetic-2000x20/gbdt": "2549190dbd9e2c692cc37fa3ec53fda47ad70e98d099f620709872818fa4dd38",
     "synthetic-960x20/tree": "7cb2cf13868bfa6e569c8eecbca7e99d0cbef3f8a7027da859be39dd350147ac",
+    "synthetic-960x20/mlp": "e4f6874329308de86186ad0d8799ee7a45c8220c955bad950419244e5a104d5a",
     "synthetic-2000x20/gbdt/predict": "c651df71cd2590e239740045e80d352300023a15d1bda79827db5601b072b0fd",
     "synthetic-960x20/tree/predict": "b62659e88cba6595f653ebd59db26a21bd241a17c6268132f687126082217c2c",
+    "synthetic-960x20/mlp/predict": "0d1809290b435da62fab75422330a6c04167e451181387e590f13c665b497ce6",
 }
 
 
 def test_model_digests_prints_every_fit_then_every_predict():
-    # the bit-identity check of every model and predict path: 7 fits, then
-    # the 7 fits' /predict lines, each "<label> <sha256>", in this order
+    # the bit-identity check of every model and predict path: 8 fits, then
+    # the 8 fits' /predict lines, each "<label> <sha256>", in this order
     result = subprocess.run(
         [sys.executable, str(MODEL_DIGESTS)], capture_output=True, text=True, env=cli_env(), timeout=300,
     )
     assert result.returncode == 0, result.stderr
     fits = [f"fixture/{name}" for name in ("logistic", "svm", "tree", "gbdt", "mlp")]
-    fits += ["synthetic-2000x20/gbdt", "synthetic-960x20/tree"]
+    fits += ["synthetic-2000x20/gbdt", "synthetic-960x20/tree", "synthetic-960x20/mlp"]
     lines = result.stdout.splitlines()
     assert [line.split(" ")[0] for line in lines] == fits + [f"{label}/predict" for label in fits]
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)
