@@ -48,7 +48,8 @@ class SeededRng:
 
     The i-th raw draw is ``mix64(seed + i * golden_gamma)``: a pure function
     of (seed, counter).  Uniform doubles take the top 53 bits of a draw;
-    integers scale uniforms and permutations argsort them.  All three use
+    integers scale uniforms, and permutations argsort those 53-bit integers,
+    which order and tie exactly as the uniforms do.  All three use
     integer math and correctly rounded float operations only, so they are
     the same on every platform.  Normals come from Box-Muller on uniform
     pairs, through ``np.log`` and ``np.cos``, whose last bits may differ
@@ -66,21 +67,34 @@ class SeededRng:
         return self._seed
 
     def _raw(self, n: int) -> np.ndarray:
-        idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
+        # uint64 array arithmetic wraps modulo 2**64 without a warning; each
+        # step works in place, through one shift temporary
+        z = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n
-        with np.errstate(over="ignore"):
-            z = np.uint64(self._seed) + idx * np.uint64(_GAMMA)
-            z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
-            z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
-            return z ^ (z >> np.uint64(31))
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(self._seed)
+        shifted = z >> np.uint64(30)
+        z ^= shifted
+        z *= np.uint64(_MIX_A)
+        z ^= np.right_shift(z, np.uint64(27), out=shifted)
+        z *= np.uint64(_MIX_B)
+        z ^= np.right_shift(z, np.uint64(31), out=shifted)
+        return z
+
+    def _bits53(self, n: int) -> np.ndarray:
+        """The top 53 bits of the next n draws: the integers that uniforms scale by 2**-53."""
+        z = self._raw(n)
+        z >>= np.uint64(11)
+        return z
 
     def random(self, size=None) -> np.ndarray | float:
         """Uniform doubles in [0, 1)."""
         if size is None:
-            return float(self._raw(1)[0] >> np.uint64(11)) * 2.0**-53
+            return float(self._bits53(1)[0]) * 2.0**-53
         shape = (size,) if isinstance(size, int) else tuple(size)
         count = int(np.prod(shape)) if shape else 1
-        u = (self._raw(count) >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        u = self._bits53(count).astype(np.float64)
+        u *= 2.0**-53
         return u.reshape(shape)
 
     def normal(self, size=None) -> np.ndarray | float:
@@ -104,7 +118,8 @@ class SeededRng:
         return int(out) if size is None else out
 
     def permutation(self, n: int) -> np.ndarray:
-        return np.argsort(self.random(n), kind="stable")
+        # random(n) is exactly these integers times 2**-53: same order, same ties
+        return self._bits53(n).argsort(kind="stable")
 
     def spawn(self, index: int) -> "SeededRng":
         return SeededRng(derive_seed(self._seed, index))

@@ -20,18 +20,27 @@ sort breaks value ties by row index, so every node sees exactly the order
 a fresh stable argsort of its members gives: trees match a per-node sort
 bit for bit.
 
-The kernel allocates nothing of node size: it writes every intermediate,
-and `_grow` every child block, into views of one `_SplitWorkspace` per fit
-(per ensemble for boosting), as XGBoost keeps its split statistics in
-reused buffers (section 4.2); the one node-sized temporary left is the
-index of a child's members in its parent's block.  Only a child that may
-still split (below the depth limit, with at least twice the leaf floor)
-gets a sorted block; any other child becomes a leaf from the statistic its
-node gathers, and the learner sets its value.  The Gini statistic is
-float64 one-hot counts: every partial sum is an integer below 2**53, so
-Gini gains are exact and one float kernel serves both learners.  A
-threshold is the midpoint of the two values it separates, or the lower
-value where the midpoint overflows or rounds up to the upper one.
+The kernel allocates nothing of block size (d times the node's rows): it
+writes every intermediate, and `_grow` every child block, into views of one
+`_SplitWorkspace` per fit (per ensemble for boosting), as XGBoost keeps its
+split statistics in reused buffers (section 4.2).  The one block-sized
+temporary left is the positions of a child's members in its parent's
+block; routing a split allocates only arrays of the node's row count (its
+mask over one column of x, its two sides, its gathered statistic).  Only a
+child that may still split (below the depth limit, with at least twice the
+leaf floor) gets a sorted block and a place on the pending stack; any other
+child becomes a leaf at its parent's split, and the learner gathers its
+statistic and sets its value.  The Gini statistic is float64 one-hot
+counts: every partial sum is an integer below 2**53, so Gini gains are
+exact and one float kernel serves both learners.  A threshold is the
+midpoint of the two values it separates, or the lower value where the
+midpoint overflows or rounds up to the upper one.
+
+At fixture scale (a few hundred rows) a node's blocks hold a few thousand
+elements, so a numpy call's fixed cost of about a microsecond is worth as
+much as its element work: the split path calls array methods and ufuncs
+rather than their `np.` function wrappers, and routes, gathers and sums
+with as few calls as it can while keeping every sum in the same order.
 """
 
 from __future__ import annotations
@@ -180,9 +189,11 @@ def _best_split(rows: np.ndarray, vals: np.ndarray, stat: np.ndarray, total, min
     """
     s = stat.shape[0]
     d, m = rows.shape
-    left, right = (block[: s * d * m].reshape(s, d, m) for block in work.blocks)
+    left = work.blocks[0, : s * d * m].reshape(s, d, m)
+    right = work.blocks[1, : s * d * m].reshape(s, d, m)
+    # array methods, not their np. wrappers: see the module docstring
     stat.take(rows, axis=1, out=right, mode="clip")  # rows are in range: clip never clips
-    np.cumsum(right, axis=2, out=left)
+    right.cumsum(axis=2, out=left)
     # right sums as sl - total: exactly -(total - sl), so their squares match
     np.subtract(left, total[:, None, None], out=right)
     for sums, counts in ((left, work.nl[:m]), (right, work.nr[-m:])):
@@ -192,21 +203,22 @@ def _best_split(rows: np.ndarray, vals: np.ndarray, stat: np.ndarray, total, min
         sums[0] /= counts
     gains = left[0]
     gains += right[0]
-    gains -= (total * total).sum() / m
+    gains -= np.add.reduce(total * total) / m
     flat_vals, flat_gains = vals.ravel(), gains.ravel()
     tied = work.tied[: d * m - 1]  # position p compares sorted values p + 1 and p
     np.less_equal(flat_vals[1:], flat_vals[:-1], out=tied)
     np.copyto(flat_gains[:-1], -np.inf, where=tied)
     gains[:, : min_leaf - 1] = -np.inf
     gains[:, m - min_leaf :] = -np.inf
-    j, i = divmod(int(np.argmax(flat_gains)), m)  # feature-major: first max wins
-    if not gains[j, i] > 0:
+    j, i = divmod(int(flat_gains.argmax()), m)  # feature-major: first max wins
+    gain = float(gains[j, i])
+    if not gain > 0:
         return None
     lo, hi = float(vals[j, i]), float(vals[j, i + 1])
     thr = (lo + hi) / 2.0
     if not lo <= thr < hi:  # the midpoint overflowed or rounded up to hi
         thr = lo
-    return float(gains[j, i]), j, thr
+    return gain, j, thr
 
 
 def _grow(x, presorted, stat, max_depth, min_leaf, importance, work):
@@ -214,13 +226,20 @@ def _grow(x, presorted, stat, max_depth, min_leaf, importance, work):
 
     `presorted` is `_presort(x)`, `stat` the (s, n) float64 per-row
     statistic and `work` a `_SplitWorkspace` for (s, d, n).  A node becomes
-    a leaf, listed in `leaves` as (node, rows, their statistic) for the
-    learner to set its value, at the depth limit, below twice the leaf
-    floor, when its statistic is constant, or when no split has a positive
-    gain.  Only a child that may split gets a sorted block.  Each split adds
-    its gain to `importance[feature]`, in preorder.  The pending nodes sit
-    on an explicit stack, not in a recursive closure, whose reference cycle
-    would keep `work` alive until the next garbage collection.
+    a leaf, listed in `leaves` as (node, its rows in ascending order) for
+    the learner to gather its statistic and set its value, at the depth
+    limit, below twice the leaf floor, when its statistic is constant, or
+    when no split has a positive gain.  The first two are known at the
+    parent's split, so such a child is listed there and never pushed; only
+    a child that may split gets a sorted block and goes on the stack.  A
+    split routes its rows by one column of x (a view, contiguous when x is
+    F-ordered, as `clean_and_encode` builds it, strided for a fold's
+    C-ordered rows), and each side keeps the node's ascending row order, so
+    a node's statistic, summed in that order, has the same bits however the
+    tree was grown.  Each split adds its gain to `importance[feature]`, in
+    preorder.  The pending nodes sit on an explicit stack, not in a
+    recursive closure, whose reference cycle would keep `work` alive until
+    the next garbage collection.
 
     Child blocks go into the workspace's two-generation arena.  Each pending
     node carries a flat offset `base` and owns [base, base + d*m) of both
@@ -235,52 +254,50 @@ def _grow(x, presorted, stat, max_depth, min_leaf, importance, work):
     therefore serve a tree of any depth.
     """
     n, d = x.shape
-    go_left = work.go_left
-
-    def may_split(size: int, depth: int) -> bool:
-        return depth < max_depth and size >= 2 * min_leaf
-
+    columns = x.T  # a view: each split routes its rows by one column of it
     root = TreeNode()
+    if max_depth == 0 or n < 2 * min_leaf:
+        return root, [(root, np.arange(n))]
     leaves = []
-    pending = [(root, np.arange(n), presorted if may_split(n, 0) else None, 0, 0)]
+    pending = [(root, np.arange(n), presorted, 0, 0)]
     while pending:
-        node, idx, block, depth, base = pending.pop()
-        node_stat = stat[:, idx]
+        node, idx, (rows, vals), depth, base = pending.pop()
+        node_stat = stat.take(idx, axis=1)
         found = None
-        if block is not None and (node_stat != node_stat[:, :1]).any():
-            total = node_stat.sum(axis=1)  # in node order, as fit_tree sums a leaf
-            found = _best_split(*block, stat, total, min_leaf, work)
+        if (node_stat != node_stat[:, :1]).any():
+            total = np.add.reduce(node_stat, axis=1)  # in node order, as the learner sums a leaf
+            found = _best_split(rows, vals, stat, total, min_leaf, work)
         if found is None:
-            leaves.append((node, idx, node_stat))
+            leaves.append((node, idx))
             continue
         gain, node.feature, node.threshold = found
         importance[node.feature] += gain
-        mask = x[idx, node.feature] <= node.threshold
+        mask = columns[node.feature].take(idx) <= node.threshold
         sides = (idx[mask], idx[~mask])
-        bases = (base, base + d * sides[0].size)
-        blocks = [None, None]
-        wanted = [may_split(side.size, depth + 1) for side in sides]
-        if any(wanted):
-            rows, vals = block[0].ravel(), block[1].ravel()
-            go_left[idx] = mask
-            keep = work.keep[: rows.size]
-            go_left.take(rows, out=keep, mode="clip")  # rows are in range: clip never clips
-            # array methods, not np.take: the wrapper costs microseconds a call
+        children = node.left, node.right = TreeNode(), TreeNode()
+        grows = [depth + 1 < max_depth and side.size >= 2 * min_leaf for side in sides]
+        if grows[0] or grows[1]:
+            flat_rows, flat_vals = rows.ravel(), vals.ravel()
+            work.go_left[idx] = mask
+            keep = work.keep[: flat_rows.size]
+            work.go_left.take(flat_rows, out=keep, mode="clip")  # rows are in range: clip never clips
             arena_rows, arena_vals = work.rows[depth % 2], work.vals[depth % 2]
-            for c in (0, 1):
-                if not wanted[c]:
-                    continue
-                if c:
-                    np.logical_not(keep, out=keep)
-                # filtering keeps each feature's sorted order, so the child
-                # block is the one a fresh stable sort of its rows gives
-                members = np.flatnonzero(keep)
-                span, shape = slice(bases[c], bases[c] + members.size), (d, sides[c].size)
-                blocks[c] = (rows.take(members, out=arena_rows[span], mode="clip").reshape(shape),
-                             vals.take(members, out=arena_vals[span], mode="clip").reshape(shape))
-        node.left, node.right = TreeNode(), TreeNode()
-        pending.append((node.right, sides[1], blocks[1], depth + 1, bases[1]))
-        pending.append((node.left, sides[0], blocks[0], depth + 1, bases[0]))  # popped first
+        blocks = []
+        for c, side in enumerate(sides):
+            if not grows[c]:
+                leaves.append((children[c], side))
+                continue
+            if c:
+                np.logical_not(keep, out=keep)
+            # filtering keeps each feature's sorted order, so the child
+            # block is the one a fresh stable sort of its rows gives
+            members = keep.nonzero()[0]
+            start = base + c * d * sides[0].size
+            span, shape = slice(start, start + members.size), (d, side.size)
+            block = (flat_rows.take(members, out=arena_rows[span], mode="clip").reshape(shape),
+                     flat_vals.take(members, out=arena_vals[span], mode="clip").reshape(shape))
+            blocks.append((children[c], side, block, depth + 1, start))
+        pending += reversed(blocks)  # the left child is popped first: splits in preorder
     return root, leaves
 
 
@@ -300,8 +317,8 @@ def fit_tree(dataset: Dataset, max_depth: int = 5, min_samples_leaf: int = 2) ->
         importance=np.zeros(dataset.d),  # the lone tree reports no importance
         work=_SplitWorkspace(k, dataset.d, dataset.n),
     )
-    for leaf, _, leaf_counts in leaves:
-        leaf.value = leaf_counts.sum(axis=1)
+    for leaf, rows in leaves:
+        leaf.value = counts.take(rows, axis=1).sum(axis=1)
     return TreeModel(
         root=root,
         max_depth=max_depth,
@@ -357,11 +374,17 @@ def fit_gbdt(
         for c in range(k):
             root, leaves = _grow(x, presorted, residuals[c : c + 1], max_depth, min_samples_leaf,
                                  importance, work)
-            for leaf, rows, (r,) in leaves:
-                denom = (np.abs(r) * (1.0 - np.abs(r))).sum()
-                gamma = (k - 1) / k * r.sum() / denom if denom >= 1e-150 else 0.0
+            res, col = residuals[c], step[:, c]
+            for leaf, rows in leaves:
+                # |r|(1 - |r|) in one temporary, then Python floats: the same
+                # IEEE operations as on numpy scalars, at a fraction of the cost
+                r = res.take(rows)
+                a = np.abs(r)
+                a *= 1.0 - a
+                denom = float(np.add.reduce(a))
+                gamma = (k - 1) / k * float(np.add.reduce(r)) / denom if denom >= 1e-150 else 0.0
                 leaf.value = np.array([gamma])
-                step[rows, c] = gamma
+                col[rows] = gamma
             group.append(root)
         scores += shrinkage * step
         all_trees.append(tuple(group))

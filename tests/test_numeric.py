@@ -88,6 +88,15 @@ class TestSeededRng:
     def test_frozen_permutation(self):
         assert SeededRng(5).permutation(10).tolist() == [3, 4, 2, 5, 0, 8, 7, 9, 1, 6]
 
+    def test_permutation_is_the_stable_argsort_of_the_uniforms(self):
+        # permutation sorts the integers under the uniforms: same order, same ties
+        for seed in [0, 1, 5, 2**63, 2**64 - 1] + [derive_seed(3, i) for i in range(40)]:
+            for n in (0, 1, 2, 3, 8, 9, 240, 768):
+                assert np.array_equal(
+                    SeededRng(seed).permutation(n),
+                    np.argsort(SeededRng(seed).random(n), kind="stable"),
+                ), (seed, n)
+
     def test_same_seed_same_stream(self):
         a, b = SeededRng(9), SeededRng(9)
         assert np.array_equal(np.asarray(a.random(100)), np.asarray(b.random(100)))

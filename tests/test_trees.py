@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from conftest import FIXTURE_DIR, make_dataset
-from mppkit.data import generate_synthetic, load_dataset, load_schema
-from mppkit.numeric import SeededRng, cross_entropy, softmax
+from mppkit.data import Dataset, generate_synthetic, load_dataset, load_schema
+from mppkit.numeric import SeededRng, cross_entropy, one_hot, softmax
 from mppkit.serialize import to_document
 from mppkit.trees import (
     GbdtModel,
@@ -487,18 +487,16 @@ class TestSplitKernel:
         assert self._kernel(np.ones((4, 2)), stat, 1) is None  # constant columns
 
 
-def per_node_sort_tree(dataset, max_depth, min_leaf):
-    """Reference for `fit_tree`: each node stably argsorts its own rows afresh.
+def per_node_sort_grow(x, stat, max_depth, min_leaf, importance, leaf_value):
+    """Reference for `_grow`: each node stably argsorts its own rows afresh.
 
-    The stopping rules, node statistic and leaf values are `_grow`'s and
-    `fit_tree`'s, and the split comes from `_best_split` on a freshly sorted
-    block; so a difference from `fit_tree` can only come from the sorted
-    blocks a child inherits from its parent.
+    The stopping rules and node statistic are `_grow`'s, and the split comes
+    from `_best_split` on a freshly sorted block, with its gain added to
+    `importance` in preorder; a leaf's value is `leaf_value(its rows)`.  So a
+    difference from `_grow` can only come from the sorted blocks a child
+    inherits from its parent, or from how a split routes its rows.
     """
-    x, k = dataset.x, dataset.schema.n_classes
-    stat = np.zeros((k, dataset.n))
-    stat[dataset.y, np.arange(dataset.n)] = 1.0
-    work = _SplitWorkspace(k, dataset.d, dataset.n)
+    work = _SplitWorkspace(stat.shape[0], x.shape[1], x.shape[0])
 
     def grow(idx, depth):
         node_stat = stat[:, idx]
@@ -508,13 +506,59 @@ def per_node_sort_tree(dataset, max_depth, min_leaf):
             rows, vals = idx[order], np.take_along_axis(x[idx].T, order, axis=1)
             found = _best_split(rows, vals, stat, node_stat.sum(axis=1), min_leaf, work)
         if found is None:
-            return TreeNode(value=node_stat.sum(axis=1))
-        _, feature, threshold = found
+            return TreeNode(value=leaf_value(idx))
+        gain, feature, threshold = found
+        importance[feature] += gain
         mask = x[idx, feature] <= threshold
         return TreeNode(feature, threshold, grow(idx[mask], depth + 1), grow(idx[~mask], depth + 1))
 
-    root = grow(np.arange(dataset.n), 0)
+    return grow(np.arange(x.shape[0]), 0)
+
+
+def per_node_sort_tree(dataset, max_depth, min_leaf):
+    """Reference for `fit_tree` on `per_node_sort_grow`: a leaf holds its class counts."""
+    k = dataset.schema.n_classes
+    counts = one_hot(dataset.y, k).T.copy()
+    root = per_node_sort_grow(dataset.x, counts, max_depth, min_leaf, np.zeros(dataset.d),
+                              lambda idx: counts[:, idx].sum(axis=1))
     return TreeModel(root, max_depth, min_leaf, dataset.d, k)
+
+
+def per_node_sort_gbdt(dataset, rounds, max_depth, min_leaf, shrinkage=0.1):
+    """Reference for `fit_gbdt` on `per_node_sort_grow`, written out step by step.
+
+    Scores start at the class log-priors; each round fits one tree per class
+    to the residuals 1{y=k} - p_k, each leaf takes the one-step value
+    (K-1)/K * sum(r) / sum(|r|(1-|r|)), 0 where that denominator is below
+    1e-150, and the scores move by shrinkage times the leaf values.
+    """
+    x, y, n, k = dataset.x, dataset.y, dataset.n, dataset.schema.n_classes
+    init = np.log(np.maximum(np.bincount(y, minlength=k).astype(float), 1e-12) / n)
+    scores = np.tile(init, (n, 1))
+    importance = np.zeros(dataset.d)
+    history, trees = [], []
+    for _ in range(rounds):
+        probs = softmax(scores)
+        history.append(cross_entropy(probs, y))
+        residuals = one_hot(y, k) - probs
+        step = np.zeros((n, k))
+        group = []
+        for c in range(k):
+            r_c = residuals[:, c].copy()
+
+            def leaf_value(idx, r_c=r_c, c=c):
+                r = r_c[idx]
+                denom = (np.abs(r) * (1.0 - np.abs(r))).sum()
+                gamma = (k - 1) / k * r.sum() / denom if denom >= 1e-150 else 0.0
+                step[idx, c] = gamma
+                return np.array([gamma])
+
+            group.append(per_node_sort_grow(x, r_c[None, :], max_depth, min_leaf, importance, leaf_value))
+        trees.append(tuple(group))
+        scores += shrinkage * step
+    history.append(cross_entropy(softmax(scores), y))
+    return GbdtModel(rounds, shrinkage, tuple(trees), init, importance, dataset.d, k, max_depth,
+                     min_leaf, tuple(history))
 
 
 def _depth(node):
@@ -525,7 +569,8 @@ class TestInheritedBlocks:
     """Trees grown from inherited sorted blocks match a fresh sort per node.
 
     Deep trees on tie-heavy data reuse every part of the child-block arena
-    many times over, past the depth-5 trees the golden digests pin.
+    many times over, past the depth-5 tree and depth-4 GBDT the golden
+    digests pin; and a fit does not depend on the memory layout of x.
     """
 
     @pytest.fixture(scope="class")
@@ -549,6 +594,25 @@ class TestInheritedBlocks:
         expected = per_node_sort_tree(tied_dataset, max_depth, min_leaf)
         assert to_document(model, tied_dataset.schema) == to_document(expected, tied_dataset.schema)
         assert _depth(model.root) >= min(max_depth, 10)  # past depth 5: both generations reused
+
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    @pytest.mark.parametrize("max_depth", [8, 40])
+    def test_gbdt_matches_per_node_sort(self, tied_dataset, max_depth, min_leaf):
+        model = fit_gbdt(tied_dataset, rounds=5, max_depth=max_depth, min_samples_leaf=min_leaf)
+        expected = per_node_sort_gbdt(tied_dataset, 5, max_depth, min_leaf)
+        assert to_document(model, tied_dataset.schema) == to_document(expected, tied_dataset.schema)
+        assert max(_depth(root) for group in model.trees for root in group) >= min(max_depth, 10)
+
+    @pytest.mark.parametrize("fit", [fit_tree, fit_gbdt])
+    def test_memory_layout_does_not_matter(self, tied_dataset, fit):
+        # the full-data fit gets clean_and_encode's F-ordered x and a CV fold
+        # subset's C-ordered rows; a split routes its rows by one column of x
+        fortran = Dataset(tied_dataset.schema, np.asfortranarray(tied_dataset.x), tied_dataset.y)
+        rows = Dataset(tied_dataset.schema, np.ascontiguousarray(tied_dataset.x), tied_dataset.y)
+        assert fortran.x.flags.f_contiguous and not rows.x.flags.f_contiguous
+        kwargs = {"rounds": 5} if fit is fit_gbdt else {}
+        assert to_document(fit(fortran, max_depth=8, **kwargs), fortran.schema) == to_document(
+            fit(rows, max_depth=8, **kwargs), rows.schema)
 
 
 def _fixture_digest(model):
