@@ -190,12 +190,15 @@ def predict_logistic_batch(model: LogisticModel, x) -> tuple[np.ndarray, np.ndar
 def _svm_evaluate(w: np.ndarray, xb: np.ndarray, t: np.ndarray, reg_c: float):
     """Mean hinge loss plus the L2 penalty (bias excluded), and the signed margins t * f(x)."""
     signed = t * (xb @ w)
-    return float(np.maximum(0.0, 1.0 - signed).mean()) + l2_penalty(reg_c, w), signed
+    hinge = 1.0 - signed
+    np.maximum(0.0, hinge, out=hinge)
+    return float(np.add.reduce(hinge) / xb.shape[0]) + l2_penalty(reg_c, w), signed
 
 
 def _svm_subgradient(w: np.ndarray, signed: np.ndarray, xb: np.ndarray, t: np.ndarray, reg_c: float):
     active = signed < 1.0
-    g = -(xb * (t * active)[:, None]).mean(axis=0)
+    g = np.add.reduce(xb * (t * active)[:, None], axis=0)
+    g /= -xb.shape[0]  # the mean, negated: division is sign-symmetric
     g[:-1] += reg_c * w[:-1]
     return g
 

@@ -7,15 +7,23 @@ step: an epoch that raises the full training loss, or makes it non-finite,
 is dropped with a halved step, and a patience of 10 stops training once 10
 epochs in a row fail to beat the best loss by 1e-7.
 
-One forward pass (`_forward`) serves every job.  Each minibatch runs it on
-its rows, and its hidden layer and probabilities feed that batch's
-backprop (`_backprop`) and nothing else: no minibatch loss is computed.  The
-epoch's training loss comes from a forward pass over all rows, with no
-gradients.  Once per epoch the standardized rows and their one-hot targets
-are gathered in permuted order into two buffers made once per fit, so each
-batch is a contiguous slice; the hidden layer is written into a buffer whose
-bias column is preset to ones.  Targets, cross-entropy and L2 penalty are
-`numeric`'s, as in `linear`.
+One forward pass (`_forward`) and one backprop (`_backprop`) serve every
+job: the minibatch step, the epoch's training loss (a forward pass over all
+rows, with no gradients), `mlp_loss_and_grads` and `predict_mlp_batch`.
+Each minibatch's hidden layer and probabilities feed that batch's backprop
+and nothing else: no minibatch loss is computed.  Both write into the
+buffers of a `_Layer`: the hidden layer, whose bias column is preset to
+ones, the pre-activation, and for backprop the `dz` and `1 - h**2` blocks.
+`fit_mlp` makes them once per fit: one set for each distinct batch size
+(one for 768 rows at batch 32, two with a partial last batch) and one
+forward-only set for all rows.  Once per epoch the standardized rows and
+their one-hot targets are gathered in permuted order into two buffers made
+once per fit, so each batch is a contiguous slice of them, sliced once per
+fit; the weight views the passes use (`w1.T`, `w2.T`, `w2[:, :-1]`) are
+taken once per epoch.  The backprop turns the probability array into the
+output delta in place, which is safe because `softmax` returns a fresh
+array.  Targets, cross-entropy and L2 penalty are `numeric`'s, as in
+`linear`.
 
 The parameters live in one flat float64 vector `theta`: `w1` (h x (d+1))
 and `w2` (K x (h+1)) are C-contiguous views of it (`_views`), and so are the
@@ -65,17 +73,30 @@ class MlpModel:
         return int(self.w1.shape[1]) - 1
 
 
-def _hidden_buffer(m: int, h: int) -> np.ndarray:
-    """An (m, h+1) hidden-layer buffer whose bias column is preset to ones."""
-    buf = np.empty((m, h + 1))
-    buf[:, h] = 1.0
-    return buf
+class _Layer:
+    """The buffers of one forward pass over m rows, and of its backprop, made once and reused.
+
+    `hidden` is (m, h+1) with its bias column preset to ones, and `act` is
+    its tanh view, the first h columns; `pre` takes the pre-activation.
+    With `backprop`, `dz` and `dact` (for 1 - h**2) are (m, h) blocks too.
+    """
+
+    __slots__ = ("hidden", "act", "pre", "dz", "dact")
+
+    def __init__(self, m: int, h: int, backprop: bool = True):
+        self.hidden = np.empty((m, h + 1))
+        self.hidden[:, h] = 1.0
+        self.act = self.hidden[:, :h]
+        self.pre = np.empty((m, h))
+        if backprop:
+            self.dz, self.dact = np.empty((m, h)), np.empty((m, h))
 
 
-def _forward(w1: np.ndarray, w2: np.ndarray, xb: np.ndarray, hidden: np.ndarray) -> np.ndarray:
-    """Output probabilities; the tanh layer is written into `hidden` (from `_hidden_buffer`)."""
-    np.tanh(xb @ w1.T, out=hidden[:, :-1])
-    return softmax(hidden @ w2.T)
+def _forward(w1t: np.ndarray, w2t: np.ndarray, xb: np.ndarray, layer: _Layer) -> np.ndarray:
+    """Output probabilities for the rows `xb`, given `w1.T` and `w2.T`; the tanh layer goes into `layer`."""
+    np.matmul(xb, w1t, out=layer.pre)
+    np.tanh(layer.pre, out=layer.act)
+    return softmax(layer.hidden @ w2t)
 
 
 def _views(flat: np.ndarray, h: int, d1: int) -> tuple[np.ndarray, np.ndarray]:
@@ -93,24 +114,28 @@ def _decay(theta: np.ndarray, h: int, d1: int, l2: float) -> np.ndarray:
 
 
 def _backprop(
-    w2: np.ndarray,
+    w2s: np.ndarray,
     xb: np.ndarray,
-    hidden: np.ndarray,
+    layer: _Layer,
     probs: np.ndarray,
     targets: np.ndarray,
     g1: np.ndarray,
     g2: np.ndarray,
 ) -> None:
-    """Cross-entropy gradient of the forward pass `(hidden, probs)` on `xb`, written into `g1`, `g2`.
+    """Cross-entropy gradient of the forward pass `(layer, probs)` on `xb`, written into `g1`, `g2`.
 
-    One-hot `targets`; no L2 term (see `_add_l2`).
+    `w2s` is `w2[:, :-1]`; one-hot `targets`; no L2 term (see `_add_l2`).
+    `probs` becomes the output delta in place.
     """
-    delta = probs - targets
+    delta = probs
+    delta -= targets
     delta /= xb.shape[0]
-    np.matmul(delta.T, hidden, out=g2)
-    dz = delta @ w2[:, :-1]
-    dz *= 1.0 - hidden[:, :-1] ** 2
-    np.matmul(dz.T, xb, out=g1)
+    np.matmul(delta.T, layer.hidden, out=g2)
+    np.matmul(delta, w2s, out=layer.dz)
+    np.square(layer.act, out=layer.dact)
+    np.subtract(1.0, layer.dact, out=layer.dact)
+    layer.dz *= layer.dact
+    np.matmul(layer.dz.T, xb, out=g1)
 
 
 def _add_l2(theta: np.ndarray, grad: np.ndarray, decay: np.ndarray, tmp: np.ndarray) -> None:
@@ -127,17 +152,12 @@ def mlp_loss_and_grads(
     theta = np.concatenate([w1.ravel(), w2.ravel()], dtype=float)
     grad = np.empty_like(theta)
     g1, g2 = _views(grad, h, d1)
-    hidden = _hidden_buffer(xb.shape[0], h)
-    probs = _forward(w1, w2, xb, hidden)
-    _backprop(w2, xb, hidden, probs, one_hot(y, k), g1, g2)
+    layer = _Layer(xb.shape[0], h)
+    probs = _forward(w1.T, w2.T, xb, layer)
+    loss = cross_entropy(probs, y) + l2_penalty(l2, w1, w2)  # before the backprop overwrites probs
+    _backprop(w2[:, :-1], xb, layer, probs, one_hot(y, k), g1, g2)
     _add_l2(theta, grad, _decay(theta, h, d1, l2), np.empty_like(theta))
-    return cross_entropy(probs, y) + l2_penalty(l2, w1, w2), g1, g2
-
-
-def mlp_loss(w1: np.ndarray, w2: np.ndarray, xb: np.ndarray, y: np.ndarray, l2: float) -> float:
-    """Cross-entropy (+ L2 on non-bias weights) from a forward pass alone."""
-    probs = _forward(w1, w2, xb, _hidden_buffer(xb.shape[0], w1.shape[0]))
-    return cross_entropy(probs, y) + l2_penalty(l2, w1, w2)
+    return loss, g1, g2
 
 
 def fit_mlp(
@@ -171,31 +191,38 @@ def fit_mlp(
     grad, tmp = np.empty_like(theta), np.empty_like(theta)
     g1, g2 = _views(grad, hidden, d1)
     xp, tp = np.empty_like(xb), np.empty_like(targets)
-    batch_hidden = _hidden_buffer(min(batch_size, n), hidden)
+    starts = range(0, n, batch_size)
+    layers = {m: _Layer(m, hidden) for m in {min(batch_size, n - start) for start in starts}}
+    batches = [
+        (xp[start : start + batch_size], tp[start : start + batch_size], layers[min(batch_size, n - start)])
+        for start in starts
+    ]
+    all_rows = _Layer(n, hidden, backprop=False)
 
-    def epoch(theta, _, lr):  # the loss pass leaves nothing for the step to reuse
+    def loss(theta):  # the loss pass leaves nothing for the step to reuse
+        w1, w2 = _views(theta, hidden, d1)
+        probs = _forward(w1.T, w2.T, xb, all_rows)
+        return cross_entropy(probs, y) + l2_penalty(l2, w1, w2), None
+
+    def epoch(theta, _, lr):
         theta = theta.copy()
         w1, w2 = _views(theta, hidden, d1)
+        w1t, w2t, w2s = w1.T, w2.T, w2[:, :-1]
         perm = rng.permutation(n)
         # each batch is then a contiguous slice; "clip" writes straight into the
         # buffer, where "raise" gathers through a temporary, and a permutation
         # has no index to clip
         xb.take(perm, axis=0, out=xp, mode="clip")
         targets.take(perm, axis=0, out=tp, mode="clip")
-        for start in range(0, n, batch_size):
-            xs = xp[start : start + batch_size]
-            layer = batch_hidden[: xs.shape[0]]
-            probs = _forward(w1, w2, xs, layer)
-            _backprop(w2, xs, layer, probs, tp[start : start + batch_size], g1, g2)
+        for xs, ts, layer in batches:
+            probs = _forward(w1t, w2t, xs, layer)
+            _backprop(w2s, xs, layer, probs, ts, g1, g2)
             _add_l2(theta, grad, decay, tmp)
             np.multiply(grad, lr, out=grad)
             theta -= grad
         return theta
 
-    theta, history, rejections = _descend(
-        theta, learning_rate, epochs, lambda w: (mlp_loss(*_views(w, hidden, d1), xb, y, l2), None), epoch,
-        patience=10,
-    )
+    theta, history, rejections = _descend(theta, learning_rate, epochs, loss, epoch, patience=10)
     w1, w2 = _views(theta, hidden, d1)
     return MlpModel(
         w1=w1, w2=w2, standardization=std, h=hidden, n_classes=k, loss_history=tuple(history),
@@ -206,5 +233,5 @@ def fit_mlp(
 def predict_mlp_batch(model: MlpModel, x) -> tuple[np.ndarray, np.ndarray]:
     """Each row's label and output probabilities, ties to the lowest class."""
     xb = add_bias(model.standardization.apply(feature_rows(x, model.d)))
-    probs = _forward(model.w1, model.w2, xb, _hidden_buffer(xb.shape[0], model.h))
+    probs = _forward(model.w1.T, model.w2.T, xb, _Layer(xb.shape[0], model.h, backprop=False))
     return np.argmax(probs, axis=1).astype(np.int64), probs

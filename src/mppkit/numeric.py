@@ -126,17 +126,33 @@ class SeededRng:
 
 
 def softmax(v) -> np.ndarray:
-    """Shift-invariant softmax over the last axis (1-D scores or a matrix of rows)."""
+    """Shift-invariant softmax over the last axis (1-D scores or a matrix of rows); a fresh array.
+
+    The input must be finite, which is checked before any arithmetic.  Each
+    row is shifted by its max, taken as K - 1 `np.maximum` calls over the
+    class columns: a reduction along a 3-wide last axis runs numpy's inner
+    loop once per row, which costs more than the arithmetic.  A max is exact,
+    so this gives the same bits for every K; a +-0.0 tie changes only the
+    sign of a zero difference, and exp maps both zeros to 1.0.  The row sum
+    stays numpy's reduction along the last axis: summing column by column
+    gives the same bits only for K <= 7, since numpy sums a row of 8 or more
+    pairwise.
+    """
     arr = np.asarray(v, dtype=float)
     if arr.ndim not in (1, 2):
         raise ValueError("softmax expects a vector or a matrix of row scores")
-    if arr.shape[-1] == 0:
+    k = arr.shape[-1]
+    if k == 0:
         raise ValueError("softmax requires at least one score")
     if not np.isfinite(arr).all():
         raise ValueError("softmax requires finite input")
-    e = arr - arr.max(axis=-1, keepdims=True)
+    cols = arr.T  # cols[j] is class j's score in every row
+    top = cols[0]
+    for j in range(1, k):
+        top = np.maximum(top, cols[j])
+    e = (cols - top).T
     np.exp(e, out=e)
-    e /= e.sum(axis=-1, keepdims=True)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
     return e
 
 
@@ -147,15 +163,22 @@ def one_hot(y: np.ndarray, k: int) -> np.ndarray:
     return out
 
 
+# The two losses below, and the SVM's in `linear`, reduce with `np.add.reduce`:
+# the bits of `np.sum`, and of `.mean()` after dividing by the count, without
+# their Python wrapper frames.
+
 def cross_entropy(probs: np.ndarray, y: np.ndarray) -> float:
     """Mean -log of each row's probability of its label, floored at 1e-300 so it stays finite."""
-    picked = probs[np.arange(y.shape[0]), y]
-    return float(-np.log(np.maximum(picked, 1e-300)).mean())
+    n = y.shape[0]
+    logp = probs[np.arange(n), y]
+    np.maximum(logp, 1e-300, out=logp)
+    np.log(logp, out=logp)
+    return float(-np.add.reduce(logp) / n)  # rounding is sign-symmetric: the sum of -log, exactly
 
 
 def l2_penalty(l2: float, *weights: np.ndarray) -> float:
     """0.5 * l2 * the sum of squares of every weight but each row's last (bias) column."""
-    return float(0.5 * l2 * sum(np.sum(w[..., :-1] ** 2) for w in weights))
+    return float(0.5 * l2 * sum(np.add.reduce(w[..., :-1] ** 2, axis=None) for w in weights))
 
 
 def feature_rows(x, d: int) -> np.ndarray:

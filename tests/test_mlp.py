@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import mppkit.linear
+import mppkit.mlp
 from conftest import make_dataset
 from mppkit.data import generate_synthetic
 from mppkit.linear import Standardization, _descend, add_bias, fit_logistic, predict_logistic_batch
@@ -56,6 +58,23 @@ class TestFitMlp:
             )
             rel = np.linalg.norm(analytic - oracle) / max(np.linalg.norm(oracle), 1e-12)
             assert rel < 1e-4, f"trial {trial}: rel error {rel}"
+
+    def test_loss_is_the_forward_pass_before_the_backprop(self):
+        rng = SeededRng(77)
+        xb = add_bias(np.asarray(rng.random((13, 4))) * 2 - 1)
+        y = rng.integers(0, 3, 13)
+        w1 = np.asarray(rng.normal((5, 5))) * 0.8
+        w2 = np.asarray(rng.normal((3, 6))) * 0.8
+        before = [a.copy() for a in (w1, w2, xb)]
+        loss, _, _ = mlp_loss_and_grads(w1, w2, xb, y, 0.01)
+        layer = np.hstack([np.tanh(xb @ w1.T), np.ones((13, 1))])
+        probs = softmax(layer @ w2.T)
+        expected = -np.log(probs[np.arange(13), y]).mean() + 0.5 * 0.01 * (
+            np.sum(w1[:, :-1] ** 2) + np.sum(w2[:, :-1] ** 2)
+        )
+        assert loss == float(expected)
+        for a, b in zip((w1, w2, xb), before):
+            assert a.tobytes() == b.tobytes()
 
     def test_deterministic_for_fixed_seed(self):
         ds = generate_synthetic(90, 4, {0}, seed=20)
@@ -147,6 +166,37 @@ class TestReferenceStep:
         assert model.w1.tobytes() == w1.tobytes()
         assert model.w2.tobytes() == w2.tobytes()
         assert model.loss_history == tuple(history)
+
+
+class TestSoftmaxCallsSeenByTracer:
+    """Every softmax call goes through the module attribute, where a tracer's wrapper counts it."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+
+        def counted(v):
+            calls.append(np.shape(v))
+            return softmax(v)
+
+        monkeypatch.setattr(mppkit.mlp, "softmax", counted)
+        monkeypatch.setattr(mppkit.linear, "softmax", counted)
+        return calls
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return generate_synthetic(45, 4, {0, 2}, seed=12, noise=0.1)  # 45 = 6 * 7 + 3 rows
+
+    def test_fit_mlp_calls_once_per_batch_and_once_per_loss_pass(self, dataset, calls):
+        model = fit_mlp(dataset, hidden=6, learning_rate=0.5, epochs=9, batch_size=7, seed=3)
+        epochs, batches = len(model.loss_history) - 1, 7
+        assert len(calls) == (1 + epochs) + epochs * batches
+        assert calls.count((45, 3)) == 1 + epochs
+        assert calls.count((3, 3)) == epochs  # the partial last batch
+
+    def test_fit_logistic_calls_once_per_loss_pass(self, dataset, calls):
+        model = fit_logistic(dataset, learning_rate=0.5, epochs=9)
+        assert len(calls) == 1 + (len(model.loss_history) - 1)
 
 
 class TestPredictMlp:

@@ -51,6 +51,69 @@ class TestSoftmax:
         assert np.allclose(m[1], [1 / 7, 2 / 7, 4 / 7])
 
 
+def reference_softmax(a: np.ndarray) -> np.ndarray:
+    """The row-max softmax written out: shift each row by its max, exp, divide by the row sum."""
+    e = np.exp(a - a.max(-1, keepdims=True))
+    return e / e.sum(-1, keepdims=True)
+
+
+def _same_bytes(got: np.ndarray, expected: np.ndarray) -> bool:
+    return got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
+class TestSoftmaxColumnMax:
+    """`softmax` takes its row max across class columns and still gives the row-max reference's bits."""
+
+    @staticmethod
+    def scores(rows: int, k: int, seed: int) -> np.ndarray:
+        a = np.asarray(SeededRng(seed).normal((rows, k))) * 25.0
+        a[::4] = np.round(a[::4])  # some tied scores within a row
+        return a
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_every_layout_and_width(self, k):
+        a = self.scores(37, k, seed=k)
+        big = self.scores(80, 3 * k, seed=100 + k)
+        cases = {
+            "1-D": a[5],
+            "C-ordered": a,
+            "F-ordered": np.asfortranarray(a),
+            "strided": big[::2, 1::3],
+        }
+        for name, scores in cases.items():
+            got = softmax(scores)
+            assert _same_bytes(got, reference_softmax(scores)), name
+            assert not np.shares_memory(got, scores), name  # a fresh array, free to overwrite
+        assert _same_bytes(softmax(a.tolist()), reference_softmax(a))
+        assert _same_bytes(softmax(a[5].tolist()), reference_softmax(a[5]))
+
+    def test_ties_and_signed_zeros(self):
+        a = np.array([
+            [-0.0, 0.0, -1.0],
+            [0.0, -0.0, -1.0],
+            [-0.0, -0.0, -0.0],
+            [0.0, -2.5, -0.0],
+            [-3.0, -3.0, -3.0],
+            [7.25, -1.0, 7.25],
+            [1e300, 1e300, -1e300],
+        ])
+        for scores in (a, np.asfortranarray(a), *a):
+            assert _same_bytes(softmax(scores), reference_softmax(scores))
+
+    @pytest.mark.parametrize(
+        "row",
+        [[0.0, np.inf, 1.0], [np.nan, 0.0, 1.0], [2.0, -np.inf, 1.0], [-np.inf, -np.inf, -np.inf]],
+        ids=["+inf", "nan", "-inf among finite", "all -inf"],
+    )
+    def test_non_finite_input_is_refused_before_any_arithmetic(self, row):
+        # under "raise" an inf - inf or a nan comparison would fail first, with FloatingPointError
+        matrix = np.array([[0.5, 1.0, -2.0], row, [3.0, 3.0, 0.0]])
+        with np.errstate(all="raise"):
+            for scores in (np.array(row), matrix, np.asfortranarray(matrix)):
+                with pytest.raises(ValueError, match="softmax requires finite input"):
+                    softmax(scores)
+
+
 class TestFiniteDifference:
     def test_quadratic(self):
         g = finite_difference_gradient(lambda v: float(v @ v), np.array([1.0, 2.0]), h=1e-5)

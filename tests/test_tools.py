@@ -20,18 +20,22 @@ SCALE_DIGESTS = {
     "synthetic-2000x20/gbdt/predict": "c651df71cd2590e239740045e80d352300023a15d1bda79827db5601b072b0fd",
     "synthetic-960x20/tree/predict": "b62659e88cba6595f653ebd59db26a21bd241a17c6268132f687126082217c2c",
     "synthetic-960x20/mlp/predict": "0d1809290b435da62fab75422330a6c04167e451181387e590f13c665b497ce6",
+    # softmax on n x 3 inputs with n >= 100, where its max goes column by column
+    "synthetic-960x20/logistic": "adb2c703934f57d18d8f43be22b2c035da3ca24dbd117a4883bb90f2254fe8a6",
+    "synthetic-960x20/logistic/predict": "f32b2851adf285811b12ac9a1ac11cc0748019ec142c20e3d1fbf9ea89d1cb83",
 }
 
 
 def test_model_digests_prints_every_fit_then_every_predict():
-    # the bit-identity check of every model and predict path: 8 fits, then
-    # the 8 fits' /predict lines, each "<label> <sha256>", in this order
+    # the bit-identity check of every model and predict path: 9 fits, then
+    # the 9 fits' /predict lines, each "<label> <sha256>", in this order
     result = subprocess.run(
         [sys.executable, str(MODEL_DIGESTS)], capture_output=True, text=True, env=cli_env(), timeout=300,
     )
     assert result.returncode == 0, result.stderr
     fits = [f"fixture/{name}" for name in ("logistic", "svm", "tree", "gbdt", "mlp")]
-    fits += ["synthetic-2000x20/gbdt", "synthetic-960x20/tree", "synthetic-960x20/mlp"]
+    fits += ["synthetic-2000x20/gbdt", "synthetic-960x20/tree", "synthetic-960x20/mlp",
+             "synthetic-960x20/logistic"]
     lines = result.stdout.splitlines()
     assert [line.split(" ")[0] for line in lines] == fits + [f"{label}/predict" for label in fits]
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)

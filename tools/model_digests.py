@@ -6,7 +6,8 @@
 Fits, through ``mppkit.evaluation.fit_predictor`` (the fit the CV driver
 makes for each fold), the fixture's five models on the whole fixture with
 their default hyperparameters and the fixture config's seed, a 200-round
-GBDT on a 2000x20 synthetic set, and a tree and an MLP on a 960x20 one.  It prints
+GBDT on a 2000x20 synthetic set, and a tree, an MLP and a logistic model on a
+960x20 one (the last pins softmax on inputs of many rows).  It prints
 ``<name> <sha256 of the sorted-key JSON document>`` for each fit, then
 ``<name>/predict <sha256 of the label bytes>`` for each fit, where the labels
 are ``MODELS[model].predict(model, x)`` on the rows it was fitted on.  A
@@ -50,7 +51,7 @@ def main() -> None:
     big = generate_synthetic(2000, 20, {0, 1, 2}, seed=SEED, noise=0.05)
     mid = generate_synthetic(960, 20, {0, 1, 2}, seed=SEED, noise=0.05)
     fits += [("synthetic-2000x20/gbdt", "gbdt", big), ("synthetic-960x20/tree", "tree", mid),
-             ("synthetic-960x20/mlp", "mlp", mid)]
+             ("synthetic-960x20/mlp", "mlp", mid), ("synthetic-960x20/logistic", "logistic", mid)]
     predictions = []
     for label, name, dataset in fits:
         model_digest, predict_digest = _digests(name, dataset)
