@@ -26,7 +26,9 @@ straight into the row of the feature matrix that column becomes, map
 binary codes, impute, and pick the error to report.  The Dataset adopts
 that matrix without copying it.  Every file is read as UTF-8 with an
 optional leading byte-order mark, as spreadsheet "CSV UTF-8" exports write;
-`read_json` reads the JSON ones: schema manifest, config, model documents.
+`read_json` reads the JSON ones: schema manifest, config, model documents;
+it refuses an object that repeats a key, as the loader refuses a header
+that names a schema column twice.
 """
 
 from __future__ import annotations
@@ -155,14 +157,34 @@ def read_text(path: Path, error) -> str:
     return text.removeprefix("\ufeff")
 
 
+class _RepeatedKey(Exception):
+    """A JSON object names one key twice; not a ValueError, so no parse error is taken for it."""
+
+
+def _unique_keys(pairs: list) -> dict:
+    """The JSON object of `pairs`, the `object_pairs_hook` that refuses a repeated key."""
+    obj = {}
+    for key, value in pairs:
+        if key in obj:
+            raise _RepeatedKey(key)
+        obj[key] = value
+    return obj
+
+
 def read_json(path, what: str, error):
-    """The JSON value in file `path`; a missing, undecodable or unparsable file raises `error`."""
+    """The JSON value in file `path`.
+
+    A missing, undecodable or unparsable file raises `error`, and so does
+    an object that repeats a key: json would keep its last value silently.
+    """
     path = Path(path)
     if not path.is_file():
         raise error(f"{what} not found: {path}")
     text = read_text(path, error)
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=_unique_keys)
+    except _RepeatedKey as exc:
+        raise error(f"{what} {path} repeats the key {exc.args[0]!r}") from None
     except (ValueError, RecursionError) as exc:  # also an over-long integer, or nesting too deep
         raise error(f"{what} {path} is not valid JSON: {exc}") from exc
 
@@ -289,6 +311,9 @@ def _encode_rows(path: Path, reader, schema: FeatureSchema) -> RawTable:
     missing = [name for name in required if name not in header]
     if missing:
         raise DataError(f"{path}: header is missing column {missing[0]!r}")
+    repeated = [name for name in required if header.count(name) > 1]
+    if repeated:
+        raise DataError(f"{path}: header names column {repeated[0]!r} more than once")
 
     n_classes = schema.n_classes
     label = RawColumn(

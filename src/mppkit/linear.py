@@ -9,6 +9,11 @@ non-increasing by construction.  Each model keeps the number of steps its
 descent rejected as `rejected_steps` (the SVM one per class), which the
 model document does not carry.
 
+`_design` is the one front end of these two trainers and the MLP: it
+refuses an empty or single-class dataset, fits the z-scoring and returns
+the z-scored rows with the bias column added.  A model keeps no shape fact
+of its own: `n_classes` and `d` are read off its weight matrix.
+
 `_descend` is the one descent loop of these two trainers and the MLP.  The
 forward pass that gives the loss of an accepted step (the softmax
 probabilities, or the SVM's signed margins) is the one the next gradient is
@@ -58,7 +63,6 @@ def add_bias(x: np.ndarray) -> np.ndarray:
 class LogisticModel:
     weights: np.ndarray  # K x (d+1), last column is the bias
     standardization: Standardization
-    n_classes: int
     loss_history: tuple[float, ...] = ()
     rejected_steps: int = 0
 
@@ -66,19 +70,26 @@ class LogisticModel:
     def d(self) -> int:
         return int(self.weights.shape[1]) - 1
 
+    @property
+    def n_classes(self) -> int:
+        return int(self.weights.shape[0])
+
 
 @dataclass(frozen=True, eq=False)
 class SvmModel:
     weights: np.ndarray  # K x (d+1) one-vs-rest hyperplanes
     reg_c: float
     standardization: Standardization
-    n_classes: int
     loss_history: tuple[tuple[float, ...], ...] = ()
     rejected_steps: tuple[int, ...] = ()
 
     @property
     def d(self) -> int:
         return int(self.weights.shape[1]) - 1
+
+    @property
+    def n_classes(self) -> int:
+        return int(self.weights.shape[0])
 
 
 def _descend(w, lr: float, epochs: int, evaluate, step, patience: int | None = None):
@@ -140,11 +151,18 @@ def logistic_grad(weights: np.ndarray, xb: np.ndarray, y: np.ndarray, l2: float)
     return _logistic_gradient(weights, p, xb, one_hot(y, weights.shape[0]), l2)
 
 
-def _check_trainable(dataset: Dataset):
+def _design(dataset: Dataset) -> tuple[Standardization, np.ndarray]:
+    """The z-scoring fitted to `dataset`, and its rows z-scored with the bias column added.
+
+    An empty or single-class dataset is refused first: no gradient trainer
+    can fit one.
+    """
     if dataset.n == 0:
         raise ValueError("empty dataset")
     if np.unique(dataset.y).size < 2:
         raise ValueError("single-class dataset")
+    std = Standardization.fit(dataset.x)
+    return std, add_bias(std.apply(dataset.x))
 
 
 def fit_logistic(
@@ -156,11 +174,8 @@ def fit_logistic(
     rate halved, so the loss history never increases.
     """
     check_hyperparameters("logistic", learning_rate=learning_rate, epochs=epochs, l2=l2)
-    _check_trainable(dataset)
-    k = dataset.schema.n_classes
-    std = Standardization.fit(dataset.x)
-    xb = add_bias(std.apply(dataset.x))
-    y = dataset.y
+    std, xb = _design(dataset)
+    y, k = dataset.y, dataset.schema.n_classes
     targets = one_hot(y, k)
     w, history, rejections = _descend(
         np.zeros((k, xb.shape[1])),
@@ -170,7 +185,7 @@ def fit_logistic(
         lambda w, p, lr: w - lr * _logistic_gradient(w, p, xb, targets, l2),
     )
     return LogisticModel(
-        weights=w, standardization=std, n_classes=k, loss_history=tuple(history), rejected_steps=rejections
+        weights=w, standardization=std, loss_history=tuple(history), rejected_steps=rejections
     )
 
 
@@ -212,10 +227,8 @@ def fit_svm(
     with the same reject-and-halve step control as the logistic trainer.
     """
     check_hyperparameters("svm", learning_rate=learning_rate, epochs=epochs, reg_c=reg_c)
-    _check_trainable(dataset)
+    std, xb = _design(dataset)
     k = dataset.schema.n_classes
-    std = Standardization.fit(dataset.x)
-    xb = add_bias(std.apply(dataset.x))
     weights = np.zeros((k, xb.shape[1]))
     histories, rejected_steps = [], []
     for c in range(k):
@@ -233,7 +246,6 @@ def fit_svm(
         weights=weights,
         reg_c=reg_c,
         standardization=std,
-        n_classes=k,
         loss_history=tuple(histories),
         rejected_steps=tuple(rejected_steps),
     )

@@ -13,17 +13,20 @@ rows, with no gradients), `mlp_loss_and_grads` and `predict_mlp_batch`.
 Each minibatch's hidden layer and probabilities feed that batch's backprop
 and nothing else: no minibatch loss is computed.  Both write into the
 buffers of a `_Layer`: the hidden layer, whose bias column is preset to
-ones, the pre-activation, and for backprop the `dz` and `1 - h**2` blocks.
-`fit_mlp` makes them once per fit: one set for each distinct batch size
-(one for 768 rows at batch 32, two with a partial last batch) and one
-forward-only set for all rows.  Once per epoch the standardized rows and
-their one-hot targets are gathered in permuted order into two buffers made
-once per fit, so each batch is a contiguous slice of them, sliced once per
-fit; the weight views the passes use (`w1.T`, `w2.T`, `w2[:, :-1]`) are
-taken once per epoch.  The backprop turns the probability array into the
-output delta in place, which is safe because `softmax` returns a fresh
-array.  Targets, cross-entropy and L2 penalty are `numeric`'s, as in
-`linear`.
+ones, the pre-activation, which the backprop then overwrites with
+`1 - h**2`, and the backprop's `dz` block.  `fit_mlp` makes one `_Layer`
+over all rows, once per fit.  The loss pass uses it whole; each minibatch
+uses a row window of it (`_Layer.rows`).  A row window of a C-contiguous
+array is C-contiguous, so each window has the shapes and strides, and
+every pass gives the bits, of a separate per-batch buffer.  Once per epoch
+the standardized rows and their one-hot targets are gathered in permuted
+order into two buffers made once per fit, so each batch is a contiguous
+slice of them; the slices and layer windows are made once per fit, and
+the weight views the passes use (`w1.T`, `w2.T`, `w2[:, :-1]`) once per
+epoch.  The backprop turns the probability array into the output delta in
+place, which is safe because `softmax` returns a fresh array.  The rows
+come from `linear._design`, and targets, cross-entropy and L2 penalty are
+`numeric`'s, as in `linear`.
 
 The parameters live in one flat float64 vector `theta`: `w1` (h x (d+1))
 and `w2` (K x (h+1)) are C-contiguous views of it (`_views`), and so are the
@@ -52,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .linear import Standardization, add_bias, _check_trainable, _descend
+from .linear import Standardization, _descend, _design, add_bias
 from .numeric import (
     SeededRng, check_hyperparameters, cross_entropy, feature_rows, l2_penalty, one_hot, softmax,
 )
@@ -63,8 +66,6 @@ class MlpModel:
     w1: np.ndarray  # h x (d+1), bias folded into the last column
     w2: np.ndarray  # K x (h+1)
     standardization: Standardization
-    h: int
-    n_classes: int
     loss_history: tuple[float, ...] = ()
     rejected_steps: int = 0  # epochs `_descend` dropped; not in the model document
 
@@ -72,24 +73,38 @@ class MlpModel:
     def d(self) -> int:
         return int(self.w1.shape[1]) - 1
 
+    @property
+    def h(self) -> int:
+        return int(self.w1.shape[0])
+
+    @property
+    def n_classes(self) -> int:
+        return int(self.w2.shape[0])
+
 
 class _Layer:
     """The buffers of one forward pass over m rows, and of its backprop, made once and reused.
 
     `hidden` is (m, h+1) with its bias column preset to ones, and `act` is
-    its tanh view, the first h columns; `pre` takes the pre-activation.
-    With `backprop`, `dz` and `dact` (for 1 - h**2) are (m, h) blocks too.
+    its tanh view, the first h columns.  `pre` takes the pre-activation,
+    which only the tanh reads, so the backprop reuses it for 1 - h**2; `dz`
+    is an (m, h) block too.
     """
 
-    __slots__ = ("hidden", "act", "pre", "dz", "dact")
+    __slots__ = ("hidden", "act", "pre", "dz")
 
-    def __init__(self, m: int, h: int, backprop: bool = True):
+    def __init__(self, m: int, h: int):
         self.hidden = np.empty((m, h + 1))
         self.hidden[:, h] = 1.0
         self.act = self.hidden[:, :h]
-        self.pre = np.empty((m, h))
-        if backprop:
-            self.dz, self.dact = np.empty((m, h)), np.empty((m, h))
+        self.pre, self.dz = np.empty((m, h)), np.empty((m, h))
+
+    def rows(self, window: slice) -> "_Layer":
+        """The layer over rows `window` of these same buffers."""
+        layer = object.__new__(_Layer)
+        for name in self.__slots__:
+            setattr(layer, name, getattr(self, name)[window])
+        return layer
 
 
 def _forward(w1t: np.ndarray, w2t: np.ndarray, xb: np.ndarray, layer: _Layer) -> np.ndarray:
@@ -125,16 +140,16 @@ def _backprop(
     """Cross-entropy gradient of the forward pass `(layer, probs)` on `xb`, written into `g1`, `g2`.
 
     `w2s` is `w2[:, :-1]`; one-hot `targets`; no L2 term (see `_add_l2`).
-    `probs` becomes the output delta in place.
+    `probs` becomes the output delta in place, and `layer.pre` 1 - h**2.
     """
     delta = probs
     delta -= targets
     delta /= xb.shape[0]
     np.matmul(delta.T, layer.hidden, out=g2)
     np.matmul(delta, w2s, out=layer.dz)
-    np.square(layer.act, out=layer.dact)
-    np.subtract(1.0, layer.dact, out=layer.dact)
-    layer.dz *= layer.dact
+    np.square(layer.act, out=layer.pre)
+    np.subtract(1.0, layer.pre, out=layer.pre)
+    layer.dz *= layer.pre
     np.matmul(layer.dz.T, xb, out=g1)
 
 
@@ -172,12 +187,8 @@ def fit_mlp(
     """
     check_hyperparameters("mlp", hidden=hidden, learning_rate=learning_rate, epochs=epochs, l2=l2,
                           batch_size=batch_size)
-    _check_trainable(dataset)
-
-    k = dataset.schema.n_classes
-    std = Standardization.fit(dataset.x)
-    xb = add_bias(std.apply(dataset.x))
-    y = dataset.y
+    std, xb = _design(dataset)
+    y, k = dataset.y, dataset.schema.n_classes
     targets = one_hot(y, k)
     n, d1 = xb.shape
 
@@ -191,17 +202,13 @@ def fit_mlp(
     grad, tmp = np.empty_like(theta), np.empty_like(theta)
     g1, g2 = _views(grad, hidden, d1)
     xp, tp = np.empty_like(xb), np.empty_like(targets)
-    starts = range(0, n, batch_size)
-    layers = {m: _Layer(m, hidden) for m in {min(batch_size, n - start) for start in starts}}
-    batches = [
-        (xp[start : start + batch_size], tp[start : start + batch_size], layers[min(batch_size, n - start)])
-        for start in starts
-    ]
-    all_rows = _Layer(n, hidden, backprop=False)
+    layer = _Layer(n, hidden)
+    windows = [slice(start, start + batch_size) for start in range(0, n, batch_size)]
+    batches = [(xp[rows], tp[rows], layer.rows(rows)) for rows in windows]
 
     def loss(theta):  # the loss pass leaves nothing for the step to reuse
         w1, w2 = _views(theta, hidden, d1)
-        probs = _forward(w1.T, w2.T, xb, all_rows)
+        probs = _forward(w1.T, w2.T, xb, layer)
         return cross_entropy(probs, y) + l2_penalty(l2, w1, w2), None
 
     def epoch(theta, _, lr):
@@ -214,9 +221,9 @@ def fit_mlp(
         # has no index to clip
         xb.take(perm, axis=0, out=xp, mode="clip")
         targets.take(perm, axis=0, out=tp, mode="clip")
-        for xs, ts, layer in batches:
-            probs = _forward(w1t, w2t, xs, layer)
-            _backprop(w2s, xs, layer, probs, ts, g1, g2)
+        for xs, ts, window in batches:
+            probs = _forward(w1t, w2t, xs, window)
+            _backprop(w2s, xs, window, probs, ts, g1, g2)
             _add_l2(theta, grad, decay, tmp)
             np.multiply(grad, lr, out=grad)
             theta -= grad
@@ -225,13 +232,12 @@ def fit_mlp(
     theta, history, rejections = _descend(theta, learning_rate, epochs, loss, epoch, patience=10)
     w1, w2 = _views(theta, hidden, d1)
     return MlpModel(
-        w1=w1, w2=w2, standardization=std, h=hidden, n_classes=k, loss_history=tuple(history),
-        rejected_steps=rejections,
+        w1=w1, w2=w2, standardization=std, loss_history=tuple(history), rejected_steps=rejections
     )
 
 
 def predict_mlp_batch(model: MlpModel, x) -> tuple[np.ndarray, np.ndarray]:
     """Each row's label and output probabilities, ties to the lowest class."""
     xb = add_bias(model.standardization.apply(feature_rows(x, model.d)))
-    probs = _forward(model.w1.T, model.w2.T, xb, _Layer(xb.shape[0], model.h, backprop=False))
+    probs = _forward(model.w1.T, model.w2.T, xb, _Layer(xb.shape[0], model.h))
     return np.argmax(probs, axis=1).astype(np.int64), probs

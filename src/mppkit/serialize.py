@@ -224,8 +224,8 @@ def _model_from_document(kind: str, doc: dict):
         coef = _floats(weights, "coef", (k, None))
         std = _std_from_obj(doc["standardization"], coef)
         if kind == "logistic":
-            return LogisticModel(weights=coef, standardization=std, n_classes=k)
-        return SvmModel(weights=coef, reg_c=hp["reg_c"], standardization=std, n_classes=k)
+            return LogisticModel(weights=coef, standardization=std)
+        return SvmModel(weights=coef, reg_c=hp["reg_c"], standardization=std)
     if kind == "mlp":
         activation = hp.get("activation", "tanh")
         if activation != "tanh":
@@ -238,8 +238,6 @@ def _model_from_document(kind: str, doc: dict):
             w1=w1,
             w2=_floats(weights, "w2", (k, h + 1)),
             standardization=_std_from_obj(doc["standardization"], w1),
-            h=h,
-            n_classes=k,
         )
     d, max_depth, min_samples_leaf = hp["d"], hp["max_depth"], hp["min_samples_leaf"]
     if kind == "tree":

@@ -1,7 +1,8 @@
 """Reference loader: the row-of-strings CSV loader the streaming one replaced.
 
-Kept verbatim (apart from this docstring and its imports) as the oracle
-of the differential tests in ``test_loader_differential.py``: for any
+Kept verbatim (apart from this docstring, its imports and the check that
+refuses a header naming a schema column twice) as the oracle of the
+differential tests in ``test_loader_differential.py``: for any
 input, ``mppkit.data`` must produce the same dataset bytes or the same
 ``DataError`` message.  It holds one Python string per cell, so keep its
 inputs small.
@@ -62,6 +63,9 @@ def _read_table(path: Path, schema: FeatureSchema) -> RawTable:
         missing = [name for name in required if name not in header]
         if missing:
             raise DataError(f"{path}: header is missing column {missing[0]!r}")
+        repeated = [name for name in required if header.count(name) > 1]
+        if repeated:
+            raise DataError(f"{path}: header names column {repeated[0]!r} more than once")
         rows: list[list[str | None]] = []
         for cells in reader:
             if not cells:

@@ -126,6 +126,19 @@ class TestLoadRaw:
         with pytest.raises(DataError, match="Cough"):
             load_raw(path, schema)
 
+    @pytest.mark.parametrize(
+        "header, column", [("a,a,label", "a"), ("a,label,label", "label"), ("label,a, a ", "a")]
+    )
+    def test_header_naming_a_schema_column_twice_is_refused(self, tmp_path, header, column):
+        path = write_csv(tmp_path, f"{header}\n1,2,0\n")
+        with pytest.raises(DataError, match=re.escape(f"header names column {column!r} more than once")):
+            load_raw(path, schema_of([("a", "continuous")]))
+
+    def test_header_may_repeat_an_extra_column(self, tmp_path):
+        path = write_csv(tmp_path, "note,a,label,note\nx,1,0,y\nx,2,1,y\n")
+        ds = load_dataset(path, schema_of([("a", "continuous")]))
+        assert ds.x.ravel().tolist() == [1.0, 2.0] and ds.y.tolist() == [0, 1]
+
     def test_ragged_row_reports_line(self, tmp_path):
         schema = schema_of([("a", "continuous")])
         path = write_csv(tmp_path, "a,label\n1,0\n2,1,9\n")

@@ -473,6 +473,31 @@ class TestCli:
         assert "must be" in result.stderr
         assert not (tmp_path / "reports").exists()
 
+    @pytest.mark.parametrize(
+        "fragment, key",
+        [('"seed": 1, "seed": 3', "seed"), ('"models": {"tree": {}, "tree": {"max_depth": 1}}', "tree")],
+        ids=["top-level", "nested"],
+    )
+    def test_config_repeating_a_key_exit_1(self, fixture_dir_module, tmp_path, fragment, key):
+        config = tmp_path / "config.json"
+        data = json.dumps(str(fixture_dir_module / "fixture.csv"))
+        schema = json.dumps(str(fixture_dir_module / "fixture_schema.json"))
+        config.write_text(f'{{"data": {data}, "schema": {schema}, {fragment}}}')
+        result = run_cli("run", "--config", str(config), cwd=tmp_path)
+        assert result.returncode == 1, result.stderr
+        assert f"config file {config} repeats the key '{key}'" in result.stderr
+        assert not (tmp_path / "reports").exists()
+
+    def test_schema_repeating_a_key_exit_2(self, fixture_dir_module, tmp_path):
+        text = (fixture_dir_module / "fixture_schema.json").read_text()
+        bad = tmp_path / "schema.json"
+        bad.write_text(text.replace('"kind": ', '"kind": "continuous", "kind": ', 1))
+        result = run_cli(
+            "validate-data", "--data", str(fixture_dir_module / "fixture.csv"), "--schema", str(bad),
+        )
+        assert result.returncode == 2, result.stderr
+        assert f"schema manifest {bad} repeats the key 'kind'" in result.stderr
+
     def test_malformed_schema_exit_2(self, fixture_dir_module, tmp_path):
         schema = json.loads((fixture_dir_module / "fixture_schema.json").read_text())
         bad = tmp_path / "schema.json"

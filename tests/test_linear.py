@@ -88,7 +88,7 @@ class TestPredictLogistic:
     def test_binary_tie_goes_to_class_one(self):
         # all-zero weights give p1 = 0.5 exactly; Eq-style rule labels it 1
         std = Standardization(mean=np.zeros(2), std=np.ones(2))
-        model = LogisticModel(weights=np.zeros((2, 3)), standardization=std, n_classes=2)
+        model = LogisticModel(weights=np.zeros((2, 3)), standardization=std)
         labels, probs = predict_logistic_batch(model, np.array([[0.3, -0.7]]))
         assert probs[0, 1] == 0.5
         assert labels.tolist() == [1]
@@ -96,25 +96,33 @@ class TestPredictLogistic:
     def test_binary_rule_matches_threshold_everywhere(self):
         rng = SeededRng(7)
         std = Standardization(mean=np.zeros(1), std=np.ones(1))
-        model = LogisticModel(
-            weights=np.asarray(rng.normal((2, 2))), standardization=std, n_classes=2
-        )
+        model = LogisticModel(weights=np.asarray(rng.normal((2, 2))), standardization=std)
         x = np.asarray(rng.random((300, 1))) * 6 - 3
         labels, probs = predict_logistic_batch(model, x)
         assert np.array_equal(labels, np.where(probs[:, 1] >= 0.5, 1, 0))
 
     def test_all_zero_weights_three_class(self):
         std = Standardization(mean=np.zeros(2), std=np.ones(2))
-        model = LogisticModel(weights=np.zeros((3, 3)), standardization=std, n_classes=3)
+        model = LogisticModel(weights=np.zeros((3, 3)), standardization=std)
         labels, probs = predict_logistic_batch(model, np.array([[1.0, 2.0]]))
         assert np.allclose(probs, [[1 / 3] * 3], atol=1e-15)
         assert labels.tolist() == [0]
+
+    def test_class_count_is_the_number_of_weight_rows(self):
+        # three rows are three classes, labelled by argmax: the 2-class p1 >= 0.5 rule
+        # would label the second row 0
+        std = Standardization(mean=np.zeros(1), std=np.ones(1))
+        model = LogisticModel(weights=np.array([[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0]]), standardization=std)
+        assert (model.n_classes, model.d) == (3, 1)
+        labels, probs = predict_logistic_batch(model, np.array([[2.0], [-2.0]]))
+        assert probs[1, 1] < 0.5
+        assert labels.tolist() == np.argmax(probs, axis=1).tolist() == [0, 2]
 
     def test_dominant_class_two(self):
         std = Standardization(mean=np.zeros(1), std=np.ones(1))
         w = np.zeros((3, 2))
         w[2, 1] = 10.0  # bias pushes class 2 up by +10
-        model = LogisticModel(weights=w, standardization=std, n_classes=3)
+        model = LogisticModel(weights=w, standardization=std)
         labels, probs = predict_logistic_batch(model, np.array([[0.0]]))
         assert labels.tolist() == [2]
         assert probs[0, 2] > 0.99
@@ -206,10 +214,11 @@ class TestPredictSvm:
         w = np.zeros((3, 2))
         w[:, 1] = margins
         std = Standardization(mean=np.zeros(1), std=np.ones(1))
-        return SvmModel(weights=w, reg_c=1.0, standardization=std, n_classes=3)
+        return SvmModel(weights=w, reg_c=1.0, standardization=std)
 
     def test_largest_margin_wins(self):
         model = self._margin_model([0.2, 0.9, -1.0])
+        assert (model.n_classes, model.d) == (3, 1)  # read off the weight shape
         assert predict_svm_batch(model, np.array([[0.0]])).tolist() == [1]
 
     def test_all_equal_margins_tie_to_zero(self):

@@ -94,7 +94,7 @@ def csv_files(draw):
     if layout == "missing column":
         header = header[1:]
     elif layout == "duplicate column":
-        header = header + [header[0]]  # its first column counts
+        header = header + [header[0]]  # refused for a schema column, read for 'extra'
 
     rows = [[rnd.choice(pools[name]) for name in header] for _ in range(draw(st.integers(1, 12)))]
     at = rnd.randrange(len(rows))

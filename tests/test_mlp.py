@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from mppkit.mlp import (
 from mppkit.numeric import (
     SeededRng, cross_entropy, finite_difference_gradient, l2_penalty, one_hot, softmax,
 )
+from mppkit.serialize import to_document
 
 
 def xor_dataset(n=200, seed=99):
@@ -108,9 +111,11 @@ class TestFitMlp:
 def reference_fit(ds, hidden, learning_rate, epochs, l2, batch_size, seed):
     """`fit_mlp` written out one weight matrix at a time, with the L2 term added to each non-bias block.
 
+    Each minibatch and each loss pass computes on fresh arrays of its own
+    rows, in `fit_mlp`'s order of operations; no buffer outlives a batch.
     It draws the initial weights and each epoch's permutation from the same
     seeded stream as `fit_mlp`, and runs its epochs through the same descent
-    loop.  Returns (w1, w2, loss history).
+    loop.  Returns the model, loss history included.
     """
     std = Standardization.fit(ds.x)
     xb = add_bias(std.apply(ds.x))
@@ -146,26 +151,31 @@ def reference_fit(ds, hidden, learning_rate, epochs, l2, batch_size, seed):
         return w1, w2
 
     (w1, w2), history, _ = _descend((w1, w2), learning_rate, epochs, loss, epoch, patience=10)
-    return w1, w2, history
+    return MlpModel(w1=w1, w2=w2, standardization=std, loss_history=tuple(history))
 
 
 class TestReferenceStep:
-    """`fit_mlp` on its flat parameter buffer gives the bits of the per-matrix step."""
+    """`fit_mlp`, on its flat parameter buffer and the row windows of one layer buffer set,
+    gives the bits of the per-matrix step on fresh per-batch arrays."""
 
     @pytest.fixture(scope="class")
     def dataset(self):
-        return generate_synthetic(45, 4, {0, 2}, seed=12, noise=0.1)  # 45 = 6 * 7 + 3 rows
+        return generate_synthetic(45, 4, {0, 2}, seed=12, noise=0.1)  # 45 = 6 * 7 + 3 = 32 + 13 rows
 
-    @pytest.mark.parametrize("batch_size", [1, 7, 45, 64])
+    # one row a batch, partial last batches of 3 and 13 rows, one batch of all rows, and
+    # a batch size past the row count
+    @pytest.mark.parametrize("batch_size", [1, 7, 32, 45, 50])
     @pytest.mark.parametrize("l2", [0.0, 0.05])
     @pytest.mark.parametrize("hidden", [1, 16])
     def test_weights_and_history_match_bit_for_bit(self, dataset, batch_size, l2, hidden):
         params = dict(hidden=hidden, learning_rate=1.5, epochs=12, l2=l2, batch_size=batch_size, seed=5)
         model = fit_mlp(dataset, **params)
-        w1, w2, history = reference_fit(dataset, **params)
-        assert model.w1.tobytes() == w1.tobytes()
-        assert model.w2.tobytes() == w2.tobytes()
-        assert model.loss_history == tuple(history)
+        reference = reference_fit(dataset, **params)
+        document, expected = (
+            json.dumps(to_document(m, dataset.schema), sort_keys=True) for m in (model, reference)
+        )
+        assert document == expected
+        assert model.loss_history == reference.loss_history
 
 
 class TestSoftmaxCallsSeenByTracer:
@@ -202,13 +212,8 @@ class TestSoftmaxCallsSeenByTracer:
 class TestPredictMlp:
     def test_zero_output_weights_give_uniform_probs(self):
         std = Standardization(mean=np.zeros(2), std=np.ones(2))
-        model = MlpModel(
-            w1=np.ones((4, 3)),
-            w2=np.zeros((3, 5)),
-            standardization=std,
-            h=4,
-            n_classes=3,
-        )
+        model = MlpModel(w1=np.ones((4, 3)), w2=np.zeros((3, 5)), standardization=std)
+        assert (model.h, model.n_classes, model.d) == (4, 3, 2)  # read off the weight shapes
         labels, probs = predict_mlp_batch(model, np.array([[0.4, -1.2]]))
         assert np.allclose(probs, [[1 / 3] * 3], atol=1e-15)
         assert labels.tolist() == [0]

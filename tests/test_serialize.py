@@ -206,6 +206,14 @@ class TestDocumentShape:
         with pytest.raises(ValueError, match=r"model document .*bom\.json is not valid JSON"):
             load_model(marked)
 
+    def test_model_file_repeating_a_key_rejected(self, dataset, tmp_path):
+        path = save_model(fit_tree(dataset, max_depth=2), dataset.schema, tmp_path / "m.json")
+        text = path.read_text()
+        assert '"feature": ' in text
+        path.write_text(text.replace('"feature": ', '"feature": 0, "feature": ', 1))
+        with pytest.raises(ValueError, match=r"model document .*m\.json repeats the key 'feature'"):
+            load_model(path)
+
     def test_non_object_hyperparameters_rejected(self, dataset):
         doc = to_document(fit_tree(dataset, max_depth=2), dataset.schema)
         doc["hyperparameters"] = [1]
