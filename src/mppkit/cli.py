@@ -21,6 +21,7 @@ from .data import DataError, load_dataset, load_schema
 from .evaluation import resolve_params
 from .experiment import (
     ConfigError,
+    clear_reports,
     compare_models,
     emit_report,
     load_config,
@@ -102,8 +103,7 @@ def _cmd_importance(args) -> int:
     model = fit_gbdt(dataset, **resolve_params("gbdt", overrides.get("gbdt")))
     report = feature_importance(model, schema)
 
-    config.out_dir.mkdir(parents=True, exist_ok=True)
-    path = config.out_dir / "importance.csv"
+    path = clear_reports(config.out_dir) / "importance.csv"  # no report of an earlier run survives
     write_importance(path, report)
 
     print("feature importance (full-dataset GBDT fit):")

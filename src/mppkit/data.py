@@ -46,6 +46,8 @@ import numpy as np
 from .numeric import SeededRng, _check_integer
 
 FEATURE_KINDS = ("binary", "ordinal", "continuous")
+MANIFEST_KEYS = ("label", "n_classes", "features")  # the keys a schema manifest may hold
+FEATURE_KEYS = ("name", "kind", "unit", "mapping")  # and each of its features
 
 # rows per encoded block: a block's cells are still in cache while its columns encode
 BLOCK_ROWS = 512
@@ -120,16 +122,21 @@ class FeatureSchema:
 
     @classmethod
     def from_manifest(cls, doc: dict) -> "FeatureSchema":
+        """The schema a manifest describes; a key it does not know is refused, not ignored."""
+        if (key := unknown_key(doc, MANIFEST_KEYS)) is not None:
+            raise DataError(f"unknown schema key {key!r} (expected {', '.join(MANIFEST_KEYS)})")
         try:
-            feats = tuple(
-                FeatureSpec(
+            feats = []
+            for entry in doc["features"]:
+                if (key := unknown_key(entry, FEATURE_KEYS)) is not None:
+                    raise DataError(f"feature {entry.get('name')!r}: unknown key {key!r} "
+                                    f"(expected {', '.join(FEATURE_KEYS)})")
+                feats.append(FeatureSpec(
                     name=entry["name"],
                     kind=entry["kind"],
                     unit=entry.get("unit"),
                     mapping=entry.get("mapping"),
-                )
-                for entry in doc["features"]
-            )
+                ))
             return cls(
                 features=feats,
                 label_name=doc.get("label", "label"),
@@ -140,6 +147,11 @@ class FeatureSchema:
 
     def schema_hash(self) -> str:
         return json_digest(self.to_manifest())
+
+
+def unknown_key(obj, allowed: tuple[str, ...]):
+    """The first key of the JSON object `obj` outside `allowed`, or None (also when `obj` is no object)."""
+    return next((key for key in obj if key not in allowed), None) if isinstance(obj, dict) else None
 
 
 def json_digest(doc) -> str:

@@ -19,12 +19,14 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import __version__
-from .data import DataError, json_digest, load_dataset, load_schema, read_json
+from .data import DataError, json_digest, load_dataset, load_schema, read_json, unknown_key
 from .evaluation import MODELS, N_CLASSES, CvReport, ModelSpec, cross_validate, resolve_params
 from .trees import ImportanceReport, feature_importance, fit_gbdt
 
 REPORT_FORMATS = ("csv", "json")
-# report files emit_report owns besides the per-model metrics_<model>.csv
+CONFIG_KEYS = ("data", "schema", "models", "folds", "seed", "out", "format")  # the keys a config may hold
+MODEL_ENTRY_KEYS = ("name", "params")  # and each object of a list-form "models"
+# report files clear_reports removes besides the per-model metrics_<model>.csv
 REPORT_NAMES = ("comparison.csv", "importance.csv", "summary.json")
 
 
@@ -85,6 +87,9 @@ def _parse_models(raw) -> tuple[ModelSpec, ...]:
             if isinstance(entry, str):
                 specs.append(ModelSpec(entry))
             elif isinstance(entry, dict) and isinstance(entry.get("name"), str):
+                if (key := unknown_key(entry, MODEL_ENTRY_KEYS)) is not None:
+                    raise ConfigError(f"model entry {entry['name']!r}: unknown key {key!r} "
+                                      f"(expected {', '.join(MODEL_ENTRY_KEYS)})")
                 specs.append(_model_spec(entry["name"], entry.get("params", {})))
             else:
                 raise ConfigError(f"cannot parse model entry {entry!r}")
@@ -133,12 +138,16 @@ def load_config(
 
     Dataset and schema paths are resolved relative to the config file, the
     output directory relative to the working directory; one that is or lies
-    under a file is rejected here, before any data is read.
+    under a file is rejected here, before any data is read, and so is a key
+    outside CONFIG_KEYS (a misspelt "fold" would otherwise run with k=5), or
+    outside MODEL_ENTRY_KEYS in a list-form model entry.
     """
     path = Path(path)
     doc = read_json(path, "config file", ConfigError)
     if not isinstance(doc, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
+    if (key := unknown_key(doc, CONFIG_KEYS)) is not None:
+        raise ConfigError(f"unknown config key {key!r} (expected {', '.join(CONFIG_KEYS)})")
     for key in ("data", "schema", "models"):
         if key not in doc:
             raise ConfigError(f"config file is missing key {key!r}")
@@ -252,6 +261,19 @@ def _report_to_obj(r: CvReport) -> dict:
     return obj
 
 
+def clear_reports(out_dir) -> Path:
+    """Make `out_dir` and remove the report files an earlier run left there, and no other file.
+
+    Every command that writes reports calls this first, so the directory
+    describes its latest run only.
+    """
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for stale in [*(out / name for name in REPORT_NAMES), *(out / f"metrics_{name}.csv" for name in MODELS)]:
+        stale.unlink(missing_ok=True)
+    return out
+
+
 def emit_report(bundle: ReportBundle, formats: tuple[str, ...], out_dir) -> list[Path]:
     """Write the CSV tables and/or the JSON summary, as `formats` ("csv", "json") asks.
 
@@ -261,11 +283,7 @@ def emit_report(bundle: ReportBundle, formats: tuple[str, ...], out_dir) -> list
     """
     if not set(formats) <= set(REPORT_FORMATS):
         raise ValueError(f"unknown report format in {formats!r}")
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    # the directory describes this run only: drop report files an earlier run left, and no other file
-    for stale in [*(out / name for name in REPORT_NAMES), *(out / f"metrics_{name}.csv" for name in MODELS)]:
-        stale.unlink(missing_ok=True)
+    out = clear_reports(out_dir)
     written: list[Path] = []
 
     if "csv" in formats:

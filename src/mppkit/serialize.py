@@ -43,7 +43,7 @@ def _tree_to_obj(root: TreeNode) -> dict:
 
 def _node_to_obj(node: TreeNode) -> dict:
     if node.is_leaf:
-        return {"leaf": [float(v) for v in node.value]}
+        return {"leaf": [float(v) for v in np.atleast_1d(node.value)]}  # a GBDT leaf's float as [score]
     return {
         "feature": int(node.feature),
         "threshold": float(node.threshold),
@@ -55,13 +55,16 @@ def _node_to_obj(node: TreeNode) -> dict:
 def _node_from_obj(obj, d: int, width: int, depth: int) -> TreeNode:
     """The tree under node `obj`: each split names one of the `d` feature columns, each leaf holds `width` values.
 
+    A leaf of width 1 is a GBDT leaf (a tree has at least 2 classes), and
+    its one score is read as a Python float, as `fit_gbdt` stores it.
     `depth` is the number of levels of splits still allowed at `obj`: the
     tree's `max_depth` at its root, one less at each level below.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"tree node must be a JSON object, got {type(obj).__name__}")
     if "leaf" in obj:
-        return TreeNode(value=_floats(obj, "leaf", (width,)))
+        value = _floats(obj, "leaf", (width,))
+        return TreeNode(value=value if width > 1 else float(value[0]))
     if depth == 0:
         raise ValueError("tree is deeper than its hyperparameter 'max_depth'")
     feature = obj["feature"]
@@ -145,7 +148,7 @@ def to_document(model, schema: FeatureSchema) -> dict:
             model_type="gbdt",
             hyperparameters={
                 "n_classes": int(model.n_classes),
-                "rounds": int(model.rounds),
+                "rounds": len(model.trees),
                 "shrinkage": float(model.shrinkage),
                 "max_depth": int(model.max_depth),
                 "min_samples_leaf": int(model.min_samples_leaf),
@@ -188,9 +191,10 @@ def from_document(doc: dict):
     GBDT loss values, means and stds must be finite and stds positive, and
     every array must fit the hyperparameters: one row or value per class in
     `coef`, `w2`, `init_scores` and a tree's leaves (a GBDT leaf holds one
-    value), one row of `w1` per hidden unit, one `importance_raw` value and
-    one mean and std per feature, a split feature in 0..d-1, and no tree
-    deeper than its `max_depth` (no split at depth `max_depth` or below).
+    value), one group of trees per GBDT round, one row of `w1` per hidden
+    unit, one `importance_raw` value and one mean and std per feature, a
+    split feature in 0..d-1, and no tree deeper than its `max_depth` (no
+    split at depth `max_depth` or below).
     An MLP activation must be "tanh" (a missing one reads as "tanh").  Past
     the version and type checks every message names the model type, and
     those of the checks above name the key at fault.
@@ -246,19 +250,16 @@ def _model_from_document(kind: str, doc: dict):
             max_depth=max_depth,
             min_samples_leaf=min_samples_leaf,
             d=d,
-            n_classes=k,
         )
     history = _floats(weights, "loss_history", (None,)).tolist() if "loss_history" in weights else []
+    trees = tuple(tuple(_node_from_obj(obj, d, 1, max_depth) for obj in group) for group in weights["trees"])
+    if len(trees) != hp["rounds"]:  # a model's round count is len(trees): only a document can disagree
+        raise ValueError("tree rounds do not match the declared round count")
     return GbdtModel(
-        rounds=hp["rounds"],
         shrinkage=hp["shrinkage"],
-        trees=tuple(
-            tuple(_node_from_obj(obj, d, 1, max_depth) for obj in group) for group in weights["trees"]
-        ),
+        trees=trees,
         init_scores=_floats(weights, "init_scores", (k,)),
         importance_raw=_floats(weights, "importance_raw", (d,)),
-        d=d,
-        n_classes=k,
         max_depth=max_depth,
         min_samples_leaf=min_samples_leaf,
         loss_history=tuple(history),

@@ -41,6 +41,13 @@ elements, so a numpy call's fixed cost of about a microsecond is worth as
 much as its element work: the split path calls array methods and ufuncs
 rather than their `np.` function wrappers, and routes, gathers and sums
 with as few calls as it can while keeping every sum in the same order.
+
+The models keep each fact once.  A `TreeModel`'s class count is the width
+of its leaves; it stores `d`, since a tree need not split on every feature.
+A `GbdtModel`'s round count is the length of `trees`, its class count the
+size of `init_scores` and its width that of `importance_raw`.  A boosted
+tree's leaf holds its one score as a Python float, not a 1-element array,
+whether the leaf was fitted or loaded from a model document.
 """
 
 from __future__ import annotations
@@ -55,51 +62,68 @@ from .numeric import check_hyperparameters, cross_entropy, feature_rows, one_hot
 
 @dataclass(slots=True)
 class TreeNode:
-    """Internal node (feature, threshold, children) or leaf (value vector).
+    """Internal node (feature, threshold, children) or leaf (value).
 
     Internal nodes route x[feature] <= threshold to the left child.  A leaf
-    of the classification tree stores per-class training counts; a leaf of a
-    boosted regression tree stores the single additive score.
+    of the classification tree stores its per-class training counts as a
+    float64 vector; a leaf of a boosted regression tree stores its single
+    additive score as a Python float.
     """
 
     feature: int = -1
     threshold: float = 0.0
     left: "TreeNode | None" = None
     right: "TreeNode | None" = None
-    value: np.ndarray | None = None
+    value: np.ndarray | float | None = None
 
     @property
     def is_leaf(self) -> bool:
         return self.value is not None
 
 
+def _first_leaf(node: TreeNode) -> TreeNode:
+    while not node.is_leaf:
+        node = node.left
+    return node
+
+
 @dataclass(frozen=True, eq=False)
 class TreeModel:
+    """A classification tree; `d` is stored, since a tree need not split on every feature."""
+
     root: TreeNode
     max_depth: int
     min_samples_leaf: int
     d: int
-    n_classes: int
+
+    @property
+    def n_classes(self) -> int:
+        return _first_leaf(self.root).value.size  # a leaf holds one count per class
 
 
 @dataclass(frozen=True, eq=False)
 class GbdtModel:
-    rounds: int
+    """A boosted ensemble: `rounds` is len(trees), `n_classes` and `d` the sizes of its arrays."""
+
     shrinkage: float
     trees: tuple[tuple[TreeNode, ...], ...]  # rounds x n_classes
     init_scores: np.ndarray
     importance_raw: np.ndarray
-    d: int
-    n_classes: int
     max_depth: int
     min_samples_leaf: int
     loss_history: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if len(self.trees) != self.rounds:
-            raise ValueError("tree rounds do not match the declared round count")
         if any(len(group) != self.n_classes for group in self.trees):
             raise ValueError("each round must hold one tree per class")
+
+    @property
+    def d(self) -> int:
+        return self.importance_raw.size
+
+    @property
+    def n_classes(self) -> int:
+        return self.init_scores.size
 
 
 @dataclass(frozen=True)
@@ -111,12 +135,13 @@ class ImportanceReport:
 
 
 def tree_apply(root: TreeNode, x: np.ndarray) -> np.ndarray:
-    """Leaf values for every row of x, routed in vectorized index batches."""
+    """Each row's leaf value, routed in vectorized index batches.
+
+    The result is shaped from a leaf: (n, K) for a tree's count vectors,
+    (n,) for a boosted tree's float scores.
+    """
     x = np.asarray(x, dtype=float)
-    probe = root
-    while not probe.is_leaf:
-        probe = probe.left
-    out = np.empty((x.shape[0], probe.value.shape[0]))
+    out = np.empty((x.shape[0], *np.shape(_first_leaf(root).value)))
     # an explicit stack, as in _grow: a recursive closure's reference cycle
     # would keep out and x alive until the next garbage collection
     pending = [(root, np.arange(x.shape[0]))]
@@ -324,7 +349,6 @@ def fit_tree(dataset: Dataset, max_depth: int = 5, min_samples_leaf: int = 2) ->
         max_depth=max_depth,
         min_samples_leaf=min_samples_leaf,
         d=dataset.d,
-        n_classes=k,
     )
 
 
@@ -383,7 +407,7 @@ def fit_gbdt(
                 a *= 1.0 - a
                 denom = float(np.add.reduce(a))
                 gamma = (k - 1) / k * float(np.add.reduce(r)) / denom if denom >= 1e-150 else 0.0
-                leaf.value = np.array([gamma])
+                leaf.value = gamma
                 col[rows] = gamma
             group.append(root)
         scores += shrinkage * step
@@ -392,13 +416,10 @@ def fit_gbdt(
         history.append(cross_entropy(probs, y))
 
     return GbdtModel(
-        rounds=rounds,
         shrinkage=shrinkage,
         trees=tuple(all_trees),
         init_scores=init,
         importance_raw=importance,
-        d=dataset.d,
-        n_classes=k,
         max_depth=max_depth,
         min_samples_leaf=min_samples_leaf,
         loss_history=tuple(history),
@@ -411,7 +432,7 @@ def predict_gbdt_batch(model: GbdtModel, x) -> tuple[np.ndarray, np.ndarray]:
     scores = np.tile(model.init_scores.astype(float), (x.shape[0], 1))
     for group in model.trees:
         for c, root in enumerate(group):
-            scores[:, c] += model.shrinkage * tree_apply(root, x)[:, 0]
+            scores[:, c] += model.shrinkage * tree_apply(root, x)
     probs = softmax(scores)
     return np.argmax(probs, axis=1).astype(np.int64), probs
 

@@ -81,6 +81,16 @@ class TestSchema:
                 {"features": [{"name": "Cough", "kind": "binary", "mapping": ["yes", "no"]}]},
                 "feature 'Cough': mapping must be an object, got ['yes', 'no']",
             ),
+            ({"lable": "y"}, "unknown schema key 'lable' (expected label, n_classes, features)"),
+            (
+                {"features": [{"name": "Cough", "kind": "binary", "maping": {"yes": 0, "no": 1}}]},
+                "feature 'Cough': unknown key 'maping' (expected name, kind, unit, mapping)",
+            ),
+            (
+                {"features": [{"name": "a", "kind": "continuous"},
+                              {"name": "b", "kind": "ordinal", "units": "cm"}]},
+                "feature 'b': unknown key 'units' (expected name, kind, unit, mapping)",
+            ),
         ],
     )
     def test_malformed_manifest_names_the_key(self, tmp_path, change, message):

@@ -111,6 +111,11 @@ class TestLoadConfig:
             ({"data": 5}, "config key 'data' must be a string, got 5"),
             ({"schema": ["s.json"]}, "config key 'schema' must be a string, got ['s.json']"),
             ({"out": 5}, "config key 'out' must be a string, got 5"),
+            ({"fold": 3, "seeds": 11},
+             "unknown config key 'fold' (expected data, schema, models, folds, seed, out, format)"),
+            ({"fromat": "csv"}, "unknown config key 'fromat'"),
+            ({"models": ["svm", {"name": "tree", "param": {"max_depth": 1}}]},
+             "model entry 'tree': unknown key 'param' (expected name, params)"),
         ],
     )
     def test_malformed_config_names_the_key(self, fixture_config, tmp_path, change, message):
@@ -488,6 +493,27 @@ class TestCli:
         assert f"config file {config} repeats the key '{key}'" in result.stderr
         assert not (tmp_path / "reports").exists()
 
+    def test_config_with_unknown_keys_exit_1(self, fixture_config, tmp_path):
+        # refused when the config loads: the data file, missing here, is never opened
+        config = tmp_path / "config.json"
+        doc = {**json.loads(fixture_config.read_text()), "data": "missing.csv",
+               "fold": 3, "seeds": 11, "fromat": "csv"}
+        config.write_text(json.dumps(doc))
+        result = run_cli("run", "--config", str(config), cwd=tmp_path)
+        assert result.returncode == 1, result.stderr
+        assert "error: unknown config key 'fold'" in result.stderr
+        assert not (tmp_path / "reports").exists()
+
+    def test_schema_with_unknown_key_exit_2(self, fixture_dir_module, tmp_path):
+        text = (fixture_dir_module / "fixture_schema.json").read_text()
+        bad = tmp_path / "schema.json"
+        bad.write_text(text.replace('"kind": ', '"knid": "x", "kind": ', 1))
+        result = run_cli(
+            "validate-data", "--data", str(fixture_dir_module / "fixture.csv"), "--schema", str(bad),
+        )
+        assert result.returncode == 2, result.stderr
+        assert "unknown key 'knid' (expected name, kind, unit, mapping)" in result.stderr
+
     def test_schema_repeating_a_key_exit_2(self, fixture_dir_module, tmp_path):
         text = (fixture_dir_module / "fixture_schema.json").read_text()
         bad = tmp_path / "schema.json"
@@ -596,6 +622,26 @@ class TestCli:
     def test_unknown_subcommand_exit_1(self):
         result = run_cli("serve")
         assert result.returncode == 1
+
+    def test_importance_clears_the_reports_of_an_earlier_run(self, fixture_config, tmp_path):
+        out = tmp_path / "reports"
+        doc = json.loads(fixture_config.read_text())
+        for rounds, name in ((5, "run.json"), (20, "importance.json")):
+            (tmp_path / name).write_text(json.dumps({
+                **doc, "data": str(fixture_config.parent / doc["data"]),
+                "schema": str(fixture_config.parent / doc["schema"]),
+                "models": {"gbdt": {"rounds": rounds}}, "out": str(out),
+            }))
+        result = run_cli("run", "--config", str(tmp_path / "run.json"), "--folds", "2")
+        assert result.returncode == 0, result.stderr
+        assert sorted(p.name for p in out.iterdir()) == [
+            "comparison.csv", "importance.csv", "metrics_gbdt.csv", "summary.json"]
+        (out / "notes.csv").write_text("keep")
+        result = run_cli("importance", "--config", str(tmp_path / "importance.json"))
+        assert result.returncode == 0, result.stderr
+        # the 5-round summary.json would disagree with the 20-round importance.csv
+        assert sorted(p.name for p in out.iterdir()) == ["importance.csv", "notes.csv"]
+        assert (out / "notes.csv").read_text() == "keep"
 
     def test_importance_subcommand(self, fixture_config, tmp_path):
         result = run_cli("importance", "--config", str(fixture_config), cwd=tmp_path)

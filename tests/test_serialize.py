@@ -279,6 +279,7 @@ def chain_tree(n):
 
 STD_POSITIVE = "key 'standardization': key 'std' must hold positive numbers"
 TOO_DEEP = "tree is deeper than its hyperparameter 'max_depth'"
+ROUNDS_DISAGREE = "tree rounds do not match the declared round count"
 
 
 class TestMalformedValues:
@@ -332,6 +333,9 @@ class TestMalformedValues:
              r"'shrinkage' of model 'gbdt' must be a number in \(0, 1\], got 5.0"),
             (small_gbdt, "hyperparameters", "rounds", 2.9,
              "'rounds' of model 'gbdt' must be an integer >= 1, got 2.9"),
+            # the small GBDT holds two groups of trees
+            (small_gbdt, "hyperparameters", "rounds", 1, ROUNDS_DISAGREE),
+            (small_gbdt, "hyperparameters", "rounds", 3, ROUNDS_DISAGREE),
             (small_gbdt, "weights", "loss_history", [0.5, "x"], "key 'loss_history' must hold numbers"),
             (small_gbdt, "weights", "loss_history", [0.5, 1e400], "'loss_history' must hold finite"),
             (small_tree, "hyperparameters", "d", 0, "'d' of model 'tree' must be an integer >= 1, got 0"),

@@ -10,7 +10,7 @@ import pytest
 from conftest import FIXTURE_DIR, make_dataset
 from mppkit.data import Dataset, generate_synthetic, load_dataset, load_schema
 from mppkit.numeric import SeededRng, cross_entropy, one_hot, softmax
-from mppkit.serialize import to_document
+from mppkit.serialize import from_document, to_document
 from mppkit.trees import (
     GbdtModel,
     TreeModel,
@@ -155,7 +155,7 @@ class TestPredictTree:
         node = TreeNode(value=np.array([5.0, 5.0, 0.0]))
         from mppkit.trees import TreeModel
 
-        model = TreeModel(root=node, max_depth=0, min_samples_leaf=1, d=1, n_classes=3)
+        model = TreeModel(root=node, max_depth=0, min_samples_leaf=1, d=1)
         assert predict_tree_batch(model, np.array([[0.0]])).tolist() == [0]
 
     def test_dimension_mismatch(self):
@@ -242,16 +242,69 @@ class TestFitGbdt:
 
 def _init_only_model(priors, d=2):
     return GbdtModel(
-        rounds=0,
         shrinkage=0.1,
         trees=(),
         init_scores=np.log(np.asarray(priors, dtype=float)),
         importance_raw=np.zeros(d),
-        d=d,
-        n_classes=3,
         max_depth=3,
         min_samples_leaf=2,
     )
+
+
+def _leaves(root):
+    stack, leaves = [root], []
+    while stack:
+        node = stack.pop()
+        if node.is_leaf:
+            leaves.append(node)
+        else:
+            stack += [node.left, node.right]
+    return leaves
+
+
+class TestShapeFacts:
+    """Each model keeps a shape fact once: in the arrays or leaves that define it."""
+
+    def test_tree_class_count_is_its_leaf_width(self):
+        root = TreeNode(feature=0, threshold=0.5, left=TreeNode(value=np.array([1.0, 0.0, 2.0])),
+                        right=TreeNode(value=np.array([0.0, 3.0, 0.0])))
+        model = TreeModel(root=root, max_depth=1, min_samples_leaf=1, d=2)
+        assert (model.n_classes, model.d) == (3, 2)
+        schema = make_dataset(np.zeros((1, 2)), [0]).schema
+        doc = to_document(model, schema)
+        assert doc["hyperparameters"]["n_classes"] == 3
+        clone = from_document(doc)
+        assert (clone.n_classes, clone.d) == (3, 2)
+        assert to_document(clone, schema) == doc
+        x = np.array([[0.0, 9.0], [1.0, 9.0]])
+        assert predict_tree_batch(model, x).tolist() == predict_tree_batch(clone, x).tolist() == [2, 1]
+        with pytest.raises(TypeError, match="n_classes"):
+            TreeModel(root=root, max_depth=1, min_samples_leaf=1, d=2, n_classes=2)
+
+    def test_gbdt_shape_facts_are_its_array_sizes(self):
+        model = _init_only_model([0.5, 0.25, 0.25], d=4)
+        assert (len(model.trees), model.n_classes, model.d) == (0, 3, 4)
+        for removed in ("rounds", "n_classes", "d"):
+            with pytest.raises(TypeError, match=removed):
+                GbdtModel(0.1, (), model.init_scores, model.importance_raw, 3, 2, **{removed: 3})
+
+    def test_gbdt_round_must_hold_one_tree_per_class(self):
+        model = _init_only_model([0.5, 0.25, 0.25])
+        group = (TreeNode(value=0.0),) * 2
+        with pytest.raises(ValueError, match="each round must hold one tree per class"):
+            GbdtModel(0.1, (group,), model.init_scores, model.importance_raw, 3, 2)
+
+    def test_gbdt_leaves_hold_floats_fitted_and_loaded(self):
+        ds = generate_synthetic(60, 3, {0}, seed=4)
+        model = fit_gbdt(ds, rounds=4)
+        clone = from_document(to_document(model, ds.schema))
+        for fitted in (model, clone):
+            leaves = [leaf for group in fitted.trees for root in group for leaf in _leaves(root)]
+            assert len(leaves) > 12  # some tree split
+            assert all(type(leaf.value) is float for leaf in leaves)
+        assert to_document(clone, ds.schema) == to_document(model, ds.schema)
+        assert np.array_equal(predict_gbdt_batch(clone, ds.x)[1], predict_gbdt_batch(model, ds.x)[1])
+        assert tree_apply(model.trees[0][0], ds.x).shape == (60,)
 
 
 class TestPredictGbdt:
@@ -279,7 +332,7 @@ class TestPredictGbdt:
         def leaf_score(node, row):
             while not node.is_leaf:
                 node = node.left if row[node.feature] <= node.threshold else node.right
-            return node.value[0]
+            return node.value
 
         ds = generate_synthetic(40, 3, {0}, seed=3)
         model = fit_gbdt(ds, rounds=10)
@@ -521,7 +574,7 @@ def per_node_sort_tree(dataset, max_depth, min_leaf):
     counts = one_hot(dataset.y, k).T.copy()
     root = per_node_sort_grow(dataset.x, counts, max_depth, min_leaf, np.zeros(dataset.d),
                               lambda idx: counts[:, idx].sum(axis=1))
-    return TreeModel(root, max_depth, min_leaf, dataset.d, k)
+    return TreeModel(root, max_depth, min_leaf, dataset.d)
 
 
 def per_node_sort_gbdt(dataset, rounds, max_depth, min_leaf, shrinkage=0.1):
@@ -551,14 +604,13 @@ def per_node_sort_gbdt(dataset, rounds, max_depth, min_leaf, shrinkage=0.1):
                 denom = (np.abs(r) * (1.0 - np.abs(r))).sum()
                 gamma = (k - 1) / k * r.sum() / denom if denom >= 1e-150 else 0.0
                 step[idx, c] = gamma
-                return np.array([gamma])
+                return float(gamma)
 
             group.append(per_node_sort_grow(x, r_c[None, :], max_depth, min_leaf, importance, leaf_value))
         trees.append(tuple(group))
         scores += shrinkage * step
     history.append(cross_entropy(softmax(scores), y))
-    return GbdtModel(rounds, shrinkage, tuple(trees), init, importance, dataset.d, k, max_depth,
-                     min_leaf, tuple(history))
+    return GbdtModel(shrinkage, tuple(trees), init, importance, max_depth, min_leaf, tuple(history))
 
 
 def _depth(node):
