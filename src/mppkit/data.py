@@ -207,18 +207,21 @@ def load_schema(path) -> FeatureSchema:
 
 @dataclass
 class RawTable:
-    """A parsed CSV: its header, row count and encoded schema columns.
+    """A parsed CSV: its header and encoded schema columns.
 
     Cell text is not kept beyond the cells a message may quote: the label
     column and each feature column (in schema order) are RawColumns, one
     float64 buffer each, and other columns are dropped after the ragged-row
-    check.
+    check.  The row count is the label column's length.
     """
 
     header: list[str]
-    n_rows: int
     label: RawColumn
     features: tuple[RawColumn, ...]
+
+    @property
+    def n_rows(self) -> int:
+        return self.label.values.size
 
 
 @dataclass(frozen=True, eq=False)
@@ -279,11 +282,19 @@ class Dataset:
 
 @dataclass(frozen=True)
 class FoldPlan:
-    """Stratified k-way partition of record indices."""
+    """Stratified partition of record indices into `k` folds, drawn with `seed`.
 
-    k: int
+    `folds` holds each fold's indices, ascending; the fold count `k` is
+    their number, so the digest records a Python int whatever integer type
+    the caller passed.
+    """
+
     folds: tuple[tuple[int, ...], ...]
     seed: int
+
+    @property
+    def k(self) -> int:
+        return len(self.folds)
 
     def digest(self) -> str:
         return json_digest({"k": self.k, "seed": self.seed, "folds": [list(f) for f in self.folds]})
@@ -345,7 +356,6 @@ def _encode_rows(path: Path, reader, schema: FeatureSchema) -> RawTable:
         n_rows += len(block)
     return RawTable(
         header=header,
-        n_rows=n_rows,
         label=label.finish(n_rows),
         features=tuple(column.finish(n_rows) for column in features),
     )
@@ -564,7 +574,7 @@ def stratified_kfold(dataset: Dataset, k: int, seed: int) -> FoldPlan:
         fold_of[members[rng.permutation(members.size)]] = np.repeat(np.arange(k), sizes)
         loads += sizes
     folds = tuple(tuple(np.flatnonzero(fold_of == f).tolist()) for f in range(k))
-    return FoldPlan(k=k, folds=folds, seed=int(seed))
+    return FoldPlan(folds=folds, seed=int(seed))
 
 
 def generate_synthetic(

@@ -180,7 +180,12 @@ def fit_predictor(name: str, params: dict, dataset: Dataset, seed: int):
 
 @dataclass(frozen=True, eq=False)
 class CvReport:
-    """Pooled out-of-fold results for one model."""
+    """Pooled out-of-fold results for one model.
+
+    `params` are the resolved hyperparameters, `matrix` the pooled 3x3
+    confusion matrix, and `fold_accuracies` hold one accuracy per fold, in
+    fold order: the fold count `k` is their number.
+    """
 
     model: str
     params: dict
@@ -191,8 +196,11 @@ class CvReport:
     fold_accuracy_mean: float
     fold_accuracy_std: float
     seed: int
-    k: int
     fold_plan_digest: str
+
+    @property
+    def k(self) -> int:
+        return len(self.fold_accuracies)
 
 
 def cross_validate(spec: ModelSpec, dataset: Dataset, k: int = 5, seed: int = 0) -> CvReport:
@@ -232,6 +240,5 @@ def cross_validate(spec: ModelSpec, dataset: Dataset, k: int = 5, seed: int = 0)
         fold_accuracy_mean=float(np.mean(fold_accs)),
         fold_accuracy_std=float(np.std(fold_accs)),
         seed=int(seed),
-        k=int(k),
         fold_plan_digest=plan.digest(),
     )

@@ -36,6 +36,16 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's settings, each checked here, before any data is read.
+
+    So a config built in code fails as one loaded from a file does, with
+    the same ConfigError.  `k` (config key "folds") and `seed` must be
+    integers and are stored as `int`; the nearest existing part of
+    `out_dir` must be a directory (nothing is created); each model's params
+    are checked as the trainers check them; and the config must digest,
+    since summary.json records that digest after every fit has run.
+    """
+
     data_path: Path
     schema_path: Path
     models: tuple[ModelSpec, ...]
@@ -45,6 +55,16 @@ class ExperimentConfig:
     formats: tuple[str, ...] = REPORT_FORMATS
 
     def __post_init__(self):
+        for key, attr in (("folds", "k"), ("seed", "seed")):
+            value = getattr(self, attr)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+            object.__setattr__(self, attr, int(value))
+        out = Path(self.out_dir)
+        nearest = next((part for part in (out, *out.parents) if part.exists()), out)
+        if nearest.exists() and not nearest.is_dir():
+            raise ConfigError(f"output directory 'out' {str(out)!r}: {str(nearest)!r} is not a directory")
+        object.__setattr__(self, "out_dir", out)
         if not self.models:
             raise ConfigError("model list must be non-empty")
         names = [m.name for m in self.models]
@@ -60,6 +80,10 @@ class ExperimentConfig:
         for fmt in self.formats:
             if fmt not in REPORT_FORMATS:
                 raise ConfigError(f"unknown report format {fmt!r}")
+        try:  # a value json cannot write (a numpy integer param) fails here, not after the fits
+            self.digest()
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"config cannot be recorded in the report: {exc}") from exc
 
     def digest(self) -> str:
         return json_digest({
@@ -111,21 +135,6 @@ def _config_str(key: str, value) -> str:
     return value
 
 
-def _config_int(key: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
-    return int(value)
-
-
-def _out_dir(value) -> Path:
-    """The output directory, checked without creating it: its nearest existing part must be a directory."""
-    out = Path(value)
-    nearest = next((part for part in (out, *out.parents) if part.exists()), out)
-    if nearest.exists() and not nearest.is_dir():
-        raise ConfigError(f"output directory 'out' {str(out)!r}: {str(nearest)!r} is not a directory")
-    return out
-
-
 def load_config(
     path,
     seed: int | None = None,
@@ -137,10 +146,11 @@ def load_config(
     """Parse a JSON config file; keyword overrides mirror the CLI flags.
 
     Dataset and schema paths are resolved relative to the config file, the
-    output directory relative to the working directory; one that is or lies
-    under a file is rejected here, before any data is read, and so is a key
-    outside CONFIG_KEYS (a misspelt "fold" would otherwise run with k=5), or
-    outside MODEL_ENTRY_KEYS in a list-form model entry.
+    output directory relative to the working directory.  A key outside
+    CONFIG_KEYS (a misspelt "fold" would otherwise run with k=5), or outside
+    MODEL_ENTRY_KEYS in a list-form model entry, and a value of the wrong
+    JSON type are rejected here; ExperimentConfig checks the values it
+    holds.  Either way, before any data is read.
     """
     path = Path(path)
     doc = read_json(path, "config file", ConfigError)
@@ -161,21 +171,26 @@ def load_config(
         data_path=base / _config_str("data", doc["data"]),
         schema_path=base / _config_str("schema", doc["schema"]),
         models=specs,
-        k=_config_int("folds", folds if folds is not None else doc.get("folds", 5)),
-        seed=_config_int("seed", seed if seed is not None else doc.get("seed", 0)),
-        out_dir=_out_dir(out_dir if out_dir is not None else _config_str("out", doc.get("out", "reports"))),
+        k=folds if folds is not None else doc.get("folds", 5),
+        seed=seed if seed is not None else doc.get("seed", 0),
+        out_dir=out_dir if out_dir is not None else _config_str("out", doc.get("out", "reports")),
         formats=_parse_formats(fmt if fmt is not None else doc.get("format", "both")),
     )
 
 
 @dataclass(frozen=True, eq=False)
 class ReportBundle:
+    """What one run of `config` produced: a CvReport per model, in config
+    order, and the GBDT importance ranking (None when no gbdt ran).
+
+    The config's seed, fold count and digest, and the toolkit version, are
+    not copied here: emit_report reads them off `config` and `__version__`.
+    The timestamps stay on the bundle and never reach a report file.
+    """
+
     reports: tuple[CvReport, ...]
     importance: ImportanceReport | None
-    config_digest: str
-    toolkit_version: str
-    seed: int
-    k: int
+    config: ExperimentConfig
     started_at: str = field(repr=False, default="")
     finished_at: str = field(repr=False, default="")
 
@@ -210,10 +225,7 @@ def run_experiment(config: ExperimentConfig) -> ReportBundle:
     return ReportBundle(
         reports=reports,
         importance=importance,
-        config_digest=config.digest(),
-        toolkit_version=__version__,
-        seed=config.seed,
-        k=config.k,
+        config=config,
         started_at=started,
         finished_at=_now(),
     )
@@ -254,10 +266,10 @@ def write_importance(path: Path, ranking: ImportanceReport) -> None:
 
 
 def _report_to_obj(r: CvReport) -> dict:
-    """The report's fields, `matrix` as `confusion_matrix` (int lists) and `k` as `folds`."""
+    """The report's fields, `matrix` as `confusion_matrix` (int lists), and its fold count as `folds`."""
     obj = asdict(r)
     obj["confusion_matrix"] = obj.pop("matrix").tolist()
-    obj["folds"] = obj.pop("k")
+    obj["folds"] = r.k
     return obj
 
 
@@ -306,10 +318,10 @@ def emit_report(bundle: ReportBundle, formats: tuple[str, ...], out_dir) -> list
     if "json" in formats:
         summary = {
             "metadata": {
-                "toolkit_version": bundle.toolkit_version,
-                "config_digest": bundle.config_digest,
-                "seed": bundle.seed,
-                "folds": bundle.k,
+                "toolkit_version": __version__,
+                "config_digest": bundle.config.digest(),
+                "seed": bundle.config.seed,
+                "folds": bundle.config.k,
                 "models": [r.model for r in bundle.reports],
             },
             "comparison": compare_models(bundle),

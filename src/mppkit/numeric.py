@@ -43,6 +43,16 @@ def derive_seed(seed: int, index: int) -> int:
     return _mix64((int(seed) + (int(index) + 1) * _GAMMA) & _MASK64)
 
 
+def _shape(size) -> tuple[tuple, int]:
+    """The array shape a draw `size` asks for, and its element count.
+
+    Any integer, a numpy one too, is one dimension; otherwise `size` is a
+    sequence of dimensions.
+    """
+    shape = (int(size),) if isinstance(size, numbers.Integral) else tuple(size)
+    return shape, int(np.prod(shape))
+
+
 class SeededRng:
     """Counter-based splitmix64 generator.
 
@@ -91,8 +101,7 @@ class SeededRng:
         """Uniform doubles in [0, 1)."""
         if size is None:
             return float(self._bits53(1)[0]) * 2.0**-53
-        shape = (size,) if isinstance(size, int) else tuple(size)
-        count = int(np.prod(shape)) if shape else 1
+        shape, count = _shape(size)
         u = self._bits53(count).astype(np.float64)
         u *= 2.0**-53
         return u.reshape(shape)
@@ -101,8 +110,7 @@ class SeededRng:
         """Standard normals via Box-Muller (cosine branch only)."""
         if size is None:
             return float(self.normal(1)[0])
-        shape = (size,) if isinstance(size, int) else tuple(size)
-        count = int(np.prod(shape)) if shape else 1
+        shape, count = _shape(size)
         u1 = np.asarray(self.random(count))
         u2 = np.asarray(self.random(count))
         # 1 - u1 lies in (0, 1], so the log is finite.

@@ -448,6 +448,12 @@ class TestStratifiedKfold:
         with pytest.raises(ValueError, match=re.escape(f"k must be an integer, got {k!r}")):
             stratified_kfold(ds, k, seed=0)
 
+    def test_numpy_integer_k_plans_as_its_int(self):
+        ds = generate_synthetic(100, 3, {0}, seed=9)
+        plan = stratified_kfold(ds, np.int64(5), seed=np.int64(4))
+        assert plan.digest() == stratified_kfold(ds, 5, seed=4).digest()
+        assert type(plan.k) is int and plan.k == 5
+
     def test_properties_over_random_datasets(self):
         # disjointness, coverage, and per-class proportionality within 1
         rng = SeededRng(314)
@@ -491,6 +497,12 @@ class TestGenerateSynthetic:
         for seed in range(5):
             ds = generate_synthetic(120, 3, {0, 2}, seed=seed, noise=0.1)
             assert np.bincount(ds.y, minlength=3).min() >= 20
+
+    def test_numpy_integer_n_draws_as_its_int(self):
+        a = generate_synthetic(np.int64(60), 3, {0}, seed=1, noise=0.1)
+        b = generate_synthetic(60, 3, {0}, seed=1, noise=0.1)
+        assert a.x.tobytes() == b.x.tobytes()
+        assert a.y.tobytes() == b.y.tobytes()
 
     def test_informative_index_out_of_range(self):
         with pytest.raises(ValueError, match="out of range"):

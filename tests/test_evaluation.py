@@ -368,6 +368,15 @@ class TestCrossValidate:
         with pytest.raises(ValueError, match="k must be an integer, got 3.0"):
             cross_validate(ModelSpec("tree"), ds, k=3.0)
 
+    def test_numpy_integer_k_reports_as_its_int(self):
+        ds = generate_synthetic(90, 3, {0}, seed=33)
+        got = cross_validate(ModelSpec("tree"), ds, k=np.int64(3), seed=np.int64(1))
+        want = cross_validate(ModelSpec("tree"), ds, k=3, seed=1)
+        assert type(got.k) is int and got.k == 3
+        assert np.array_equal(got.matrix, want.matrix)
+        fields = {**vars(got), "matrix": None}
+        assert fields == {**vars(want), "matrix": None}
+
     def test_two_class_schema_rejected(self):
         ds = make_dataset(np.random.rand(20, 2), [0, 1] * 10, n_classes=2)
         with pytest.raises(ValueError, match="3-class"):

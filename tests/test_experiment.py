@@ -1,16 +1,20 @@
+import dataclasses
 import hashlib
+import inspect
 import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mppkit
 from conftest import cli_env
 from mppkit import evaluation
-from mppkit.data import DataError
-from mppkit.evaluation import ModelSpec
+from mppkit.data import DataError, FoldPlan, RawTable
+from mppkit.evaluation import CvReport, ModelSpec
 from mppkit.experiment import (
     ConfigError,
     ExperimentConfig,
@@ -159,13 +163,53 @@ class TestLoadConfig:
         assert not (tmp_path / "a").exists()
 
 
+class TestExperimentConfig:
+    """A config built in code gets the checks load_config's does, at construction."""
+
+    @staticmethod
+    def build(tmp_path, **changes):
+        # the data file does not exist: a check that read it would fail with DataError
+        settings = dict(
+            data_path=tmp_path / "missing.csv",
+            schema_path=tmp_path / "missing.json",
+            models=(ModelSpec("tree"),),
+            out_dir=tmp_path / "reports",
+        )
+        return ExperimentConfig(**{**settings, **changes})
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"out_dir": Path("notes.txt", "sub")},
+             f"output directory 'out' {str(Path('notes.txt', 'sub'))!r}: 'notes.txt' is not a directory"),
+            ({"seed": 1.5}, "config key 'seed' must be an integer, got 1.5"),
+            ({"k": True}, "config key 'folds' must be an integer, got True"),
+            ({"k": 1}, "fold count must be at least 2"),
+            ({"models": (ModelSpec("gbdt", {"rounds": np.int64(10)}),)},
+             "config cannot be recorded in the report: Object of type int64 is not JSON serializable"),
+        ],
+    )
+    def test_bad_setting_fails_at_construction(self, tmp_path, monkeypatch, change, message):
+        monkeypatch.chdir(tmp_path)  # out_dir is relative to the working directory
+        Path("notes.txt").write_text("keep")
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            self.build(tmp_path, **change)
+        assert Path("notes.txt").read_text() == "keep"
+
+    def test_numpy_integers_are_stored_as_int(self, tmp_path):
+        config = self.build(tmp_path, k=np.int64(3), seed=np.uint16(7), out_dir=str(tmp_path))
+        assert (type(config.k), type(config.seed), config.k, config.seed) == (int, int, 3, 7)
+        assert config.out_dir == tmp_path
+        assert config.digest() == self.build(tmp_path, k=3, seed=7).digest()
+
+
 class TestRunExperiment:
     def test_bundle_shape(self, small_bundle):
         bundle, config = small_bundle
         assert len(bundle.reports) == 2
         assert {r.model for r in bundle.reports} == {"tree", "gbdt"}
         assert bundle.importance is not None  # gbdt configured
-        assert bundle.config_digest == config.digest()
+        assert bundle.config is config
 
     def test_single_model_bundle(self, fixture_config):
         config = load_config(fixture_config, models=["tree"], folds=3)
@@ -196,6 +240,16 @@ class TestRunExperiment:
             run_experiment(load_config(fixture_config, folds=200))
 
 
+@pytest.mark.parametrize(
+    "record, keyword",
+    [(ReportBundle, "config_digest"), (ReportBundle, "toolkit_version"), (ReportBundle, "seed"),
+     (ReportBundle, "k"), (FoldPlan, "k"), (CvReport, "k"), (RawTable, "n_rows")],
+)
+def test_derived_facts_are_not_constructor_keywords(record, keyword):
+    # each is read off another field (or the config, or __version__), so it cannot disagree with it
+    assert keyword not in inspect.signature(record).parameters
+
+
 class TestCompareModels:
     def test_sorted_by_accuracy_desc(self, small_bundle):
         bundle, _ = small_bundle
@@ -213,25 +267,15 @@ class TestCompareModels:
     def test_tied_accuracy_breaks_by_name(self, small_bundle):
         bundle, _ = small_bundle
         base = bundle.reports[0]
-        import dataclasses
-
         twin_a = dataclasses.replace(base, model="zeta")
         twin_b = dataclasses.replace(base, model="alpha")
-        tied = ReportBundle(
-            reports=(twin_a, twin_b),
-            importance=None,
-            config_digest="x",
-            toolkit_version="0",
-            seed=0,
-            k=3,
-        )
+        tied = dataclasses.replace(bundle, reports=(twin_a, twin_b), importance=None)
         rows = compare_models(tied)
         assert [row["model"] for row in rows] == ["alpha", "zeta"]
 
-    def test_empty_bundle_rejected(self):
-        empty = ReportBundle(
-            reports=(), importance=None, config_digest="x", toolkit_version="0", seed=0, k=2
-        )
+    def test_empty_bundle_rejected(self, small_bundle):
+        bundle, _ = small_bundle
+        empty = dataclasses.replace(bundle, reports=(), importance=None)
         with pytest.raises(ValueError, match="empty"):
             compare_models(empty)
 
@@ -260,6 +304,17 @@ class TestEmitReport:
         assert summary["reports"]["tree"]["folds"] == 3
         assert set(summary["importance"]) == {"entries", "total"}
 
+    def test_summary_metadata_is_read_off_the_config(self, small_bundle, tmp_path):
+        bundle, config = small_bundle
+        (path,) = emit_report(bundle, ("json",), tmp_path)
+        assert json.loads(path.read_text())["metadata"] == {
+            "toolkit_version": mppkit.__version__,
+            "config_digest": config.digest(),
+            "seed": config.seed,
+            "folds": config.k,
+            "models": ["tree", "gbdt"],
+        }
+
     def test_importance_csv_sorted_and_normalized(self, small_bundle, tmp_path):
         bundle, _ = small_bundle
         emit_report(bundle, ("csv",), tmp_path)
@@ -270,22 +325,13 @@ class TestEmitReport:
         assert abs(sum(weights) - 1.0) < 1e-9
 
     def test_comma_in_feature_name_is_quoted(self, small_bundle, tmp_path):
-        import dataclasses
-
         from mppkit.trees import ImportanceReport
 
         bundle, _ = small_bundle
-        weird = ReportBundle(
-            reports=bundle.reports,
-            importance=ImportanceReport(
-                entries=(("Renal function (CREA, Umol/L)", 0.75), ("Cough", 0.25)),
-                total=1.0,
-            ),
-            config_digest="x",
-            toolkit_version="0",
-            seed=0,
-            k=3,
-        )
+        weird = dataclasses.replace(bundle, importance=ImportanceReport(
+            entries=(("Renal function (CREA, Umol/L)", 0.75), ("Cough", 0.25)),
+            total=1.0,
+        ))
         emit_report(weird, ("csv",), tmp_path)
         import csv as csv_mod
 

@@ -226,6 +226,14 @@ class TestSeededRng:
         assert derive_seed(np.int64(5), np.int32(2)) == derive_seed(5, 2)
         assert SeededRng(3).spawn(np.int64(2)).seed == SeededRng(3).spawn(2).seed
 
+    @pytest.mark.parametrize("size, plain", [(np.int64(3), 3), (np.uint8(3), 3), ((np.int64(2), 3), (2, 3))])
+    def test_numpy_integer_size_draws_as_its_int(self, size, plain):
+        for draw in ("random", "normal"):
+            got = getattr(SeededRng(4), draw)(size)
+            assert np.array_equal(got, getattr(SeededRng(4), draw)(plain))
+            assert got.shape == np.empty(plain).shape
+        assert np.array_equal(SeededRng(4).integers(0, 3, size), SeededRng(4).integers(0, 3, plain))
+
 
 class TestTrainingMath:
     def test_one_hot(self):
