@@ -10,13 +10,13 @@ from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
-from .data import Dataset, stratified_kfold
+from .data import Dataset, FoldPlan, stratified_kfold
 from .linear import fit_logistic, fit_svm, predict_logistic_batch, predict_svm_batch
-from .mlp import fit_mlp, predict_mlp_batch
+from .mlp import fit_mlp, fit_mlp_stack, predict_mlp_batch
 from .numeric import check_hyperparameters, derive_seed
 from .trees import fit_gbdt, fit_tree, predict_gbdt_batch, predict_tree_batch
 
@@ -203,12 +203,61 @@ class CvReport:
         return len(self.fold_accuracies)
 
 
+def _mlp_fold_models(params: dict, dataset: Dataset, trains: list, seed: int) -> list | None:
+    """The MLP's fold models, fitted in one `fit_mlp_stack` call per group of folds with equal training row counts.
+
+    Each has the bits of the fold's own `fit_predictor` call.  None if a
+    stack raises: the caller then refits fold by fold, in fold order, so the
+    failure it reports is the one those fits meet first.
+    """
+    groups: dict[int, list[int]] = {}
+    for f, train_idx in enumerate(trains):
+        groups.setdefault(train_idx.size, []).append(f)
+    models = [None] * len(trains)
+    try:
+        for folds in groups.values():
+            stack = fit_mlp_stack((dataset.subset(trains[f]) for f in folds),
+                                  [derive_seed(seed, f) for f in folds], **params)
+            for f, model in zip(folds, stack):
+                models[f] = model
+    except Exception:
+        return None
+    return models
+
+
+def fold_fits(name: str, params: dict, dataset: Dataset, plan: FoldPlan, seed: int) -> Iterator[tuple]:
+    """Each fold's held-out rows, the model fitted on the other rows, and its labels for the held-out rows.
+
+    In fold order; fold f trains with seed `derive_seed(seed, f)` and the
+    resolved `params`.  The MLP trains its folds in lockstep
+    (`_mlp_fold_models`); any other model is fitted one fold at a time, as
+    the caller asks for the next fold, so only one such fold model need be
+    alive.  A failing fit or predict raises CrossValidationError naming the
+    fold.
+    """
+    everything = np.arange(dataset.n)
+    tests = [np.asarray(fold, dtype=np.int64) for fold in plan.folds]
+    trains = [np.setdiff1d(everything, test_idx) for test_idx in tests]
+    stacked = _mlp_fold_models(params, dataset, trains, seed) if name == "mlp" else None
+    for f, (train_idx, test_idx) in enumerate(zip(trains, tests)):
+        try:
+            if stacked is not None:
+                model = stacked[f]
+            else:
+                model = fit_predictor(name, params, dataset.subset(train_idx), derive_seed(seed, f))
+            fold_preds = np.asarray(MODELS[name].predict(model, dataset.x[test_idx]), dtype=np.int64)
+        except Exception as exc:
+            raise CrossValidationError(f"fold {f}: {exc}") from exc
+        yield test_idx, model, fold_preds
+
+
 def cross_validate(spec: ModelSpec, dataset: Dataset, k: int = 5, seed: int = 0) -> CvReport:
     """Stratified k-fold CV: fit on k-1 folds, predict the held-out fold,
     pool every out-of-fold prediction into a single confusion matrix.
 
     Each fold trains with its own derived seed, so folds could run in any
-    order (or concurrently) and produce the same report.
+    order (or concurrently) and produce the same report; the MLP's do run
+    in lockstep (`fold_fits`).
     """
     if dataset.schema.n_classes != N_CLASSES:
         raise ValueError("cross_validate expects a 3-class dataset")
@@ -217,15 +266,7 @@ def cross_validate(spec: ModelSpec, dataset: Dataset, k: int = 5, seed: int = 0)
 
     preds = np.full(dataset.n, -1, dtype=np.int64)
     fold_accs = []
-    everything = np.arange(dataset.n)
-    for f, fold in enumerate(plan.folds):
-        test_idx = np.asarray(fold, dtype=np.int64)
-        train_idx = np.setdiff1d(everything, test_idx)
-        try:
-            model = fit_predictor(spec.name, params, dataset.subset(train_idx), derive_seed(seed, f))
-            fold_preds = np.asarray(MODELS[spec.name].predict(model, dataset.x[test_idx]), dtype=np.int64)
-        except Exception as exc:
-            raise CrossValidationError(f"fold {f}: {exc}") from exc
+    for test_idx, _, fold_preds in fold_fits(spec.name, params, dataset, plan, seed):
         preds[test_idx] = fold_preds
         fold_accs.append(float(np.mean(fold_preds == dataset.y[test_idx])))
 

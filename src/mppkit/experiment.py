@@ -77,6 +77,8 @@ class ExperimentConfig:
                 raise ConfigError(str(exc)) from exc
         if self.k < 2:
             raise ConfigError("fold count must be at least 2")
+        if not self.formats:  # a run that writes no report loses every fit
+            raise ConfigError("report format list must be non-empty")
         for fmt in self.formats:
             if fmt not in REPORT_FORMATS:
                 raise ConfigError(f"unknown report format {fmt!r}")
@@ -89,7 +91,7 @@ class ExperimentConfig:
         return json_digest({
             "data": str(self.data_path),
             "schema": str(self.schema_path),
-            "models": {m.name: m.params for m in self.models},
+            "models": {m.name: resolve_params(m.name, m.params) for m in self.models},
             "folds": self.k,
             "seed": self.seed,
             "formats": list(self.formats),

@@ -14,11 +14,20 @@ refuses an empty or single-class dataset, fits the z-scoring and returns
 the z-scored rows with the bias column added.  A model keeps no shape fact
 of its own: `n_classes` and `d` are read off its weight matrix.
 
-`_descend` is the one descent loop of these two trainers and the MLP.  The
+`_descend` is the one descent loop of these two trainers and the MLP.  Its
+rules (accept a step whose loss does not rise, else halve the step size;
+stop at the epoch budget, below a 1e-15 step or on the MLP's patience) are
+written once, in `_Descent`, which holds them for one problem.  `_lockstep`
+runs several problems together: each round it asks one step of every
+problem still running, so a caller can compute all of them in one stacked
+pass (`mlp.fit_mlp_stack`), and a stopped problem takes no further step.
+The two trainers here call `_descend`, which runs one problem.  The
 forward pass that gives the loss of an accepted step (the softmax
 probabilities, or the SVM's signed margins) is the one the next gradient is
 computed from; a rejected step recomputes the gradient at the unchanged
-weights from it.  Each epoch thus evaluates one forward pass.
+weights from it.  Each epoch thus evaluates one forward pass.  Each model
+keeps why its descent stopped as `stop_reason` (the SVM one per class),
+beside `rejected_steps` and, like it, outside the model document.
 
 Each trainer takes its hyperparameters as keywords whose defaults are the
 model's (`evaluation.MODEL_DEFAULTS` reads them) and checks them first with
@@ -65,6 +74,7 @@ class LogisticModel:
     standardization: Standardization
     loss_history: tuple[float, ...] = ()
     rejected_steps: int = 0
+    stop_reason: str | None = None  # "epochs", "step_floor" or "patience"; None unless fitted
 
     @property
     def d(self) -> int:
@@ -82,6 +92,7 @@ class SvmModel:
     standardization: Standardization
     loss_history: tuple[tuple[float, ...], ...] = ()
     rejected_steps: tuple[int, ...] = ()
+    stop_reason: tuple[str, ...] = ()
 
     @property
     def d(self) -> int:
@@ -92,41 +103,78 @@ class SvmModel:
         return int(self.weights.shape[0])
 
 
-def _descend(w, lr: float, epochs: int, evaluate, step, patience: int | None = None):
-    """The descent loop of every gradient trainer, with reject-and-halve step control.
+class _Descent:
+    """One problem's descent with reject-and-halve step control, one offered step at a time.
 
     ``evaluate(w) -> (loss, forward)`` returns the loss at `w` with the
-    forward pass it computed; ``step(w, forward, lr)`` proposes new weights.
-    A proposal whose loss is not at most the current one (a nan loss
-    included) is rejected and the step size halved.  Each epoch appends the
-    current loss.  Stops after `epochs`, once a halving takes the step below
-    1e-15, or after `patience` epochs in a row that fail to beat the best loss
-    by 1e-7.  Returns the final weights, the loss history and the number of
-    rejected steps: a loss repeated in the history does not tell, since an
-    accepted step whose loss does not move repeats it too.
+    forward pass it computed; the start weights are evaluated at once.
+    `offer(proposal)` evaluates a step's weights: one whose loss is not at
+    most the current one (a nan loss included) is rejected and the step size
+    `lr` halved, else it is taken.  Each offer appends the current loss to
+    `history`.  `stop_reason` stays None until a rule stops the descent:
+    "step_floor" once a halving takes the step below 1e-15, "patience" after
+    `patience` epochs in a row that fail to beat the best loss by 1e-7, and
+    "epochs" once `epochs` steps have been offered, in that order of
+    precedence.  `rejections` counts the rejected steps: a loss repeated in
+    the history does not tell, since an accepted step whose loss does not
+    move repeats it too.
     """
-    loss, forward = evaluate(w)
-    history = [loss]
-    best, stale, rejections = loss, 0, 0
-    for _ in range(epochs):
-        proposal = step(w, forward, lr)
-        new_loss, new_forward = evaluate(proposal)
-        rejected = not new_loss <= loss
+
+    def __init__(self, w, lr: float, epochs: int, evaluate, patience: int | None = None):
+        self.w, self.lr = w, lr
+        self.loss, self.forward = evaluate(w)
+        self.history = [self.loss]
+        self.best, self.stale, self.rejections = self.loss, 0, 0
+        self.stop_reason = None if epochs > 0 else "epochs"
+        self._epochs, self._evaluate, self._patience = epochs, evaluate, patience
+
+    def offer(self, proposal) -> None:
+        new_loss, new_forward = self._evaluate(proposal)
+        rejected = not new_loss <= self.loss
         if rejected:
-            lr *= 0.5
-            rejections += 1
+            self.lr *= 0.5
+            self.rejections += 1
         else:
-            w, loss, forward = proposal, new_loss, new_forward
-        history.append(loss)
-        if rejected and lr < 1e-15:
-            break
-        if loss < best - 1e-7:
-            best, stale = loss, 0
+            self.w, self.loss, self.forward = proposal, new_loss, new_forward
+        self.history.append(self.loss)
+        if rejected and self.lr < 1e-15:
+            self.stop_reason = "step_floor"
+            return
+        if self.loss < self.best - 1e-7:
+            self.best, self.stale = self.loss, 0
         else:
-            stale += 1
-        if stale == patience:
-            break
-    return w, history, rejections
+            self.stale += 1
+        if self.stale == self._patience:
+            self.stop_reason = "patience"
+        elif len(self.history) > self._epochs:
+            self.stop_reason = "epochs"
+
+
+def _lockstep(descents, step) -> None:
+    """Run `descents` together until each has stopped.
+
+    Each round, ``step(live)`` returns one proposal for each descent of
+    `live`, the ones still running, in order; a stopped descent leaves
+    `live` and is asked for nothing more.
+    """
+    live = [d for d in descents if d.stop_reason is None]
+    while live:
+        for descent, proposal in zip(live, step(live)):
+            descent.offer(proposal)
+        live = [d for d in live if d.stop_reason is None]
+
+
+def _descend(w, lr: float, epochs: int, evaluate, step, patience: int | None = None):
+    """The descent of one problem under `_Descent`'s rules.
+
+    ``step(w, forward, lr)`` proposes new weights from the current weights,
+    their forward pass and the current step size.  Returns the final
+    weights, the loss history and a pair: the number of rejected steps and
+    the stop reason.
+    """
+    descent = _Descent(w, lr, epochs, evaluate, patience)
+    _lockstep([descent], lambda live: [step(descent.w, descent.forward, descent.lr)])
+    return descent.w, descent.history, (descent.rejections, descent.stop_reason)
 
 
 def _logistic_evaluate(weights, xb, y, l2):
@@ -177,7 +225,7 @@ def fit_logistic(
     std, xb = _design(dataset)
     y, k = dataset.y, dataset.schema.n_classes
     targets = one_hot(y, k)
-    w, history, rejections = _descend(
+    w, history, (rejections, stop_reason) = _descend(
         np.zeros((k, xb.shape[1])),
         learning_rate,
         epochs,
@@ -185,7 +233,8 @@ def fit_logistic(
         lambda w, p, lr: w - lr * _logistic_gradient(w, p, xb, targets, l2),
     )
     return LogisticModel(
-        weights=w, standardization=std, loss_history=tuple(history), rejected_steps=rejections
+        weights=w, standardization=std, loss_history=tuple(history), rejected_steps=rejections,
+        stop_reason=stop_reason,
     )
 
 
@@ -230,10 +279,10 @@ def fit_svm(
     std, xb = _design(dataset)
     k = dataset.schema.n_classes
     weights = np.zeros((k, xb.shape[1]))
-    histories, rejected_steps = [], []
+    histories, rejected_steps, stop_reasons = [], [], []
     for c in range(k):
         t = np.where(dataset.y == c, 1.0, -1.0)
-        weights[c], history, rejections = _descend(
+        weights[c], history, (rejections, stop_reason) = _descend(
             np.zeros(xb.shape[1]),
             learning_rate,
             epochs,
@@ -242,12 +291,14 @@ def fit_svm(
         )
         histories.append(tuple(history))
         rejected_steps.append(rejections)
+        stop_reasons.append(stop_reason)
     return SvmModel(
         weights=weights,
         reg_c=reg_c,
         standardization=std,
         loss_history=tuple(histories),
         rejected_steps=tuple(rejected_steps),
+        stop_reason=tuple(stop_reasons),
     )
 
 

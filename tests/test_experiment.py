@@ -187,6 +187,8 @@ class TestExperimentConfig:
             ({"k": 1}, "fold count must be at least 2"),
             ({"models": (ModelSpec("gbdt", {"rounds": np.int64(10)}),)},
              "config cannot be recorded in the report: Object of type int64 is not JSON serializable"),
+            # a run that writes no report would fit every model and lose the results
+            ({"formats": ()}, "report format list must be non-empty"),
         ],
     )
     def test_bad_setting_fails_at_construction(self, tmp_path, monkeypatch, change, message):
@@ -201,6 +203,15 @@ class TestExperimentConfig:
         assert (type(config.k), type(config.seed), config.k, config.seed) == (int, int, 3, 7)
         assert config.out_dir == tmp_path
         assert config.digest() == self.build(tmp_path, k=3, seed=7).digest()
+
+    def test_digest_is_of_the_resolved_params(self, tmp_path):
+        # the same experiment, however its overrides are written
+        digests = {
+            self.build(tmp_path, models=(spec,)).digest()
+            for spec in (ModelSpec("tree"), ModelSpec("tree", None), ModelSpec("tree", {"max_depth": 5}))
+        }
+        assert len(digests) == 1
+        assert self.build(tmp_path, models=(ModelSpec("tree", {"max_depth": 4}),)).digest() not in digests
 
 
 class TestRunExperiment:

@@ -93,7 +93,7 @@ class TestGoldenModels:
 
 
 class TestDescentStops:
-    """The two stops of `linear._descend` besides the epoch budget."""
+    """The two stops of `linear._descend` besides the epoch budget, and the stop reason it reports."""
 
     def test_step_size_floor(self):
         # every proposal is nan, so each epoch halves the step from 1.0 until
@@ -104,41 +104,66 @@ class TestDescentStops:
             steps.append(lr)
             return w + 1.0
 
-        w, history, rejections = _descend(
+        w, history, (rejections, stop_reason) = _descend(
             0.0, 1.0, 1000, lambda w: (2.0 if w == 0.0 else float("nan"), None), step
         )
         assert w == 0.0
         assert history == [2.0] * 51
         assert rejections == 50
+        assert stop_reason == "step_floor"
         assert steps == [2.0**-i for i in range(50)]
 
     @pytest.mark.parametrize("patience", [1, 3, 10])
     def test_patience(self, patience):
         # a constant loss accepts every step but never beats the best
-        w, history, rejections = _descend(
+        w, history, (rejections, stop_reason) = _descend(
             0, 0.1, 1000, lambda w: (1.0, None), lambda w, _, lr: w + 1, patience
         )
         assert w == patience
         assert history == [1.0] * (patience + 1)
         # every step was accepted, though each repeats the loss in the history
         assert rejections == 0
+        assert stop_reason == "patience"
 
     def test_patience_counts_from_the_last_gain(self):
         losses = [5.0, 4.0, 4.0, 3.0, 3.0, 3.0 - 1e-8, 3.0]
-        w, history, rejections = _descend(
+        w, history, (rejections, stop_reason) = _descend(
             0, 0.1, 1000, lambda w: (losses[w], None), lambda w, _, lr: w + 1, 2
         )
         assert history == [5.0, 4.0, 4.0, 3.0, 3.0, 3.0 - 1e-8]
         assert rejections == 0
+        assert stop_reason == "patience"
 
     def test_no_patience_runs_every_epoch(self):
-        w, history, rejections = _descend(0, 0.1, 40, lambda w: (1.0, None), lambda w, _, lr: w + 1)
+        w, history, (rejections, stop_reason) = _descend(
+            0, 0.1, 40, lambda w: (1.0, None), lambda w, _, lr: w + 1
+        )
         assert w == 40 and len(history) == 41 and rejections == 0
+        assert stop_reason == "epochs"
+
+    def test_a_stop_rule_outranks_the_last_epoch(self):
+        # patience 3 and the floor (1.0 halved to 2**-50) both fire on the
+        # last epoch of the budget; the reason names the rule, not the budget
+        _, history, (_, stop_reason) = _descend(
+            0, 0.1, 3, lambda w: (1.0, None), lambda w, _, lr: w + 1, 3
+        )
+        assert (len(history), stop_reason) == (4, "patience")
+        _, history, (_, stop_reason) = _descend(
+            0.0, 1.0, 50, lambda w: (2.0 if w == 0.0 else float("nan"), None), lambda w, _, lr: w + 1.0
+        )
+        assert (len(history), stop_reason) == (51, "step_floor")
 
     def test_mlp_stops_early_through_the_public_api(self):
         # a step too small to move the loss by 1e-7: 10 epochs, then the stop
         model = fit_mlp(generate_synthetic(60, 3, {0}, seed=1), learning_rate=1e-12, epochs=100, seed=1)
         assert len(model.loss_history) == 11
+        assert model.stop_reason == "patience"
+
+    def test_every_trainer_keeps_its_stop_reason(self):
+        dataset = generate_synthetic(60, 3, {0}, seed=1)
+        assert fit_logistic(dataset, epochs=7).stop_reason == "epochs"
+        assert fit_mlp(dataset, epochs=7).stop_reason == "epochs"
+        assert fit_svm(dataset, epochs=7).stop_reason == ("epochs",) * 3
 
     def test_rejections_counted_apart_from_repeated_losses(self):
         # losses 3, 3 (accepted: equal is not a rise), 4 (rejected), 2, 2
@@ -150,10 +175,11 @@ class TestDescentStops:
             steps.append(lr)
             return len(steps)
 
-        w, history, rejections = _descend(0, 1.0, 5, lambda w: (losses[w], None), step)
+        w, history, (rejections, stop_reason) = _descend(0, 1.0, 5, lambda w: (losses[w], None), step)
         assert history == [3.0, 3.0, 3.0, 2.0, 2.0, 2.0]
         assert int(np.sum(np.diff(history) == 0)) == 4
         assert rejections == 2
+        assert stop_reason == "epochs"
         assert steps == [1.0, 1.0, 0.5, 0.5, 0.5]
         assert w == 4
 

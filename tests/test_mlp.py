@@ -3,19 +3,22 @@ import json
 import numpy as np
 import pytest
 
+import mppkit.evaluation
 import mppkit.linear
 import mppkit.mlp
 from conftest import make_dataset
-from mppkit.data import generate_synthetic
+from mppkit.data import generate_synthetic, stratified_kfold
+from mppkit.evaluation import CrossValidationError, ModelSpec, cross_validate, fold_fits, resolve_params
 from mppkit.linear import Standardization, _descend, add_bias, fit_logistic, predict_logistic_batch
 from mppkit.mlp import (
     MlpModel,
     fit_mlp,
+    fit_mlp_stack,
     mlp_loss_and_grads,
     predict_mlp_batch,
 )
 from mppkit.numeric import (
-    SeededRng, cross_entropy, finite_difference_gradient, l2_penalty, one_hot, softmax,
+    SeededRng, cross_entropy, derive_seed, finite_difference_gradient, l2_penalty, one_hot, softmax,
 )
 from mppkit.serialize import to_document
 
@@ -207,6 +210,108 @@ class TestSoftmaxCallsSeenByTracer:
     def test_fit_logistic_calls_once_per_loss_pass(self, dataset, calls):
         model = fit_logistic(dataset, learning_rate=0.5, epochs=9)
         assert len(calls) == 1 + (len(model.loss_history) - 1)
+
+
+def assert_same_fit(model, expected):
+    """The two MLP fits agree bit for bit: weights, loss history, rejected steps and stop reason."""
+    for name in ("w1", "w2"):
+        got, want = getattr(model, name), getattr(expected, name)
+        assert (got.shape, got.tobytes()) == (want.shape, want.tobytes()), name
+    assert model.loss_history == expected.loss_history
+    assert (model.rejected_steps, model.stop_reason) == (expected.rejected_steps, expected.stop_reason)
+
+
+class TestFoldStack:
+    """`fit_mlp_stack` trains several problems in lockstep, and each model has the bits of
+    `fit_mlp` on its own problem; the CV driver stacks the MLP's folds through it."""
+
+    @pytest.fixture(scope="class")
+    def problems(self):
+        # three problems of one shape; 45 = 6 * 7 + 3 = 32 + 13 rows
+        return [generate_synthetic(45, 4, {0, 2}, seed=seed, noise=0.1) for seed in (12, 13, 14)]
+
+    # one row a batch, partial last batches of 3 and 13 rows, and one batch of all rows
+    @pytest.mark.parametrize("batch_size", [1, 7, 32, 45])
+    @pytest.mark.parametrize("l2", [0.0, 0.05])
+    @pytest.mark.parametrize("hidden", [1, 16])
+    def test_each_model_is_its_own_fit(self, problems, batch_size, l2, hidden):
+        params = dict(hidden=hidden, learning_rate=1.5, epochs=12, l2=l2, batch_size=batch_size)
+        seeds = [5, 6, 7]
+        models = fit_mlp_stack(problems, seeds, **params)
+        assert len(models) == 3
+        for model, dataset, seed in zip(models, problems, seeds):
+            assert_same_fit(model, fit_mlp(dataset, **params, seed=seed))
+
+    def test_problems_stopped_by_patience_leave_the_others_running(self):
+        # the last problem stops first, then the first; the middle one runs its
+        # whole budget alone, from the front of the stacked buffers
+        problems = [generate_synthetic(40, 3, {0}, seed=seed, noise=noise)
+                    for seed, noise in ((0, 0.0), (1, 0.3), (2, 0.3))]
+        params = dict(hidden=2, learning_rate=2.0, epochs=150, l2=0.5, batch_size=16)
+        models = fit_mlp_stack(problems, [1, 2, 3], **params)
+        stops = [(len(m.loss_history) - 1, m.stop_reason) for m in models]
+        assert stops == [(73, "patience"), (150, "epochs"), (67, "patience")]
+        for model, dataset, seed in zip(models, problems, [1, 2, 3]):
+            assert_same_fit(model, fit_mlp(dataset, **params, seed=seed))
+
+    def test_cv_stacks_the_folds_of_each_training_row_count(self, monkeypatch):
+        dataset = generate_synthetic(301, 4, {0, 1}, seed=8, noise=0.1)
+        plan = stratified_kfold(dataset, 5, 3)
+        everything = np.arange(dataset.n)
+        train_sizes = [dataset.n - len(fold) for fold in plan.folds]
+        stacks = []
+
+        def counted(datasets, seeds, **params):
+            stacks.append(len(seeds))
+            return fit_mlp_stack(datasets, seeds, **params)
+
+        monkeypatch.setattr(mppkit.evaluation, "fit_mlp_stack", counted)
+        params = resolve_params("mlp", {"epochs": 20})
+        folds = list(fold_fits("mlp", params, dataset, plan, 3))
+        assert sorted(stacks) == sorted(train_sizes.count(size) for size in set(train_sizes))
+        assert len(stacks) == 2  # 301 rows do not split into five equal folds
+        for f, (test_idx, model, labels) in enumerate(folds):
+            expected = fit_mlp(dataset.subset(np.setdiff1d(everything, test_idx)), **params,
+                               seed=derive_seed(3, f))
+            assert_same_fit(model, expected)
+            assert np.array_equal(labels, predict_mlp_batch(expected, dataset.x[test_idx])[0])
+
+    def test_a_failing_stack_reports_the_fold_that_fold_by_fold_fits_report(self, monkeypatch):
+        # every fold's first minibatch overflows; the stack raises, and the
+        # folds are refitted one by one to name the first that fails
+        dataset = generate_synthetic(90, 3, {0}, seed=1)
+        params = resolve_params("mlp", {"learning_rate": 1e300, "epochs": 5})
+        plan = stratified_kfold(dataset, 3, 2)
+        expected = None
+        with np.errstate(all="ignore"):
+            for f, fold in enumerate(plan.folds):
+                train = dataset.subset(np.setdiff1d(np.arange(dataset.n), fold))
+                try:
+                    model = fit_mlp(train, **params, seed=derive_seed(2, f))
+                    predict_mlp_batch(model, dataset.x[fold])
+                except Exception as exc:
+                    expected = f"fold {f}: {exc}"
+                    break
+            fits, fit_predictor = [], mppkit.evaluation.fit_predictor
+
+            def counted(name, *args):
+                fits.append(name)
+                return fit_predictor(name, *args)
+
+            monkeypatch.setattr(mppkit.evaluation, "fit_predictor", counted)
+            with pytest.raises(CrossValidationError) as caught:
+                cross_validate(ModelSpec("mlp", {"learning_rate": 1e300, "epochs": 5}), dataset, k=3, seed=2)
+        assert expected == "fold 0: softmax requires finite input"
+        assert str(caught.value) == expected
+        assert fits == ["mlp"]  # the refit stopped at the failing fold
+
+    def test_unlike_problems_are_refused(self, problems):
+        params = dict(hidden=2, learning_rate=0.1, epochs=2, l2=0.0, batch_size=8)
+        with pytest.raises(ValueError, match="equal row, feature and class counts"):
+            fit_mlp_stack([problems[0], generate_synthetic(44, 4, {0}, seed=1)], [1, 2], **params)
+        with pytest.raises(ValueError, match="2 datasets and 1 seeds"):
+            fit_mlp_stack(problems[:2], [1], **params)
+        assert fit_mlp_stack([], [], **params) == ()
 
 
 class TestPredictMlp:

@@ -23,19 +23,23 @@ SCALE_DIGESTS = {
     # softmax on n x 3 inputs with n >= 100, where its max goes column by column
     "synthetic-960x20/logistic": "adb2c703934f57d18d8f43be22b2c035da3ca24dbd117a4883bb90f2254fe8a6",
     "synthetic-960x20/logistic/predict": "f32b2851adf285811b12ac9a1ac11cc0748019ec142c20e3d1fbf9ea89d1cb83",
+    # the MLP's five CV fold models, trained in lockstep, and their out-of-fold
+    # labels: recorded from five separate fit_mlp calls before the folds were stacked
+    "synthetic-960x20/mlp-cv": "beacd15a0dea2a87e948797eceae9019c7aa5337c0fa90ae420455df28b487e1",
+    "synthetic-960x20/mlp-cv/predict": "baa8cead1910b942102cc47b9935de646c6a412f25de9880be3f5fcde8320386",
 }
 
 
 def test_model_digests_prints_every_fit_then_every_predict():
-    # the bit-identity check of every model and predict path: 9 fits, then
-    # the 9 fits' /predict lines, each "<label> <sha256>", in this order
+    # the bit-identity check of every model and predict path: 11 fits, then
+    # the 11 fits' /predict lines, each "<label> <sha256>", in this order
     result = subprocess.run(
         [sys.executable, str(MODEL_DIGESTS)], capture_output=True, text=True, env=cli_env(), timeout=300,
     )
     assert result.returncode == 0, result.stderr
     fits = [f"fixture/{name}" for name in ("logistic", "svm", "tree", "gbdt", "mlp")]
     fits += ["synthetic-2000x20/gbdt", "synthetic-960x20/tree", "synthetic-960x20/mlp",
-             "synthetic-960x20/logistic"]
+             "synthetic-960x20/logistic", "fixture/mlp-cv", "synthetic-960x20/mlp-cv"]
     lines = result.stdout.splitlines()
     assert [line.split(" ")[0] for line in lines] == fits + [f"{label}/predict" for label in fits]
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)

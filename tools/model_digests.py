@@ -7,10 +7,14 @@ Fits, through ``mppkit.evaluation.fit_predictor`` (the fit the CV driver
 makes for each fold), the fixture's five models on the whole fixture with
 their default hyperparameters and the fixture config's seed, a 200-round
 GBDT on a 2000x20 synthetic set, and a tree, an MLP and a logistic model on a
-960x20 one (the last pins softmax on inputs of many rows).  It prints
-``<name> <sha256 of the sorted-key JSON document>`` for each fit, then
-``<name>/predict <sha256 of the label bytes>`` for each fit, where the labels
-are ``MODELS[model].predict(model, x)`` on the rows it was fitted on.  A
+960x20 one (the last pins softmax on inputs of many rows).  The two
+``mlp-cv`` lines are the MLP's 5-fold CV on the fixture and on the 960x20
+set, through ``mppkit.evaluation.fold_fits`` (the folds ``cross_validate``
+fits, in lockstep): one document list of the fold models, in fold order, and
+the out-of-fold labels.  It prints ``<name> <sha256 of the sorted-key JSON
+document>`` for each fit, then ``<name>/predict <sha256 of the label bytes>``
+for each fit, where the labels are ``MODELS[model].predict(model, x)`` on the
+rows it was fitted on (each row's held-out fold model for ``mlp-cv``).  A
 change that must keep models, or predictions, bit-identical prints the same
 lines before and after; compare the two outputs with diff.  Takes a few
 seconds on one core.
@@ -26,23 +30,37 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO / "src"))
 
-from mppkit.data import generate_synthetic, load_dataset, load_schema
-from mppkit.evaluation import MODELS, fit_predictor
+import numpy as np
+
+from mppkit.data import generate_synthetic, load_dataset, load_schema, stratified_kfold
+from mppkit.evaluation import MODELS, fit_predictor, fold_fits, resolve_params
 from mppkit.serialize import to_document
 
 FIXTURE_DIR = REPO / "tests" / "fixtures"
 SEED = 7  # the fixture config's seed
 
 
-def _digests(name: str, dataset) -> tuple[str, str]:
-    """sha256 of the fitted model's document and of its labels for the same rows."""
-    model = fit_predictor(name, {}, dataset, SEED)
-    doc = to_document(model, dataset.schema)
-    labels = MODELS[name].predict(model, dataset.x)
+def _sha256(doc, labels) -> tuple[str, str]:
     return (
         hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest(),
         hashlib.sha256(labels.tobytes()).hexdigest(),
     )
+
+
+def _digests(name: str, dataset) -> tuple[str, str]:
+    """sha256 of the fitted model's document and of its labels for the same rows."""
+    model = fit_predictor(name, {}, dataset, SEED)
+    return _sha256(to_document(model, dataset.schema), MODELS[name].predict(model, dataset.x))
+
+
+def _cv_digests(name: str, dataset) -> tuple[str, str]:
+    """sha256 of the 5-fold CV's fold model documents, in fold order, and of its out-of-fold labels."""
+    plan = stratified_kfold(dataset, 5, SEED)
+    docs, labels = [], np.full(dataset.n, -1, dtype=np.int64)
+    for test_idx, model, fold_labels in fold_fits(name, resolve_params(name), dataset, plan, SEED):
+        docs.append(to_document(model, dataset.schema))
+        labels[test_idx] = fold_labels
+    return _sha256(docs, labels)
 
 
 def main() -> None:
@@ -51,10 +69,12 @@ def main() -> None:
     big = generate_synthetic(2000, 20, {0, 1, 2}, seed=SEED, noise=0.05)
     mid = generate_synthetic(960, 20, {0, 1, 2}, seed=SEED, noise=0.05)
     fits += [("synthetic-2000x20/gbdt", "gbdt", big), ("synthetic-960x20/tree", "tree", mid),
-             ("synthetic-960x20/mlp", "mlp", mid), ("synthetic-960x20/logistic", "logistic", mid)]
+             ("synthetic-960x20/mlp", "mlp", mid), ("synthetic-960x20/logistic", "logistic", mid),
+             ("fixture/mlp-cv", "mlp", fixture), ("synthetic-960x20/mlp-cv", "mlp", mid)]
     predictions = []
     for label, name, dataset in fits:
-        model_digest, predict_digest = _digests(name, dataset)
+        digests = _cv_digests if label.endswith("-cv") else _digests
+        model_digest, predict_digest = digests(name, dataset)
         print(f"{label} {model_digest}", flush=True)
         predictions.append(f"{label}/predict {predict_digest}")
     print("\n".join(predictions))
