@@ -11,8 +11,13 @@ model document does not carry.
 
 `_design` is the one front end of these two trainers and the MLP: it
 refuses an empty or single-class dataset, fits the z-scoring and returns
-the z-scored rows with the bias column added.  A model keeps no shape fact
-of its own: `n_classes` and `d` are read off its weight matrix.
+the z-scored rows with the bias column added, C-ordered whatever the order
+of the dataset's matrix (a loaded one is F-ordered, a fold subset C-ordered).
+numpy sums each column of an F-ordered matrix pairwise and the rows of a
+C-ordered one in order, which gives the mean and std other last bits, so
+fitting on C-ordered rows keeps a model's bits independent of the layout;
+`add_bias` hands the predictors C-ordered rows too.  A model keeps no shape
+fact of its own: `n_classes` and `d` are read off its weight matrix.
 
 `_descend` is the one descent loop of these two trainers and the MLP.  Its
 rules (accept a step whose loss does not rise, else halve the step size;
@@ -28,6 +33,17 @@ computed from; a rejected step recomputes the gradient at the unchanged
 weights from it.  Each epoch thus evaluates one forward pass.  Each model
 keeps why its descent stopped as `stop_reason` (the SVM one per class),
 beside `rejected_steps` and, like it, outside the model document.
+
+The SVM's subgradient sums the active rows, each times its label, in one
+`einsum` contraction over the rows, with no n x (d+1) temporary.  Its bits
+depend only on the order of the additions: each coefficient is +-1 or +-0,
+so each product is exact whether or not the CPU fuses it into an add.  On
+a C-ordered design `einsum` adds the rows in row order, as
+`np.add.reduce(..., axis=0)` does, whatever SIMD level numpy dispatches to
+(`tests/test_linear.py::TestSvmSubgradient`).  This rests on `_design`'s C
+order (on an F-ordered design the reduce runs pairwise and `einsum` in yet
+another order) and on `einsum`'s default `optimize=False`: `optimize=True`
+hands the contraction to a BLAS product, which sums in its kernel's order.
 
 Each trainer takes its hyperparameters as keywords whose defaults are the
 model's (`evaluation.MODEL_DEFAULTS` reads them) and checks them first with
@@ -64,8 +80,12 @@ class Standardization:
 
 
 def add_bias(x: np.ndarray) -> np.ndarray:
+    """`x` with a column of ones appended, C-ordered whatever the order of `x`."""
     x = np.asarray(x, dtype=float)
-    return np.hstack([x, np.ones((x.shape[0], 1))])
+    xb = np.empty((x.shape[0], x.shape[1] + 1))
+    xb[:, :-1] = x
+    xb[:, -1] = 1.0
+    return xb
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,8 +229,9 @@ def _design(dataset: Dataset) -> tuple[Standardization, np.ndarray]:
         raise ValueError("empty dataset")
     if np.unique(dataset.y).size < 2:
         raise ValueError("single-class dataset")
-    std = Standardization.fit(dataset.x)
-    return std, add_bias(std.apply(dataset.x))
+    x = np.ascontiguousarray(dataset.x)  # rows in order: the mean and std reduce them in row order
+    std = Standardization.fit(x)
+    return std, add_bias(std.apply(x))
 
 
 def fit_logistic(
@@ -260,8 +281,20 @@ def _svm_evaluate(w: np.ndarray, xb: np.ndarray, t: np.ndarray, reg_c: float):
 
 
 def _svm_subgradient(w: np.ndarray, signed: np.ndarray, xb: np.ndarray, t: np.ndarray, reg_c: float):
+    """Subgradient of `_svm_evaluate`'s objective at `w`, from its signed margins.
+
+    The hinge part is minus the mean of the rows whose margin is below 1,
+    each times its label t = +-1.  Their sum is one `einsum` over the rows
+    of the C-ordered `xb`: every product is exact, since each coefficient
+    is +-1 or +-0, and the rows are added in row order, which gives the
+    bits of ``np.add.reduce(xb * (t * active)[:, None], axis=0)`` whatever
+    SIMD level numpy dispatches to.  Never `optimize=True`, which sums in a
+    BLAS kernel's order.  The two may give an all-zero sum opposite signs;
+    that never reaches the weights, which start at +0.0 and which
+    ``w - lr * g`` never turns into -0.0.
+    """
     active = signed < 1.0
-    g = np.add.reduce(xb * (t * active)[:, None], axis=0)
+    g = np.einsum("ij,i->j", xb, t * active)
     g /= -xb.shape[0]  # the mean, negated: division is sign-symmetric
     g[:-1] += reg_c * w[:-1]
     return g

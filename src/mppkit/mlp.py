@@ -36,22 +36,27 @@ backprop's `dz` block.  A fit makes two, once: one over all n rows for the
 loss passes, and one of (s, batch) rows for the steps, of which each batch
 takes the first a problems and m rows (`_Layer.rows`).  Each matrix of such
 a window is C-contiguous, so it has the shapes and strides, and every pass
-gives the bits, of a separate per-batch buffer.  Once per epoch each
-running problem's standardized rows and one-hot targets are gathered in its
-permuted order into its row of two (s, n) buffers, so each batch is one
-contiguous slice per problem.  The slices and layer windows are made once
-per count of running problems, and the weight views the passes use
+gives the bits, of a separate per-batch buffer.  Every problem's
+standardized rows and one-hot targets are kept once, stacked in two flat
+(s*n)-row arrays, and a problem's loss pass reads its rows, in order, as a
+view of the first.  Once per epoch each running problem's permutation,
+offset to its block of those rows, goes into its row of an (s, n) index
+array, and each batch gathers its rows and targets through its columns of
+that array into two C-contiguous buffers of the batch's (a, m) shape.  The
+index windows, buffer views and layer windows are made once per count of
+running problems, and the weight views the passes use
 (`w1.T`, `w2.T`, `w2[..., :-1]`) once per epoch.  The backprop turns the
 probability array into the output delta in place, which is safe because
 `softmax` returns a fresh array.  The rows come from `linear._design`, and
 targets, cross-entropy and L2 penalty are `numeric`'s, as in `linear`.
 
-A stack holds every problem's rows and targets, standardized and
-permuted, and its parameter rows: s of each, against one for a single fit.
-It reads the datasets one at a time and keeps only their labels, and its
-step layer is sized by the batch, not by n; the loss layer is one problem's.
-On the 960x20 CV (five 768-row folds) that is about 1.9 MB of arrays,
-against about 0.7 MB for one fold's fit with its training subset.
+A stack holds every problem's rows and targets once, standardized, and
+its parameter rows: s of each, against one for a single fit.  It reads the
+datasets one at a time and keeps only their labels, and its step buffers
+are sized by the batch, not by n; the loss layer is one problem's.  On the
+960x20 CV (five 768-row folds) its arrays peak at about 1.6 MB, when the
+designs are stacked, against about 0.9 MB for one fold's fit with its
+training subset (tracemalloc).
 
 The parameters of a problem live in one flat float64 vector `theta`, a row
 of the stack's (s, P) array: `w1` (h x (d+1)) and `w2` (K x (h+1)) are
@@ -257,8 +262,11 @@ def fit_mlp_stack(
     if len({xb.shape for xb in rows}) > 1 or len(class_counts) > 1:
         raise ValueError("fit_mlp_stack needs datasets with equal row, feature and class counts")
     (n, d1), k = rows[0].shape, class_counts.pop()
-
     s = len(rows)
+    # every problem's rows and one-hot targets once: problem i's are rows i*n to (i+1)*n
+    flat, onehot = np.concatenate(rows), one_hot(np.concatenate(labels), k)
+    del rows
+
     thetas = np.empty((s, hidden * d1 + k * (hidden + 1)))
     for theta, rng in zip(thetas, rngs):
         w1, w2 = _views(theta, hidden, d1)
@@ -268,15 +276,20 @@ def fit_mlp_stack(
     decay = _decay(thetas[0], hidden, d1, l2)
     grad, tmp = np.empty_like(thetas), np.empty_like(thetas)
     g1, g2 = _views(grad, hidden, d1)
-    # the epoch's rows in permuted order, problem by problem, so that each
-    # batch of every problem is one contiguous block of these two buffers
-    xp, tp = np.empty((s, n, d1)), np.empty((s, n, k))
-    batch = _Layer((s, min(batch_size, n)), hidden)
+    # the epoch's order of each running problem's rows, as row numbers of
+    # `flat`; each batch gathers its rows and targets into buffers of its shape
+    order = np.empty((s, n), dtype=np.int64)
+    b = min(batch_size, n)
+    batch, xbuf, tbuf = _Layer((s, b), hidden), np.empty(s * b * d1), np.empty(s * b * k)
     windows = [slice(start, min(start + batch_size, n)) for start in range(0, n, batch_size)]
     steps = {}  # count of running problems -> the views a step over that many uses
 
     def views(a):
-        batches = [(xp[:a, w], tp[:a, w], batch.rows((slice(a), slice(w.stop - w.start)))) for w in windows]
+        batches = []
+        for w in windows:
+            m = w.stop - w.start
+            xs, ts = xbuf[:a * m * d1].reshape(a, m, d1), tbuf[:a * m * k].reshape(a, m, k)
+            batches.append((order[:a, w], xs, ts, batch.rows((slice(a), slice(m)))))
         return grad[:a], tmp[:a], g1[:a], g2[:a], batches
 
     full = _Layer((n,), hidden)  # the loss passes go one problem at a time
@@ -288,9 +301,8 @@ def fit_mlp_stack(
             return cross_entropy(probs, y) + l2_penalty(l2, w1, w2), None
         return evaluate
 
-    targets = [one_hot(y, k) for y in labels]
-    descents = [_Descent(theta, learning_rate, epochs, loss(xb, y), patience=10)
-                for theta, xb, y in zip(thetas, rows, labels)]
+    descents = [_Descent(theta, learning_rate, epochs, loss(flat[i * n:(i + 1) * n], y), patience=10)
+                for i, (theta, y) in enumerate(zip(thetas, labels))]
     problem = {descent: i for i, descent in enumerate(descents)}
 
     def epoch(live):
@@ -304,12 +316,12 @@ def fit_mlp_stack(
         lr = np.array([[d.lr] for d in live])
         for j, descent in enumerate(live):
             i = problem[descent]
-            perm = rngs[i].permutation(n)
+            np.add(rngs[i].permutation(n), i * n, out=order[j])
+        for idx, xs, ts, layer in batches:
             # "clip" writes straight into the buffer, where "raise" gathers
             # through a temporary, and a permutation has no index to clip
-            rows[i].take(perm, axis=0, out=xp[j], mode="clip")
-            targets[i].take(perm, axis=0, out=tp[j], mode="clip")
-        for xs, ts, layer in batches:
+            flat.take(idx, axis=0, out=xs, mode="clip")
+            onehot.take(idx, axis=0, out=ts, mode="clip")
             probs = _forward(w1t, w2t, xs, layer)
             _backprop(w2s, xs, layer, probs, ts, g1, g2)
             _add_l2(theta, grad, decay, tmp)

@@ -13,8 +13,8 @@ import pytest
 
 from conftest import FIXTURE_DIR
 from mppkit.data import generate_synthetic, load_dataset, load_schema
-from mppkit.linear import _descend, fit_logistic, fit_svm
-from mppkit.mlp import fit_mlp
+from mppkit.linear import _descend, fit_logistic, fit_svm, predict_logistic_batch, predict_svm_batch
+from mppkit.mlp import fit_mlp, predict_mlp_batch
 from mppkit.serialize import to_document
 
 
@@ -45,42 +45,43 @@ def fixture_dataset():
 class TestGoldenModels:
     """Model documents and loss histories fitted on the fixture, pinned by sha256.
 
-    The digests were recorded from the trainers that evaluated every forward
-    pass twice, before the loops were rewritten to reuse them.  Each trainer
-    has a run at its CV defaults; the second column is the model's
-    `rejected_steps`, the steps `_descend` rejected and halved (one count per
-    class for the SVM), and every trainer has at least one run with some.
+    The digests were recorded once `linear._design` gave the trainers
+    C-ordered rows whatever the dataset's layout; the fixture's loaded
+    matrix is F-ordered.  Each trainer has a run at its CV defaults; the
+    second column is the model's `rejected_steps`, the steps `_descend`
+    rejected and halved (one count per class for the SVM), and every
+    trainer has at least one run with some.
     The SVM's 43 rejections all fall in class 1, whose history repeats a loss
-    161 times: at its last step sizes, accepted steps no longer move the loss.
+    162 times: at its last step sizes, accepted steps no longer move the loss.
     """
 
     CASES = {
         "logistic_default": (
             lambda ds: fit_logistic(ds),
             0,
-            "e91992ddbe539e85174c62cb5cc965098573fd83ff38eacb66f43ae4c8b5ff46",
+            "3e6c8760e1a01d0923f9050a130011d3a6b4f14b55f3db43eb2c74d52455d3f2",
         ),
         "logistic_halving": (
             lambda ds: fit_logistic(ds, learning_rate=50.0, epochs=60, l2=1e-3),
             3,
-            "0a59d6c0fbf8b73214cb0bf0cfe3f7115407a3e9f7d8c73b13c8ebc5f9850bff",
+            "950c677354868b8ce3f80c2d2a88a82fa1580681a7ec76ffc21ea5a805e8f40f",
         ),
         "svm_default": (
             lambda ds: fit_svm(ds),
             (0, 43, 0),
-            "930aef21a9d83fb5004d8dc7e7a980eb2a86aab63722f6b6bf60a84ddcac0b33",
+            "e97a37406108c3b5c1d491645f33e3287ecf3fda8452564d8f1aae6c14ea441e",
         ),
         "mlp_default": (
             lambda ds: fit_mlp(ds, learning_rate=0.1, epochs=500, l2=1e-4, seed=7),
             1,
-            "15bd3a96029facf8e05a2f2b2ffbb73132f881d4ac4c1b21d713f756e8753dfc",
+            "af6220bfe6464c6c795d6d17349c74a6548b50ea94b8c91f63acb9b092158ad4",
         ),
         "mlp_halving": (
             lambda ds: fit_mlp(
                 ds, hidden=8, learning_rate=2.0, epochs=20, l2=1e-4, seed=3, batch_size=50
             ),
             2,
-            "e314181186f8261045d27147435aa3a3460e4881059b5035cb56edfa48e2b241",
+            "01bfb7407467902ac4c793437fd6aff1eaf414eaad8ff3a49ebfe72aa4a36d92",
         ),
     }
 
@@ -90,6 +91,33 @@ class TestGoldenModels:
         model = fit(fixture_dataset)
         assert model.rejected_steps == rejected_steps
         assert _digest(model) == expected
+
+
+class TestMemoryLayout:
+    """A model's bits, and its predictions, do not depend on the memory order of the rows.
+
+    A loaded dataset's matrix is F-ordered and a fold subset's C-ordered;
+    numpy reduces the columns of the one pairwise and the rows of the other
+    in order, so z-scoring them as they come gives each other last bits.
+    """
+
+    FITS = {
+        "logistic": (fit_logistic, predict_logistic_batch),
+        "svm": (fit_svm, predict_svm_batch),
+        "mlp": (lambda ds: fit_mlp(ds, epochs=30, seed=7), predict_mlp_batch),
+    }
+
+    @pytest.mark.parametrize("name", list(FITS))
+    def test_f_and_c_ordered_rows_give_the_same_bits(self, fixture_dataset, name):
+        fit, predict = self.FITS[name]
+        c_ordered = fixture_dataset.subset(np.arange(fixture_dataset.n))
+        assert fixture_dataset.x.flags.f_contiguous and not fixture_dataset.x.flags.c_contiguous
+        assert c_ordered.x.flags.c_contiguous
+        model = fit(fixture_dataset)
+        assert _digest(model) == _digest(fit(c_ordered))
+        outputs = [predict(model, order(fixture_dataset.x)) for order in (np.asfortranarray, np.ascontiguousarray)]
+        outputs = [out if isinstance(out, tuple) else (out,) for out in outputs]
+        assert [a.tobytes() for a in outputs[0]] == [a.tobytes() for a in outputs[1]]
 
 
 class TestDescentStops:

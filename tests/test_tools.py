@@ -27,19 +27,26 @@ SCALE_DIGESTS = {
     # labels: recorded from five separate fit_mlp calls before the folds were stacked
     "synthetic-960x20/mlp-cv": "beacd15a0dea2a87e948797eceae9019c7aa5337c0fa90ae420455df28b487e1",
     "synthetic-960x20/mlp-cv/predict": "baa8cead1910b942102cc47b9935de646c6a412f25de9880be3f5fcde8320386",
+    # the SVM on the full set and its five CV fold models, the fold fits of the
+    # gd_960 benchmark workload: recorded before the subgradient became one einsum
+    "synthetic-960x20/svm": "f393cf438d65991f25b20cd7cfda7c3151f2e4b02af070cc65e0e3d1603a2bff",
+    "synthetic-960x20/svm/predict": "1113122718cb2d4f55b56584e30b48bfee7b0423fd2b8e7f07bbe7017fe19a0c",
+    "synthetic-960x20/svm-cv": "950eec64d8e5a1d899814ab2c367b5c11a5a37e5b8c6ac431b91811a1e0b28ac",
+    "synthetic-960x20/svm-cv/predict": "8297dd6211b860953fcb2dd92ff778fced8a1c57c86cc0dfb1acc8a59b946a1a",
 }
 
 
 def test_model_digests_prints_every_fit_then_every_predict():
-    # the bit-identity check of every model and predict path: 11 fits, then
-    # the 11 fits' /predict lines, each "<label> <sha256>", in this order
+    # the bit-identity check of every model and predict path: 13 fits, then
+    # the 13 fits' /predict lines, each "<label> <sha256>", in this order
     result = subprocess.run(
         [sys.executable, str(MODEL_DIGESTS)], capture_output=True, text=True, env=cli_env(), timeout=300,
     )
     assert result.returncode == 0, result.stderr
     fits = [f"fixture/{name}" for name in ("logistic", "svm", "tree", "gbdt", "mlp")]
     fits += ["synthetic-2000x20/gbdt", "synthetic-960x20/tree", "synthetic-960x20/mlp",
-             "synthetic-960x20/logistic", "fixture/mlp-cv", "synthetic-960x20/mlp-cv"]
+             "synthetic-960x20/logistic", "synthetic-960x20/svm", "fixture/mlp-cv", "synthetic-960x20/mlp-cv",
+             "synthetic-960x20/svm-cv"]
     lines = result.stdout.splitlines()
     assert [line.split(" ")[0] for line in lines] == fits + [f"{label}/predict" for label in fits]
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)
