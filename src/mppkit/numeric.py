@@ -12,6 +12,7 @@ function of its seeds.
 
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 
@@ -43,14 +44,30 @@ def derive_seed(seed: int, index: int) -> int:
     return _mix64((int(seed) + (int(index) + 1) * _GAMMA) & _MASK64)
 
 
+def _count(n) -> int:
+    """`n` as a number of draws: ValueError unless it is a non-negative integer (True is not 1)."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 0:
+        raise ValueError(f"draw size must be a non-negative integer, got {n!r}")
+    return int(n)
+
+
 def _shape(size) -> tuple[tuple, int]:
     """The array shape a draw `size` asks for, and its element count.
 
     Any integer, a numpy one too, is one dimension; otherwise `size` is a
-    sequence of dimensions.
+    sequence of dimensions.  Anything else, and a bool or a negative
+    dimension, is a ValueError, raised before the counter moves.
     """
-    shape = (int(size),) if isinstance(size, numbers.Integral) else tuple(size)
-    return shape, int(np.prod(shape))
+    if isinstance(size, numbers.Integral):
+        shape = (_count(size),)
+    else:
+        try:
+            shape = tuple(map(_count, size))
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"draw size must be a non-negative integer or a sequence of them, got {size!r}"
+            ) from None
+    return shape, math.prod(shape)
 
 
 class SeededRng:
@@ -58,8 +75,14 @@ class SeededRng:
 
     The i-th raw draw is ``mix64(seed + i * golden_gamma)``: a pure function
     of (seed, counter).  Uniform doubles take the top 53 bits of a draw;
-    integers scale uniforms, and permutations argsort those 53-bit integers,
-    which order and tie exactly as the uniforms do.  All three use
+    integers scale uniforms, and a permutation is the stable argsort of those
+    53-bit integers, which order and tie exactly as the uniforms do.  It sorts
+    with numpy's default (fastest) argsort and keeps that order when the
+    sorted keys strictly increase: distinct keys have exactly one sorting
+    permutation, so any correct sort returns the stable one, whichever
+    kernel numpy dispatches to.  Only keys with a tie take the stable sort.
+    A draw size is a non-negative integer (or, for `random` and `normal`, a
+    sequence of them), checked before the counter moves.  All three use
     integer math and correctly rounded float operations only, so they are
     the same on every platform.  Normals come from Box-Muller on uniform
     pairs, through ``np.log`` and ``np.cos``, whose last bits may differ
@@ -127,7 +150,12 @@ class SeededRng:
 
     def permutation(self, n: int) -> np.ndarray:
         # random(n) is exactly these integers times 2**-53: same order, same ties
-        return self._bits53(n).argsort(kind="stable")
+        keys = self._bits53(_count(n))
+        order = keys.argsort()
+        ranked = keys.take(order)
+        if np.greater(ranked[1:], ranked[:-1]).all():
+            return order
+        return keys.argsort(kind="stable")
 
     def spawn(self, index: int) -> "SeededRng":
         return SeededRng(derive_seed(self._seed, index))
@@ -141,10 +169,15 @@ def softmax(v) -> np.ndarray:
     class columns: a reduction along a 3-wide last axis runs numpy's inner
     loop once per row, which costs more than the arithmetic.  A max is exact,
     so this gives the same bits for every K; a +-0.0 tie changes only the
-    sign of a zero difference, and exp maps both zeros to 1.0.  The row sum
-    stays numpy's reduction along the last axis: summing column by column
-    gives the same bits only for K <= 7, since numpy sums a row of 8 or more
-    pairwise.
+    sign of a zero difference, and exp maps both zeros to 1.0.
+
+    A matrix of K <= 7 classes divides by the sum of its class columns,
+    added left to right, for the same reason.  numpy's reduction adds a row
+    shorter than 8 from left to right too, in C and in F layout, so the bits
+    are its bits.  The column form costs ~0.5 us more on one row, the same
+    at 4 to 32 rows, and ~10 of ~30 us less on 768 rows of 3 classes.  Rows
+    of K >= 8 (which numpy sums pairwise in C layout) and a 1-D input keep
+    numpy's reduction.
     """
     arr = np.asarray(v, dtype=float)
     if arr.ndim not in (1, 2):
@@ -160,7 +193,14 @@ def softmax(v) -> np.ndarray:
         top = np.maximum(top, cols[j])
     e = (cols - top).T
     np.exp(e, out=e)
-    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    if arr.ndim == 1 or k >= 8:
+        e /= np.add.reduce(e, axis=-1, keepdims=True)
+        return e
+    cols = e.T
+    total = cols[0].copy() if k == 1 else cols[0] + cols[1]
+    for j in range(2, k):
+        total += cols[j]
+    e /= total[:, None]
     return e
 
 

@@ -1,8 +1,13 @@
+import hashlib
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import cli_env
 from mppkit.data import generate_synthetic, stratified_kfold
 from mppkit.mlp import fit_mlp
 from mppkit.numeric import (
@@ -61,6 +66,31 @@ def _same_bytes(got: np.ndarray, expected: np.ndarray) -> bool:
     return got.shape == expected.shape and got.tobytes() == expected.tobytes()
 
 
+def sort_and_sum_digest() -> str:
+    """sha256 over permutations and short row sums, the two CPU-independent parts `numeric` relies on.
+
+    The permutations of 20 seeds at sizes up to 3000, and, for K = 1..7, the
+    left-to-right column sums softmax divides by, beside numpy's own row sums
+    of the same C- and F-ordered matrices (positive values over 60 binary
+    orders of magnitude, scaled exactly by `ldexp`).
+    """
+    h = hashlib.sha256()
+    for seed in range(20):
+        for n in (0, 1, 2, 9, 240, 768, 3000):
+            h.update(SeededRng(seed).permutation(n).tobytes())
+    for k in range(1, 8):
+        rng = SeededRng(k)
+        e = np.ldexp(np.asarray(rng.random((2000, k))), rng.integers(-30, 30, (2000, k)))
+        for rows in (e, np.asfortranarray(e)):
+            cols = rows.T
+            total = cols[0].copy()
+            for j in range(1, k):
+                total += cols[j]
+            h.update(total.tobytes())
+            h.update(np.add.reduce(rows, axis=-1).tobytes())
+    return h.hexdigest()
+
+
 class TestSoftmaxColumnMax:
     """`softmax` takes its row max across class columns and still gives the row-max reference's bits."""
 
@@ -79,6 +109,7 @@ class TestSoftmaxColumnMax:
             "C-ordered": a,
             "F-ordered": np.asfortranarray(a),
             "strided": big[::2, 1::3],
+            "768 rows": self.scores(768, k, seed=200 + k),  # a gd_960 fold's
         }
         for name, scores in cases.items():
             got = softmax(scores)
@@ -159,6 +190,68 @@ class TestSeededRng:
                     SeededRng(seed).permutation(n),
                     np.argsort(SeededRng(seed).random(n), kind="stable"),
                 ), (seed, n)
+
+    @staticmethod
+    def tied_keys(case: str) -> np.ndarray:
+        if case == "all equal":
+            return np.full(300, 7, dtype=np.uint64)
+        if case == "five values":
+            return SeededRng(2).integers(0, 5, 300).astype(np.uint64)
+        if case == "equal pairs":
+            return np.repeat(SeededRng(3).permutation(100).astype(np.uint64), 2)
+        # three draws tied at 0 and three at the largest 53-bit value, amid distinct ones
+        ends = np.concatenate([[0] * 3, SeededRng(4).permutation(200) + 1, [2**53 - 1] * 3]).astype(np.uint64)
+        return ends[SeededRng(5).permutation(ends.size)]
+
+    @pytest.mark.parametrize("case", ["all equal", "five values", "equal pairs", "ties at both ends"])
+    def test_tied_keys_take_the_stable_argsort(self, case, monkeypatch):
+        # 53-bit draws almost never tie; patched ones do, and must keep the
+        # stable argsort's order, which numpy's default sort breaks on the
+        # last three cases
+        keys = self.tied_keys(case)
+        rng = SeededRng(1)
+        monkeypatch.setattr(rng, "_bits53", lambda n: keys[:n].copy())
+        assert np.array_equal(rng.permutation(keys.size), np.argsort(keys, kind="stable"))
+
+    def test_same_bits_without_avx512(self):
+        # numpy's AVX512 sort and add kernels switched off in a child process,
+        # as on an AVX2-only CPU (ROADMAP item 1); on a CPU without them the
+        # child runs the native kernels and the check holds trivially
+        env = cli_env()
+        env["NPY_DISABLE_CPU_FEATURES"] = "X86_V4 AVX512_ICL AVX512_SPR"
+        code = (f"import sys; sys.path.insert(0, {str(Path(__file__).parent)!r}); import test_numeric; "
+                "print(test_numeric.sort_and_sum_digest())")
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == sort_and_sum_digest()
+
+    @pytest.mark.parametrize(
+        "draw, size",
+        [
+            ("random", -2),
+            ("random", (-1, -2)),
+            ("random", (2, -1)),
+            ("random", 2.5),
+            ("random", True),
+            ("random", (2, 1.0)),
+            ("random", "ab"),
+            ("normal", -1),
+            ("normal", (False, 2)),
+            ("permutation", -3),
+            ("permutation", 2.5),
+            ("permutation", True),
+            ("permutation", np.int64(-1)),
+        ],
+    )
+    def test_bad_draw_size_is_refused_before_the_counter_moves(self, draw, size):
+        # unchecked, random(-2) moved the counter back and permutation(2.5) left a float counter
+        rng = SeededRng(6)
+        rng.random(3)
+        with pytest.raises(ValueError, match="draw size must be a non-negative integer"):
+            getattr(rng, draw)(size)
+        fresh = SeededRng(6)
+        fresh.random(3)
+        assert np.array_equal(rng.random(4), fresh.random(4))
 
     def test_same_seed_same_stream(self):
         a, b = SeededRng(9), SeededRng(9)

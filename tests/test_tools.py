@@ -33,12 +33,16 @@ SCALE_DIGESTS = {
     "synthetic-960x20/svm/predict": "1113122718cb2d4f55b56584e30b48bfee7b0423fd2b8e7f07bbe7017fe19a0c",
     "synthetic-960x20/svm-cv": "950eec64d8e5a1d899814ab2c367b5c11a5a37e5b8c6ac431b91811a1e0b28ac",
     "synthetic-960x20/svm-cv/predict": "8297dd6211b860953fcb2dd92ff778fced8a1c57c86cc0dfb1acc8a59b946a1a",
+    # the logistic model's five CV fold models, softmax on 768-row folds: recorded
+    # before softmax summed rows of fewer than 8 classes column by column
+    "synthetic-960x20/logistic-cv": "559d0a8a19f75c25906d063a49aa0dc12c89038ea96823ec23de773139e5183d",
+    "synthetic-960x20/logistic-cv/predict": "81a29616e96d11bf064aadad3f8076b4f24234138dc675924616df2c05bc02e7",
 }
 
 
 def test_model_digests_prints_every_fit_then_every_predict():
-    # the bit-identity check of every model and predict path: 13 fits, then
-    # the 13 fits' /predict lines, each "<label> <sha256>", in this order
+    # the bit-identity check of every model and predict path: 14 fits, then
+    # the 14 fits' /predict lines, each "<label> <sha256>", in this order
     result = subprocess.run(
         [sys.executable, str(MODEL_DIGESTS)], capture_output=True, text=True, env=cli_env(), timeout=300,
     )
@@ -46,7 +50,7 @@ def test_model_digests_prints_every_fit_then_every_predict():
     fits = [f"fixture/{name}" for name in ("logistic", "svm", "tree", "gbdt", "mlp")]
     fits += ["synthetic-2000x20/gbdt", "synthetic-960x20/tree", "synthetic-960x20/mlp",
              "synthetic-960x20/logistic", "synthetic-960x20/svm", "fixture/mlp-cv", "synthetic-960x20/mlp-cv",
-             "synthetic-960x20/svm-cv"]
+             "synthetic-960x20/svm-cv", "synthetic-960x20/logistic-cv"]
     lines = result.stdout.splitlines()
     assert [line.split(" ")[0] for line in lines] == fits + [f"{label}/predict" for label in fits]
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)

@@ -10,9 +10,10 @@ GBDT on a 2000x20 synthetic set, and a tree, an MLP, a logistic model (which
 pins softmax on inputs of many rows) and an SVM on a 960x20 one.  The ``-cv``
 lines are 5-fold CVs through ``mppkit.evaluation.fold_fits`` (the folds
 ``cross_validate`` fits): the MLP's on the fixture and on the 960x20 set,
-whose folds train in lockstep, and the SVM's on the 960x20 set, the fold
-models of the ``gd_960`` benchmark workload.  Each is one document list of
-the fold models, in fold order, and the out-of-fold labels.  It prints ``<name> <sha256 of the sorted-key JSON
+whose folds train in lockstep, and the SVM's and the logistic model's on the
+960x20 set, the fold models of the ``gd_960`` benchmark workload.  Each is
+one document list of the fold models, in fold order, and the out-of-fold
+labels.  It prints ``<name> <sha256 of the sorted-key JSON
 document>`` for each fit, then ``<name>/predict <sha256 of the label bytes>``
 for each fit, where the labels are ``MODELS[model].predict(model, x)`` on the
 rows it was fitted on (each row's held-out fold model for ``mlp-cv``).  A
@@ -72,7 +73,8 @@ def main() -> None:
     fits += [("synthetic-2000x20/gbdt", "gbdt", big), ("synthetic-960x20/tree", "tree", mid),
              ("synthetic-960x20/mlp", "mlp", mid), ("synthetic-960x20/logistic", "logistic", mid),
              ("synthetic-960x20/svm", "svm", mid), ("fixture/mlp-cv", "mlp", fixture),
-             ("synthetic-960x20/mlp-cv", "mlp", mid), ("synthetic-960x20/svm-cv", "svm", mid)]
+             ("synthetic-960x20/mlp-cv", "mlp", mid), ("synthetic-960x20/svm-cv", "svm", mid),
+             ("synthetic-960x20/logistic-cv", "logistic", mid)]
     predictions = []
     for label, name, dataset in fits:
         digests = _cv_digests if label.endswith("-cv") else _digests
