@@ -9,6 +9,7 @@ with an explicit undefined flag so report shapes stay fixed.
 from __future__ import annotations
 
 import inspect
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, NamedTuple
 
@@ -65,8 +66,9 @@ def per_class_metrics(m: np.ndarray, c: int) -> ClassMetrics:
     m = np.asarray(m)
     if m.shape != (N_CLASSES, N_CLASSES):
         raise ValueError("expected a 3x3 confusion matrix")
-    if not 0 <= c < N_CLASSES:
-        raise ValueError(f"invalid class id {c}")
+    if isinstance(c, bool) or not isinstance(c, numbers.Integral) or not 0 <= c < N_CLASSES:
+        raise ValueError(f"invalid class id {c!r}")
+    c = int(c)
     total = int(m.sum())
     if total == 0:
         raise ValueError("empty confusion matrix")
@@ -180,27 +182,59 @@ def fit_predictor(name: str, params: dict, dataset: Dataset, seed: int):
 
 @dataclass(frozen=True, eq=False)
 class CvReport:
-    """Pooled out-of-fold results for one model.
+    """Pooled out-of-fold results for one model, each fact kept once.
 
-    `params` are the resolved hyperparameters, `matrix` the pooled 3x3
-    confusion matrix, and `fold_accuracies` hold one accuracy per fold, in
-    fold order: the fold count `k` is their number.
+    `params` are the resolved hyperparameters, `plan` the fold plan, `y` the
+    dataset's labels and `preds` each row's out-of-fold label (read-only
+    int64).  Every metric is read off them: `matrix` is the pooled 3x3
+    confusion matrix, `fold_accuracies` hold one accuracy per fold in plan
+    order, and `seed`, the fold count `k` and `fold_plan_digest` are the
+    plan's.
     """
 
     model: str
     params: dict
-    matrix: np.ndarray
-    per_class: tuple[ClassMetrics, ...]
-    accuracy: float
-    fold_accuracies: tuple[float, ...]
-    fold_accuracy_mean: float
-    fold_accuracy_std: float
-    seed: int
-    fold_plan_digest: str
+    plan: FoldPlan
+    y: np.ndarray
+    preds: np.ndarray
+
+    @property
+    def matrix(self) -> np.ndarray:
+        return confusion_matrix(self.y, self.preds)
+
+    @property
+    def per_class(self) -> tuple[ClassMetrics, ...]:
+        matrix = self.matrix
+        return tuple(per_class_metrics(matrix, c) for c in range(N_CLASSES))
+
+    @property
+    def accuracy(self) -> float:
+        return overall_accuracy(self.matrix)
+
+    @property
+    def fold_accuracies(self) -> tuple[float, ...]:
+        folds = (np.asarray(fold, dtype=np.int64) for fold in self.plan.folds)
+        return tuple(float(np.mean(self.preds[idx] == self.y[idx])) for idx in folds)
+
+    @property
+    def fold_accuracy_mean(self) -> float:
+        return float(np.mean(self.fold_accuracies))
+
+    @property
+    def fold_accuracy_std(self) -> float:
+        return float(np.std(self.fold_accuracies))
+
+    @property
+    def seed(self) -> int:
+        return self.plan.seed
 
     @property
     def k(self) -> int:
-        return len(self.fold_accuracies)
+        return self.plan.k
+
+    @property
+    def fold_plan_digest(self) -> str:
+        return self.plan.digest()
 
 
 def _mlp_fold_models(params: dict, dataset: Dataset, trains: list, seed: int) -> list | None:
@@ -253,7 +287,8 @@ def fold_fits(name: str, params: dict, dataset: Dataset, plan: FoldPlan, seed: i
 
 def cross_validate(spec: ModelSpec, dataset: Dataset, k: int = 5, seed: int = 0) -> CvReport:
     """Stratified k-fold CV: fit on k-1 folds, predict the held-out fold,
-    pool every out-of-fold prediction into a single confusion matrix.
+    pool every out-of-fold label into the report's `preds`, which its
+    confusion matrix and accuracies are read off.
 
     Each fold trains with its own derived seed, so folds could run in any
     order (or concurrently) and produce the same report; the MLP's do run
@@ -265,21 +300,7 @@ def cross_validate(spec: ModelSpec, dataset: Dataset, k: int = 5, seed: int = 0)
     plan = stratified_kfold(dataset, k, seed)
 
     preds = np.full(dataset.n, -1, dtype=np.int64)
-    fold_accs = []
     for test_idx, _, fold_preds in fold_fits(spec.name, params, dataset, plan, seed):
         preds[test_idx] = fold_preds
-        fold_accs.append(float(np.mean(fold_preds == dataset.y[test_idx])))
-
-    matrix = confusion_matrix(dataset.y, preds)
-    return CvReport(
-        model=spec.name,
-        params=params,
-        matrix=matrix,
-        per_class=tuple(per_class_metrics(matrix, c) for c in range(N_CLASSES)),
-        accuracy=overall_accuracy(matrix),
-        fold_accuracies=tuple(fold_accs),
-        fold_accuracy_mean=float(np.mean(fold_accs)),
-        fold_accuracy_std=float(np.std(fold_accs)),
-        seed=int(seed),
-        fold_plan_digest=plan.digest(),
-    )
+    preds.flags.writeable = False
+    return CvReport(model=spec.name, params=params, plan=plan, y=dataset.y, preds=preds)

@@ -268,11 +268,16 @@ def write_importance(path: Path, ranking: ImportanceReport) -> None:
 
 
 def _report_to_obj(r: CvReport) -> dict:
-    """The report's fields, `matrix` as `confusion_matrix` (int lists), and its fold count as `folds`."""
-    obj = asdict(r)
-    obj["confusion_matrix"] = obj.pop("matrix").tolist()
-    obj["folds"] = r.k
-    return obj
+    """The report's metrics and plan facts, `matrix` as `confusion_matrix` (int lists) and its fold count as `folds`.
+
+    Not its `plan`, `y` or `preds`, which the metrics are read off.
+    """
+    return {
+        "model": r.model, "params": r.params, "seed": r.seed, "folds": r.k, "fold_plan_digest": r.fold_plan_digest,
+        "confusion_matrix": r.matrix.tolist(), "per_class": [asdict(cm) for cm in r.per_class],
+        "accuracy": r.accuracy, "fold_accuracies": r.fold_accuracies,
+        "fold_accuracy_mean": r.fold_accuracy_mean, "fold_accuracy_std": r.fold_accuracy_std,
+    }
 
 
 def clear_reports(out_dir) -> Path:

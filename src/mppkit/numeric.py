@@ -141,9 +141,22 @@ class SeededRng:
         return z.reshape(shape)
 
     def integers(self, low: int, high: int, size=None):
-        """Uniform integers in [low, high)."""
+        """Uniform integers in [low, high).
+
+        Each bound must be an integer in the int64 range (a numpy integer is
+        its `int`, a bool is refused), and `high - low` at most 2**53: a
+        53-bit uniform cannot reach every integer of a wider span.  A bad
+        bound is a ValueError naming it, raised before the counter moves.
+        """
+        for name, bound in (("low", low), ("high", high)):
+            _check_integer(name, bound)
+            if not -(2**63) <= bound < 2**63:
+                raise ValueError(f"{name} must lie in the int64 range, got {bound!r}")
+        low, high = int(low), int(high)
         if high <= low:
             raise ValueError("integers requires high > low")
+        if high - low > 2**53:
+            raise ValueError(f"integers requires high - low <= 2**53, got {high - low}")
         u = self.random(size)
         out = np.floor(np.asarray(u) * (high - low)).astype(np.int64) + low
         return int(out) if size is None else out

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from mppkit.mlp import fit_mlp, predict_mlp_batch
 from mppkit.numeric import SeededRng
 from mppkit.serialize import to_document
 from mppkit.trees import fit_gbdt, fit_tree, predict_gbdt_batch, predict_tree_batch
+from test_tools import SCALE_DIGESTS
 
 # model name -> its trainer, called directly rather than through MODELS
 TRAINERS = {"logistic": fit_logistic, "svm": fit_svm, "tree": fit_tree, "gbdt": fit_gbdt, "mlp": fit_mlp}
@@ -116,6 +119,19 @@ class TestPerClassMetrics:
     def test_invalid_class_id(self):
         with pytest.raises(ValueError):
             per_class_metrics(np.array(HAND_MATRIX), 3)
+
+    @pytest.mark.parametrize("c", [True, 1.0, "1"])
+    def test_class_id_must_be_an_integer(self, c):
+        # unchecked, True raised a TypeError and 1.0 an IndexError
+        with pytest.raises(ValueError, match=re.escape(f"invalid class id {c!r}")):
+            per_class_metrics(np.array(HAND_MATRIX), c)
+
+    def test_numpy_integer_class_id_is_stored_as_its_int(self):
+        # unchecked, np.int64(1) was stored as given, which json.dumps cannot write
+        cm = per_class_metrics(np.array(HAND_MATRIX), np.int64(1))
+        assert type(cm.class_id) is int
+        assert cm == per_class_metrics(np.array(HAND_MATRIX), 1)
+        json.dumps(dataclasses.asdict(cm))
 
     def test_matches_brute_force_oracle(self):
         rng = SeededRng(777)
@@ -373,9 +389,25 @@ class TestCrossValidate:
         got = cross_validate(ModelSpec("tree"), ds, k=np.int64(3), seed=np.int64(1))
         want = cross_validate(ModelSpec("tree"), ds, k=3, seed=1)
         assert type(got.k) is int and got.k == 3
-        assert np.array_equal(got.matrix, want.matrix)
-        fields = {**vars(got), "matrix": None}
-        assert fields == {**vars(want), "matrix": None}
+        assert type(got.seed) is int and got.seed == 1
+        assert np.array_equal(got.y, want.y) and np.array_equal(got.preds, want.preds)
+        assert got.fold_plan_digest == want.fold_plan_digest
+        assert (got.model, got.params) == (want.model, want.params)
+
+    @pytest.mark.parametrize("name", ["logistic", "svm", "mlp"])
+    def test_preds_are_the_pinned_out_of_fold_labels(self, name):
+        # the labels tools/model_digests.py pins through fold_fits, and every metric read off them
+        ds = generate_synthetic(960, 20, {0, 1, 2}, seed=7, noise=0.05)
+        report = cross_validate(ModelSpec(name), ds, k=5, seed=7)
+        digest = hashlib.sha256(report.preds.tobytes()).hexdigest()
+        assert digest == SCALE_DIGESTS[f"synthetic-960x20/{name}-cv/predict"]
+        assert report.preds.dtype == np.int64 and not report.preds.flags.writeable
+        assert report.y is ds.y
+        assert report.k == 5 and report.plan.k == 5
+        for fold, accuracy in zip(report.plan.folds, report.fold_accuracies, strict=True):
+            idx = list(fold)
+            assert accuracy == np.mean(report.preds[idx] == ds.y[idx])
+        assert report.accuracy == np.mean(report.preds == ds.y)
 
     def test_two_class_schema_rejected(self):
         ds = make_dataset(np.random.rand(20, 2), [0, 1] * 10, n_classes=2)

@@ -13,7 +13,7 @@ import pytest
 import mppkit
 from conftest import cli_env
 from mppkit import evaluation
-from mppkit.data import DataError, FoldPlan, RawTable
+from mppkit.data import DataError, FoldPlan, RawTable, json_digest
 from mppkit.evaluation import CvReport, ModelSpec
 from mppkit.experiment import (
     ConfigError,
@@ -254,7 +254,9 @@ class TestRunExperiment:
 @pytest.mark.parametrize(
     "record, keyword",
     [(ReportBundle, "config_digest"), (ReportBundle, "toolkit_version"), (ReportBundle, "seed"),
-     (ReportBundle, "k"), (FoldPlan, "k"), (CvReport, "k"), (RawTable, "n_rows")],
+     (ReportBundle, "k"), (FoldPlan, "k"), (RawTable, "n_rows"),
+     *((CvReport, name) for name in ("matrix", "per_class", "accuracy", "fold_accuracies", "fold_accuracy_mean",
+                                     "fold_accuracy_std", "seed", "k", "fold_plan_digest"))],
 )
 def test_derived_facts_are_not_constructor_keywords(record, keyword):
     # each is read off another field (or the config, or __version__), so it cannot disagree with it
@@ -307,11 +309,8 @@ class TestEmitReport:
         assert set(summary["reports"]) == {"tree", "gbdt"}
         matrix = np.array(summary["reports"]["tree"]["confusion_matrix"])
         assert matrix.sum() == 300
-        # a report's fields, `matrix` written as `confusion_matrix` and `k` as `folds`
-        assert set(summary["reports"]["tree"]) == {
-            "model", "params", "confusion_matrix", "accuracy", "per_class", "fold_accuracies",
-            "fold_accuracy_mean", "fold_accuracy_std", "seed", "folds", "fold_plan_digest",
-        }
+        # a report's metrics and plan facts, `matrix` written as `confusion_matrix` and `k` as `folds`
+        assert set(summary["reports"]["tree"]) == set(SUMMARY_REPORT_KEYS)
         assert summary["reports"]["tree"]["folds"] == 3
         assert set(summary["importance"]) == {"entries", "total"}
 
@@ -406,6 +405,11 @@ FIXTURE_REPORT_DIGESTS = {
     "metrics_tree.csv": "7b9e2d8c548f9de52f5cd3cdce6295fedb6dde8c303eb97b38b64aa50e0d983d",
 }
 FIXTURE_FOLD_PLAN_DIGEST = "9bc3f8ec8f36e742a49e4d8a9a8c0e7238a8152e429017653f1509a230382066"
+# json_digest of summary.json's reports, each cut to the keys below (so a key added later
+# leaves it alone); metadata is left out, as its config_digest hashes absolute paths
+SUMMARY_REPORT_KEYS = ("model", "params", "confusion_matrix", "accuracy", "per_class", "fold_accuracies",
+                       "fold_accuracy_mean", "fold_accuracy_std", "seed", "folds", "fold_plan_digest")
+FIXTURE_SUMMARY_REPORTS_DIGEST = "65e968ee2626592180c235c69b104eb072d63ed11ee011ead7cfd3126cee2b04"
 
 
 def run_cli(*args, cwd=None):
@@ -438,6 +442,8 @@ class TestCli:
         reports = json.loads((out / "summary.json").read_text(encoding="utf-8"))["reports"]
         assert {name: r["fold_plan_digest"] for name, r in reports.items()} == dict.fromkeys(
             ["gbdt", "logistic", "mlp", "svm", "tree"], FIXTURE_FOLD_PLAN_DIGEST)
+        kept = {name: {key: r[key] for key in SUMMARY_REPORT_KEYS} for name, r in reports.items()}
+        assert json_digest(kept) == FIXTURE_SUMMARY_REPORTS_DIGEST
 
     def test_validate_data_ok(self, fixture_dir_module):
         result = run_cli(

@@ -304,9 +304,11 @@ class TestSeededRng:
             ("seed", lambda seed: derive_seed(seed, 0)),
             ("index", lambda index: derive_seed(1, index)),
             ("index", lambda index: SeededRng(3).spawn(index)),
+            ("low", lambda low: SeededRng(3).integers(low, 3, 4)),
+            ("high", lambda high: SeededRng(3).integers(0, high, 4)),
         ],
         ids=["SeededRng", "fit_mlp", "stratified_kfold", "generate_synthetic", "derive_seed",
-             "derive_seed_index", "spawn_index"],
+             "derive_seed_index", "spawn_index", "integers_low", "integers_high"],
     )
     def test_seed_must_be_an_integer(self, what, draw, value):
         # without the check, derive_seed and spawn truncate: 1.7 and True act as 1
@@ -326,6 +328,38 @@ class TestSeededRng:
             assert np.array_equal(got, getattr(SeededRng(4), draw)(plain))
             assert got.shape == np.empty(plain).shape
         assert np.array_equal(SeededRng(4).integers(0, 3, size), SeededRng(4).integers(0, 3, plain))
+
+    def test_numpy_integer_bounds_draw_as_their_int(self):
+        got = SeededRng(4).integers(np.int64(-2), np.uint8(3), 50)
+        assert np.array_equal(got, SeededRng(4).integers(-2, 3, 50))
+
+    @pytest.mark.parametrize(
+        "low, high, match",
+        [
+            (0, 2**70, "high must lie in the int64 range, got 1180591620717411303424"),
+            (-(2**63) - 1, 0, "low must lie in the int64 range"),
+            (0, 2**63, "high must lie in the int64 range"),
+            (0, 2**53 + 1, r"integers requires high - low <= 2\*\*53, got 9007199254740993"),
+            (-(2**62), 2**62, r"high - low <= 2\*\*53"),
+            (3, 3, "integers requires high > low"),
+        ],
+        ids=["2**70", "below_int64", "2**63", "span_2**53+1", "span_2**63", "empty"],
+    )
+    def test_bad_integers_bound_is_refused_before_the_counter_moves(self, low, high, match):
+        # unchecked, integers(0, 2**70, 2) returned the int64 minimum twice
+        rng = SeededRng(6)
+        rng.random(3)
+        with pytest.raises(ValueError, match=match):
+            rng.integers(low, high, 2)
+        fresh = SeededRng(6)
+        fresh.random(3)
+        assert np.array_equal(rng.random(4), fresh.random(4))
+
+    def test_integers_reach_both_ends_of_the_int64_range(self):
+        assert SeededRng(5).integers(-(2**63), -(2**63) + 1, 3).tolist() == [-(2**63)] * 3
+        assert SeededRng(5).integers(2**63 - 2, 2**63 - 1, 3).tolist() == [2**63 - 2] * 3
+        top = SeededRng(5).integers(2**63 - 1 - 2**53, 2**63 - 1, 1000)  # the widest span
+        assert top.min() >= 2**63 - 1 - 2**53 and top.max() < 2**63 - 1
 
 
 class TestTrainingMath:
