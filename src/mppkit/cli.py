@@ -84,7 +84,7 @@ def _cmd_run(args) -> int:
         fmt=args.format,
     )
     bundle = run_experiment(config)
-    written = emit_report(bundle, config.formats, config.out_dir)
+    written = emit_report(bundle)
 
     print(f"run complete: {len(bundle.reports)} model(s), k={config.k}, seed={config.seed}")
     for row in compare_models(bundle):

@@ -1,9 +1,10 @@
 """Three-class evaluation: confusion matrix, one-vs-rest metrics, CV driver.
 
 The confusion matrix convention is rows = actual class, columns = predicted
-class.  Per-class precision/recall/F1 come from collapsing the other two
-classes into an opposite class; zero-denominator metrics are reported as 0
-with an explicit undefined flag so report shapes stay fixed.
+class.  Per-class counts come from collapsing the other two classes into an
+opposite class, and precision/recall/F1 are read off those four counts;
+zero-denominator metrics are reported as 0 with an explicit undefined flag
+so report shapes stay fixed.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ def confusion_matrix(truths, preds) -> np.ndarray:
         raise ValueError("truths and preds must be equal-length non-empty 1-D sequences")
     ti = t.astype(np.int64)
     pi = p.astype(np.int64)
-    if np.any(ti != t) or np.any(pi != p):
+    if t.dtype == bool or p.dtype == bool or np.any(ti != t) or np.any(pi != p):
         raise ValueError("labels must be integers")
     for name, arr in (("truths", ti), ("preds", pi)):
         if arr.min() < 0 or arr.max() >= N_CLASSES:
@@ -48,62 +49,69 @@ def confusion_matrix(truths, preds) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ClassMetrics:
+    """One class's one-vs-rest counts; its rates and their defined flags are read off them."""
+
     class_id: int
     tp: int
     fp: int
     fn: int
     tn: int
-    precision: float
-    recall: float
-    f1: float
-    precision_defined: bool
-    recall_defined: bool
-    f1_defined: bool
+
+    @property
+    def precision_defined(self) -> bool:
+        return self.tp + self.fp > 0
+
+    @property
+    def recall_defined(self) -> bool:
+        return self.tp + self.fn > 0
+
+    @property
+    def f1_defined(self) -> bool:
+        return self.precision_defined and self.recall_defined and self.precision + self.recall > 0
+
+    @property
+    def precision(self) -> float:
+        return self.tp / (self.tp + self.fp) if self.precision_defined else 0.0
+
+    @property
+    def recall(self) -> float:
+        return self.tp / (self.tp + self.fn) if self.recall_defined else 0.0
+
+    @property
+    def f1(self) -> float:
+        precision, recall = self.precision, self.recall
+        return 2 * precision * recall / (precision + recall) if self.f1_defined else 0.0
+
+
+def _counts(m) -> np.ndarray:
+    """`m` as an int64 array, if it is a 3x3 matrix of non-negative integer counts with a positive total."""
+    m = np.asarray(m)
+    if m.shape != (N_CLASSES, N_CLASSES):
+        raise ValueError(f"expected a 3x3 confusion matrix, got shape {m.shape}")
+    if m.dtype.kind not in "iuf" or not np.all(np.isfinite(m)) or np.any(m != np.round(m)):
+        raise ValueError("confusion matrix must hold integer counts")
+    if np.any(m < 0):
+        raise ValueError("confusion matrix holds a negative count")
+    if m.sum() == 0:
+        raise ValueError("empty confusion matrix")
+    return m.astype(np.int64)
 
 
 def per_class_metrics(m: np.ndarray, c: int) -> ClassMetrics:
-    """One-vs-rest counts and metrics for class c (the other classes merged)."""
-    m = np.asarray(m)
-    if m.shape != (N_CLASSES, N_CLASSES):
-        raise ValueError("expected a 3x3 confusion matrix")
+    """One-vs-rest counts for class c (the other classes merged)."""
+    m = _counts(m)
     if isinstance(c, bool) or not isinstance(c, numbers.Integral) or not 0 <= c < N_CLASSES:
         raise ValueError(f"invalid class id {c!r}")
     c = int(c)
-    total = int(m.sum())
-    if total == 0:
-        raise ValueError("empty confusion matrix")
     tp = int(m[c, c])
     fp = int(m[:, c].sum()) - tp
     fn = int(m[c, :].sum()) - tp
-    tn = total - tp - fp - fn
-
-    precision_defined = (tp + fp) > 0
-    recall_defined = (tp + fn) > 0
-    precision = tp / (tp + fp) if precision_defined else 0.0
-    recall = tp / (tp + fn) if recall_defined else 0.0
-    f1_defined = precision_defined and recall_defined and (precision + recall) > 0
-    f1 = 2 * precision * recall / (precision + recall) if f1_defined else 0.0
-    return ClassMetrics(
-        class_id=c,
-        tp=tp,
-        fp=fp,
-        fn=fn,
-        tn=tn,
-        precision=precision,
-        recall=recall,
-        f1=f1,
-        precision_defined=precision_defined,
-        recall_defined=recall_defined,
-        f1_defined=f1_defined,
-    )
+    return ClassMetrics(class_id=c, tp=tp, fp=fp, fn=fn, tn=int(m.sum()) - tp - fp - fn)
 
 
 def overall_accuracy(m: np.ndarray) -> float:
-    m = np.asarray(m)
-    total = int(m.sum())
-    if total == 0:
-        raise ValueError("empty confusion matrix")
-    return float(np.trace(m) / total)
+    m = _counts(m)
+    return float(np.trace(m) / m.sum())
 
 
 @dataclass(frozen=True)
@@ -259,10 +267,10 @@ def _mlp_fold_models(params: dict, dataset: Dataset, trains: list, seed: int) ->
     return models
 
 
-def fold_fits(name: str, params: dict, dataset: Dataset, plan: FoldPlan, seed: int) -> Iterator[tuple]:
+def fold_fits(name: str, params: dict, dataset: Dataset, plan: FoldPlan) -> Iterator[tuple]:
     """Each fold's held-out rows, the model fitted on the other rows, and its labels for the held-out rows.
 
-    In fold order; fold f trains with seed `derive_seed(seed, f)` and the
+    In fold order; fold f trains with seed `derive_seed(plan.seed, f)` and the
     resolved `params`.  The MLP trains its folds in lockstep
     (`_mlp_fold_models`); any other model is fitted one fold at a time, as
     the caller asks for the next fold, so only one such fold model need be
@@ -272,13 +280,13 @@ def fold_fits(name: str, params: dict, dataset: Dataset, plan: FoldPlan, seed: i
     everything = np.arange(dataset.n)
     tests = [np.asarray(fold, dtype=np.int64) for fold in plan.folds]
     trains = [np.setdiff1d(everything, test_idx) for test_idx in tests]
-    stacked = _mlp_fold_models(params, dataset, trains, seed) if name == "mlp" else None
+    stacked = _mlp_fold_models(params, dataset, trains, plan.seed) if name == "mlp" else None
     for f, (train_idx, test_idx) in enumerate(zip(trains, tests)):
         try:
             if stacked is not None:
                 model = stacked[f]
             else:
-                model = fit_predictor(name, params, dataset.subset(train_idx), derive_seed(seed, f))
+                model = fit_predictor(name, params, dataset.subset(train_idx), derive_seed(plan.seed, f))
             fold_preds = np.asarray(MODELS[name].predict(model, dataset.x[test_idx]), dtype=np.int64)
         except Exception as exc:
             raise CrossValidationError(f"fold {f}: {exc}") from exc
@@ -300,7 +308,7 @@ def cross_validate(spec: ModelSpec, dataset: Dataset, k: int = 5, seed: int = 0)
     plan = stratified_kfold(dataset, k, seed)
 
     preds = np.full(dataset.n, -1, dtype=np.int64)
-    for test_idx, _, fold_preds in fold_fits(spec.name, params, dataset, plan, seed):
+    for test_idx, _, fold_preds in fold_fits(spec.name, params, dataset, plan):
         preds[test_idx] = fold_preds
     preds.flags.writeable = False
     return CvReport(model=spec.name, params=params, plan=plan, y=dataset.y, preds=preds)

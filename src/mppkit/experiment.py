@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__
 from .data import DataError, json_digest, load_dataset, load_schema, read_json, unknown_key
-from .evaluation import MODELS, N_CLASSES, CvReport, ModelSpec, cross_validate, resolve_params
+from .evaluation import MODELS, N_CLASSES, ClassMetrics, CvReport, ModelSpec, cross_validate, resolve_params
 from .trees import ImportanceReport, feature_importance, fit_gbdt
 
 REPORT_FORMATS = ("csv", "json")
@@ -28,6 +28,9 @@ CONFIG_KEYS = ("data", "schema", "models", "folds", "seed", "out", "format")  # 
 MODEL_ENTRY_KEYS = ("name", "params")  # and each object of a list-form "models"
 # report files clear_reports removes besides the per-model metrics_<model>.csv
 REPORT_NAMES = ("comparison.csv", "importance.csv", "summary.json")
+# a ClassMetrics' counts and rates as metrics_<model>.csv's columns and summary.json's per_class keys
+CLASS_METRICS_KEYS = ("class_id", "tp", "fp", "fn", "tn", "precision", "recall", "f1",
+                      "precision_defined", "recall_defined", "f1_defined")
 
 
 class ConfigError(ValueError):
@@ -185,8 +188,9 @@ class ReportBundle:
     """What one run of `config` produced: a CvReport per model, in config
     order, and the GBDT importance ranking (None when no gbdt ran).
 
-    The config's seed, fold count and digest, and the toolkit version, are
-    not copied here: emit_report reads them off `config` and `__version__`.
+    The config's seed, fold count, digest, report formats and output
+    directory, and the toolkit version, are not copied here: emit_report
+    reads them off `config` and `__version__`.
     The timestamps stay on the bundle and never reach a report file.
     """
 
@@ -267,6 +271,10 @@ def write_importance(path: Path, ranking: ImportanceReport) -> None:
     _write_csv(path, ["feature", "importance"], [[name, repr(float(w))] for name, w in ranking.entries])
 
 
+def _class_record(cm: ClassMetrics) -> dict:
+    return {key: getattr(cm, key) for key in CLASS_METRICS_KEYS}
+
+
 def _report_to_obj(r: CvReport) -> dict:
     """The report's metrics and plan facts, `matrix` as `confusion_matrix` (int lists) and its fold count as `folds`.
 
@@ -274,7 +282,7 @@ def _report_to_obj(r: CvReport) -> dict:
     """
     return {
         "model": r.model, "params": r.params, "seed": r.seed, "folds": r.k, "fold_plan_digest": r.fold_plan_digest,
-        "confusion_matrix": r.matrix.tolist(), "per_class": [asdict(cm) for cm in r.per_class],
+        "confusion_matrix": r.matrix.tolist(), "per_class": [_class_record(cm) for cm in r.per_class],
         "accuracy": r.accuracy, "fold_accuracies": r.fold_accuracies,
         "fold_accuracy_mean": r.fold_accuracy_mean, "fold_accuracy_std": r.fold_accuracy_std,
     }
@@ -293,16 +301,16 @@ def clear_reports(out_dir) -> Path:
     return out
 
 
-def emit_report(bundle: ReportBundle, formats: tuple[str, ...], out_dir) -> list[Path]:
-    """Write the CSV tables and/or the JSON summary, as `formats` ("csv", "json") asks.
+def emit_report(bundle: ReportBundle) -> list[Path]:
+    """Write the CSV tables and/or the JSON summary that the run's config names, into its `out_dir`.
 
-    CSV values carry 6 decimal places for human tables; summary.json keeps
-    full precision.  Output bytes are deterministic for a fixed bundle.
-    Report files of an earlier run in `out_dir` are removed first.
+    `bundle.config.formats` ("csv", "json") says which.  CSV values carry 6
+    decimal places for human tables; summary.json keeps full precision.
+    Output bytes are deterministic for a fixed bundle.  Report files of an
+    earlier run in `out_dir` are removed first.
     """
-    if not set(formats) <= set(REPORT_FORMATS):
-        raise ValueError(f"unknown report format in {formats!r}")
-    out = clear_reports(out_dir)
+    formats = bundle.config.formats
+    out = clear_reports(bundle.config.out_dir)
     written: list[Path] = []
 
     if "csv" in formats:
@@ -312,10 +320,9 @@ def emit_report(bundle: ReportBundle, formats: tuple[str, ...], out_dir) -> list
         written.append(path)
         for r in bundle.reports:
             path = out / f"metrics_{r.model}.csv"
-            # one row of ClassMetrics' fields per class, class_id headed "class", the flags written as 0/1
-            records = [asdict(cm) for cm in r.per_class]
-            rows = [[int(v) if isinstance(v, bool) else v for v in rec.values()] for rec in records]
-            _write_csv(path, ["class", *list(records[0])[1:]], rows)
+            # one row per class, class_id headed "class", the flags written as 0/1
+            rows = [[int(v) if isinstance(v, bool) else v for v in _class_record(cm).values()] for cm in r.per_class]
+            _write_csv(path, ["class", *CLASS_METRICS_KEYS[1:]], rows)
             written.append(path)
         if bundle.importance is not None:
             path = out / "importance.csv"

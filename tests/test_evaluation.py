@@ -11,6 +11,7 @@ from mppkit.data import generate_synthetic
 from mppkit.evaluation import (
     MODEL_DEFAULTS,
     MODELS,
+    ClassMetrics,
     CrossValidationError,
     ModelSpec,
     confusion_matrix,
@@ -83,6 +84,42 @@ class TestConfusionMatrix:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             confusion_matrix([], [])
+
+    @pytest.mark.parametrize("truths, preds", [([True, False, True], [1, 0, 2]), ([1, 0, 2], [True, False, True])])
+    def test_bool_labels_rejected(self, truths, preds):
+        # unchecked, True and False were counted as classes 1 and 0
+        with pytest.raises(ValueError, match="labels must be integers"):
+            confusion_matrix(np.array(truths), np.array(preds))
+
+
+class TestClassMetrics:
+    def test_stores_the_class_id_and_four_counts(self):
+        cm = ClassMetrics(0, 1, 2, 3, 4)
+        assert [f.name for f in dataclasses.fields(cm)] == ["class_id", "tp", "fp", "fn", "tn"]
+        assert dataclasses.astuple(cm) == (0, 1, 2, 3, 4)
+
+    @pytest.mark.parametrize(
+        "rate", ["precision", "recall", "f1", "precision_defined", "recall_defined", "f1_defined"])
+    def test_a_rate_is_read_off_the_counts_not_passed(self, rate):
+        with pytest.raises(TypeError):
+            ClassMetrics(0, 1, 2, 3, 4, **{rate: 0.5})
+        with pytest.raises(AttributeError):
+            setattr(ClassMetrics(0, 1, 2, 3, 4), rate, 0.5)
+
+    def test_rates_follow_their_formulas(self):
+        cm = ClassMetrics(0, 1, 2, 3, 4)
+        assert (cm.precision_defined, cm.recall_defined, cm.f1_defined) == (True, True, True)
+        assert (cm.precision, cm.recall) == (1 / 3, 1 / 4)
+        assert cm.f1 == 2 * (1 / 3) * (1 / 4) / (1 / 3 + 1 / 4)
+
+    @pytest.mark.parametrize("counts, defined", [((0, 0, 0, 5), (False, False, False)),
+                                                 ((0, 2, 0, 5), (True, False, False)),
+                                                 ((0, 0, 2, 5), (False, True, False)),
+                                                 ((0, 2, 2, 5), (True, True, False))])
+    def test_a_zero_denominator_rate_is_zero_and_flagged(self, counts, defined):
+        cm = ClassMetrics(1, *counts)
+        assert (cm.precision_defined, cm.recall_defined, cm.f1_defined) == defined
+        assert cm.precision == cm.recall == cm.f1 == 0.0
 
 
 class TestPerClassMetrics:
@@ -189,6 +226,30 @@ class TestOverallAccuracy:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             overall_accuracy(np.zeros((3, 3), dtype=int))
+
+    def test_integer_valued_floats_are_counts(self):
+        assert overall_accuracy(np.diag([5.0, 1.0, 3.0])) == 1.0
+        assert per_class_metrics(np.array(HAND_MATRIX, dtype=float), 1) == per_class_metrics(np.array(HAND_MATRIX), 1)
+
+
+@pytest.mark.parametrize("read", [lambda m: per_class_metrics(m, 0), overall_accuracy],
+                         ids=["per_class_metrics", "overall_accuracy"])
+@pytest.mark.parametrize(
+    "matrix, message",
+    [
+        # unchecked, these gave recall=1.25 and fn=-1, accuracy 0.375, 0.5 and 1.0
+        ([[5, -1, 0], [0, 1, 0], [0, 0, 1]], "confusion matrix holds a negative count"),
+        (np.full((3, 3), 0.5), "confusion matrix must hold integer counts"),
+        ([[1, 2], [3, 4]], "expected a 3x3 confusion matrix, got shape (2, 2)"),
+        ([[2]], "expected a 3x3 confusion matrix, got shape (1, 1)"),
+        (np.full((3, 3), np.nan), "confusion matrix must hold integer counts"),
+        (np.eye(3, dtype=bool), "confusion matrix must hold integer counts"),
+        (np.zeros((3, 3), dtype=int), "empty confusion matrix"),
+    ],
+)
+def test_a_matrix_that_is_not_counts_is_refused(read, matrix, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read(matrix)
 
 
 class TestResolveParams:

@@ -189,6 +189,7 @@ class TestExperimentConfig:
              "config cannot be recorded in the report: Object of type int64 is not JSON serializable"),
             # a run that writes no report would fit every model and lose the results
             ({"formats": ()}, "report format list must be non-empty"),
+            ({"formats": ("xml",)}, "unknown report format 'xml'"),
         ],
     )
     def test_bad_setting_fails_at_construction(self, tmp_path, monkeypatch, change, message):
@@ -293,16 +294,28 @@ class TestCompareModels:
             compare_models(empty)
 
 
+def configured(bundle, out_dir, formats):
+    """`bundle` with its config writing `formats` into `out_dir`."""
+    return dataclasses.replace(bundle, config=dataclasses.replace(bundle.config, out_dir=out_dir, formats=formats))
+
+
 class TestEmitReport:
-    def test_csv_files_exist_with_expected_names(self, small_bundle, tmp_path):
-        bundle, _ = small_bundle
-        written = emit_report(bundle, ("csv",), tmp_path)
-        names = {p.name for p in written}
-        assert names == {"comparison.csv", "metrics_tree.csv", "metrics_gbdt.csv", "importance.csv"}
+    @pytest.mark.parametrize("formats, names", [
+        (("csv",), {"comparison.csv", "metrics_tree.csv", "metrics_gbdt.csv", "importance.csv"}),
+        (("json",), {"summary.json"}),
+        (("csv", "json"), {"comparison.csv", "metrics_tree.csv", "metrics_gbdt.csv", "importance.csv",
+                           "summary.json"}),
+    ])
+    def test_files_exist_with_expected_names(self, small_bundle, tmp_path, formats, names):
+        # the formats and the directory the bundle's config names
+        bundle = configured(small_bundle[0], tmp_path / "a" / "b", formats)
+        written = emit_report(bundle)
+        assert {p.name for p in written} == names
+        assert sorted(written) == sorted(bundle.config.out_dir.iterdir())
 
     def test_json_summary_shape(self, small_bundle, tmp_path):
         bundle, _ = small_bundle
-        (path,) = emit_report(bundle, ("json",), tmp_path)
+        (path,) = emit_report(configured(bundle, tmp_path, ("json",)))
         summary = json.loads(path.read_text())
         assert set(summary) == {"metadata", "comparison", "reports", "importance"}
         assert summary["metadata"]["folds"] == 3
@@ -316,10 +329,13 @@ class TestEmitReport:
 
     def test_summary_metadata_is_read_off_the_config(self, small_bundle, tmp_path):
         bundle, config = small_bundle
-        (path,) = emit_report(bundle, ("json",), tmp_path)
+        bundle = configured(bundle, tmp_path, ("json",))
+        (path,) = emit_report(bundle)
+        # the digest of the config that wrote the summary, not of the one the bundle was run with
+        assert bundle.config.digest() != config.digest()
         assert json.loads(path.read_text())["metadata"] == {
             "toolkit_version": mppkit.__version__,
-            "config_digest": config.digest(),
+            "config_digest": bundle.config.digest(),
             "seed": config.seed,
             "folds": config.k,
             "models": ["tree", "gbdt"],
@@ -327,7 +343,7 @@ class TestEmitReport:
 
     def test_importance_csv_sorted_and_normalized(self, small_bundle, tmp_path):
         bundle, _ = small_bundle
-        emit_report(bundle, ("csv",), tmp_path)
+        emit_report(configured(bundle, tmp_path, ("csv",)))
         lines = (tmp_path / "importance.csv").read_text().splitlines()
         assert lines[0] == "feature,importance"
         weights = [float(line.split(",")[1]) for line in lines[1:]]
@@ -342,7 +358,7 @@ class TestEmitReport:
             entries=(("Renal function (CREA, Umol/L)", 0.75), ("Cough", 0.25)),
             total=1.0,
         ))
-        emit_report(weird, ("csv",), tmp_path)
+        emit_report(configured(weird, tmp_path, ("csv",)))
         import csv as csv_mod
 
         with (tmp_path / "importance.csv").open(newline="") as fh:
@@ -355,7 +371,8 @@ class TestEmitReport:
         dir_a = tmp_path / "a"
         dir_b = tmp_path / "b"
         for path_a, path_b in zip(
-            emit_report(bundle, ("csv", "json"), dir_a), emit_report(bundle, ("csv", "json"), dir_b)
+            emit_report(configured(bundle, dir_a, ("csv", "json"))),
+            emit_report(configured(bundle, dir_b, ("csv", "json"))),
         ):
             assert path_a.read_bytes() == path_b.read_bytes()
 
@@ -363,15 +380,15 @@ class TestEmitReport:
         bundle, _ = small_bundle
         for name in ("metrics_svm.csv", "metrics_notes.csv", "notes.txt"):
             (tmp_path / name).write_text("earlier")
-        emit_report(bundle, ("csv",), tmp_path)
+        emit_report(configured(bundle, tmp_path, ("csv",)))
         assert not (tmp_path / "metrics_svm.csv").exists()  # an earlier run's report
         assert (tmp_path / "metrics_notes.csv").read_text() == "earlier"
         assert (tmp_path / "notes.txt").read_text() == "earlier"
 
     def test_csv_headers(self, small_bundle, tmp_path):
-        # read from compare_models' row keys and ClassMetrics' fields: pinned here
+        # read from compare_models' row keys and experiment.CLASS_METRICS_KEYS: pinned here
         bundle, _ = small_bundle
-        emit_report(bundle, ("csv",), tmp_path)
+        emit_report(configured(bundle, tmp_path, ("csv",)))
         assert (tmp_path / "comparison.csv").read_text().splitlines()[0] == (
             "model,accuracy,precision_0,recall_0,f1_0,precision_1,recall_1,f1_1,precision_2,recall_2,f1_2"
         )
@@ -379,15 +396,10 @@ class TestEmitReport:
             "class,tp,fp,fn,tn,precision,recall,f1,precision_defined,recall_defined,f1_defined"
         )
 
-    def test_unknown_format_rejected(self, small_bundle, tmp_path):
-        bundle, _ = small_bundle
-        with pytest.raises(ValueError, match="format"):
-            emit_report(bundle, ("xml",), tmp_path)
-
     def test_timestamps_never_reach_report_files(self, small_bundle, tmp_path):
         bundle, _ = small_bundle
         assert bundle.started_at and bundle.finished_at
-        for path in emit_report(bundle, ("csv", "json"), tmp_path):
+        for path in emit_report(configured(bundle, tmp_path, ("csv", "json"))):
             assert bundle.started_at not in path.read_text()
 
 

@@ -267,7 +267,7 @@ class TestFoldStack:
 
         monkeypatch.setattr(mppkit.evaluation, "fit_mlp_stack", counted)
         params = resolve_params("mlp", {"epochs": 20})
-        folds = list(fold_fits("mlp", params, dataset, plan, 3))
+        folds = list(fold_fits("mlp", params, dataset, plan))
         assert sorted(stacks) == sorted(train_sizes.count(size) for size in set(train_sizes))
         assert len(stacks) == 2  # 301 rows do not split into five equal folds
         for f, (test_idx, model, labels) in enumerate(folds):

@@ -1,4 +1,5 @@
 import ast
+import re
 import sys
 from pathlib import Path
 
@@ -28,3 +29,14 @@ def test_imports_only_the_standard_library_and_numpy():
                 outside.add(node.module.split(".")[0])
     assert outside - set(sys.stdlib_module_names) - {"numpy", "mppkit"} == set()
     assert "numpy" in outside
+
+
+def test_readme_python_blocks_run():
+    # the quick start's blocks build on each other, so they run in order in one namespace;
+    # a signature change that leaves README behind fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```python\n(.*?)^```$", readme, flags=re.DOTALL | re.MULTILINE)
+    assert blocks
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

@@ -9,9 +9,10 @@ their default hyperparameters and the fixture config's seed, a 200-round
 GBDT on a 2000x20 synthetic set, and a tree, an MLP, a logistic model (which
 pins softmax on inputs of many rows) and an SVM on a 960x20 one.  The ``-cv``
 lines are 5-fold CVs through ``mppkit.evaluation.fold_fits`` (the folds
-``cross_validate`` fits): the MLP's on the fixture and on the 960x20 set,
-whose folds train in lockstep, and the SVM's and the logistic model's on the
-960x20 set, the fold models of the ``gd_960`` benchmark workload.  Each is
+``cross_validate`` fits, each seeded off the fold plan's seed): the MLP's on
+the fixture and on the 960x20 set, whose folds train in lockstep, and the
+SVM's and the logistic model's on the 960x20 set, the fold models of the
+``gd_960`` benchmark workload.  Each is
 one document list of the fold models, in fold order, and the out-of-fold
 labels.  It prints ``<name> <sha256 of the sorted-key JSON
 document>`` for each fit, then ``<name>/predict <sha256 of the label bytes>``
@@ -59,7 +60,7 @@ def _cv_digests(name: str, dataset) -> tuple[str, str]:
     """sha256 of the 5-fold CV's fold model documents, in fold order, and of its out-of-fold labels."""
     plan = stratified_kfold(dataset, 5, SEED)
     docs, labels = [], np.full(dataset.n, -1, dtype=np.int64)
-    for test_idx, model, fold_labels in fold_fits(name, resolve_params(name), dataset, plan, SEED):
+    for test_idx, model, fold_labels in fold_fits(name, resolve_params(name), dataset, plan):
         docs.append(to_document(model, dataset.schema))
         labels[test_idx] = fold_labels
     return _sha256(docs, labels)
