@@ -42,13 +42,13 @@ from .linear import (
     fit_svm,
 )
 from .mlp import MlpModel, fit_mlp
+from .nodes import NodeArrays, TreeNode
 from .numeric import SeededRng, finite_difference_gradient, softmax
 from .serialize import load_model, save_model
 from .trees import (
     GbdtModel,
     ImportanceReport,
     TreeModel,
-    TreeNode,
     feature_importance,
     fit_gbdt,
     fit_tree,
@@ -95,6 +95,7 @@ __all__ = [
     "save_model",
     "GbdtModel",
     "ImportanceReport",
+    "NodeArrays",
     "TreeModel",
     "TreeNode",
     "feature_importance",

@@ -30,14 +30,23 @@ class CrossValidationError(RuntimeError):
 
 
 def confusion_matrix(truths, preds) -> np.ndarray:
-    """counts[a][p] = number of samples with actual class a predicted as p."""
+    """counts[a][p] = number of samples with actual class a predicted as p.
+
+    A bool is not a label: neither a bool array nor a bool element of a
+    sequence, which `np.asarray` would promote to 0 or 1 beside an integer.
+    """
     t = np.asarray(truths)
     p = np.asarray(preds)
     if t.shape != p.shape or t.ndim != 1 or t.size == 0:
         raise ValueError("truths and preds must be equal-length non-empty 1-D sequences")
     ti = t.astype(np.int64)
     pi = p.astype(np.int64)
-    if t.dtype == bool or p.dtype == bool or np.any(ti != t) or np.any(pi != p):
+    holds_bool = any(
+        labels.dtype == bool
+        or (not isinstance(given, np.ndarray) and any(isinstance(v, (bool, np.bool_)) for v in given))
+        for given, labels in ((truths, t), (preds, p))
+    )
+    if holds_bool or np.any(ti != t) or np.any(pi != p):
         raise ValueError("labels must be integers")
     for name, arr in (("truths", ti), ("preds", pi)):
         if arr.min() < 0 or arr.max() >= N_CLASSES:

@@ -11,6 +11,9 @@ reloaded model makes bit-identical decisions.  Tree nodes nest as
 ``{"feature": j, "threshold": t, "left": ..., "right": ...}`` with leaves
 as ``{"leaf": [values]}``; a tree deeper than MAX_TREE_DEPTH is refused,
 since json can neither write nor read back a document nested that far.
+The writer walks a model's node arrays down from each root; the reader
+appends a document's nodes to node lists in preorder, from which the model
+builds and checks its arrays.
 """
 
 from __future__ import annotations
@@ -23,59 +26,73 @@ import numpy as np
 from .data import FeatureSchema, read_json
 from .linear import LogisticModel, Standardization, SvmModel
 from .mlp import MlpModel
+from .nodes import NodeArrays
 from .numeric import PARAM_CHECKS, check_hyperparameters
-from .trees import GbdtModel, TreeModel, TreeNode
+from .trees import GbdtModel, TreeModel
 
 FORMAT_VERSION = 1
 MAX_TREE_DEPTH = 500  # json.dumps and json.loads recurse once per level, under a 1000-frame limit
 
 
-def _tree_to_obj(root: TreeNode) -> dict:
+def _node_lists(nodes: NodeArrays) -> tuple[list, ...]:
+    """A model's node arrays as Python lists: ints, floats and, for a tree's `value`, rows of floats."""
+    return tuple(a.tolist() for a in nodes)
+
+
+def _tree_to_obj(table: tuple[list, ...], root: int) -> dict:
+    _, _, left, right, _ = table
     depth, level = 0, [root]
-    while level := [child for node in level if not node.is_leaf for child in (node.left, node.right)]:
+    while level := [child for i in level if left[i] != i for child in (left[i], right[i])]:
         depth += 1
     if depth > MAX_TREE_DEPTH:
         raise ValueError(
             f"tree of depth {depth} is too deep for a model document (at most {MAX_TREE_DEPTH})"
         )
-    return _node_to_obj(root)
+    return _node_to_obj(table, root)
 
 
-def _node_to_obj(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"leaf": [float(v) for v in np.atleast_1d(node.value)]}  # a GBDT leaf's float as [score]
+def _node_to_obj(table: tuple[list, ...], i: int) -> dict:
+    feature, threshold, left, right, value = table
+    if left[i] == i:
+        return {"leaf": value[i] if isinstance(value[i], list) else [value[i]]}  # a GBDT leaf's float as [score]
     return {
-        "feature": int(node.feature),
-        "threshold": float(node.threshold),
-        "left": _node_to_obj(node.left),
-        "right": _node_to_obj(node.right),
+        "feature": feature[i],
+        "threshold": threshold[i],
+        "left": _node_to_obj(table, left[i]),
+        "right": _node_to_obj(table, right[i]),
     }
 
 
-def _node_from_obj(obj, d: int, width: int, depth: int) -> TreeNode:
-    """The tree under node `obj`: each split names one of the `d` feature columns, each leaf holds `width` values.
+def _node_from_obj(obj, d: int, width: int, depth: int, table: tuple[list, ...]) -> int:
+    """Append the tree under node `obj` to `table`'s node lists in preorder; return its id.
 
-    A leaf of width 1 is a GBDT leaf (a tree has at least 2 classes), and
-    its one score is read as a Python float, as `fit_gbdt` stores it.
-    `depth` is the number of levels of splits still allowed at `obj`: the
-    tree's `max_depth` at its root, one less at each level below.
+    Each split names one of the `d` feature columns, each leaf holds
+    `width` values: a leaf of width 1 is a GBDT leaf (a tree has at least 2
+    classes), and its one score goes into `value` as a float, a tree leaf's
+    counts as a row.  `depth` is the number of levels of splits still
+    allowed at `obj`: the tree's `max_depth` at its root, one less at each
+    level below.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"tree node must be a JSON object, got {type(obj).__name__}")
+    feature, threshold, left, right, value = table
+    i = len(feature)
     if "leaf" in obj:
-        value = _floats(obj, "leaf", (width,))
-        return TreeNode(value=value if width > 1 else float(value[0]))
+        leaf = _floats(obj, "leaf", (width,))
+        for column, entry in zip(table, (-1, 0.0, i, i, leaf if width > 1 else float(leaf[0]))):
+            column.append(entry)
+        return i
     if depth == 0:
         raise ValueError("tree is deeper than its hyperparameter 'max_depth'")
-    feature = obj["feature"]
-    if isinstance(feature, bool) or not isinstance(feature, int) or not 0 <= feature < d:
-        raise ValueError(f"tree node 'feature' must be an integer in 0..{d - 1}, got {feature!r}")
-    return TreeNode(
-        feature=feature,
-        threshold=float(_floats(obj, "threshold", ())),
-        left=_node_from_obj(obj["left"], d, width, depth - 1),
-        right=_node_from_obj(obj["right"], d, width, depth - 1),
-    )
+    split = obj["feature"]
+    if isinstance(split, bool) or not isinstance(split, int) or not 0 <= split < d:
+        raise ValueError(f"tree node 'feature' must be an integer in 0..{d - 1}, got {split!r}")
+    for column, entry in zip(table, (split, float(_floats(obj, "threshold", ())), i, i,
+                                     np.zeros(width) if width > 1 else 0.0)):
+        column.append(entry)
+    left[i] = _node_from_obj(obj["left"], d, width, depth - 1, table)
+    right[i] = _node_from_obj(obj["right"], d, width, depth - 1, table)
+    return i
 
 
 def _floats(section: dict, key: str, shape: tuple) -> np.ndarray:
@@ -141,14 +158,15 @@ def to_document(model, schema: FeatureSchema) -> dict:
                 "d": int(model.d),
             },
             standardization=None,
-            weights={"root": _tree_to_obj(model.root)},
+            weights={"root": _tree_to_obj(_node_lists(model.nodes), 0)},
         )
     elif isinstance(model, GbdtModel):
+        table = _node_lists(model.nodes)
         doc.update(
             model_type="gbdt",
             hyperparameters={
                 "n_classes": int(model.n_classes),
-                "rounds": len(model.trees),
+                "rounds": len(model.roots),
                 "shrinkage": float(model.shrinkage),
                 "max_depth": int(model.max_depth),
                 "min_samples_leaf": int(model.min_samples_leaf),
@@ -158,7 +176,7 @@ def to_document(model, schema: FeatureSchema) -> dict:
             weights={
                 "init_scores": [float(v) for v in model.init_scores],
                 "importance_raw": [float(v) for v in model.importance_raw],
-                "trees": [[_tree_to_obj(root) for root in group] for group in model.trees],
+                "trees": [[_tree_to_obj(table, root) for root in group] for group in model.roots.tolist()],
                 "loss_history": [float(v) for v in model.loss_history],
             },
         )
@@ -244,20 +262,25 @@ def _model_from_document(kind: str, doc: dict):
             standardization=_std_from_obj(doc["standardization"], w1),
         )
     d, max_depth, min_samples_leaf = hp["d"], hp["max_depth"], hp["min_samples_leaf"]
+    table = ([], [], [], [], [])
     if kind == "tree":
+        _node_from_obj(weights["root"], d, k, max_depth, table)
         return TreeModel(
-            root=_node_from_obj(weights["root"], d, k, max_depth),
+            nodes=NodeArrays(*table),
             max_depth=max_depth,
             min_samples_leaf=min_samples_leaf,
             d=d,
         )
     history = _floats(weights, "loss_history", (None,)).tolist() if "loss_history" in weights else []
-    trees = tuple(tuple(_node_from_obj(obj, d, 1, max_depth) for obj in group) for group in weights["trees"])
-    if len(trees) != hp["rounds"]:  # a model's round count is len(trees): only a document can disagree
+    roots = [[_node_from_obj(obj, d, 1, max_depth, table) for obj in group] for group in weights["trees"]]
+    if len(roots) != hp["rounds"]:  # a model's round count is len(roots): only a document can disagree
         raise ValueError("tree rounds do not match the declared round count")
+    if any(len(group) != k for group in roots):
+        raise ValueError("each round must hold one tree per class")
     return GbdtModel(
         shrinkage=hp["shrinkage"],
-        trees=trees,
+        nodes=NodeArrays(*table),
+        roots=np.array(roots, dtype=np.intp).reshape(-1, k),
         init_scores=_floats(weights, "init_scores", (k,)),
         importance_raw=_floats(weights, "importance_raw", (d,)),
         max_depth=max_depth,

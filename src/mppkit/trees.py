@@ -42,80 +42,89 @@ much as its element work: the split path calls array methods and ufuncs
 rather than their `np.` function wrappers, and routes, gathers and sums
 with as few calls as it can while keeping every sum in the same order.
 
-The models keep each fact once.  A `TreeModel`'s class count is the width
-of its leaves; it stores `d`, since a tree need not split on every feature.
-A `GbdtModel`'s round count is the length of `trees`, its class count the
-size of `init_scores` and its width that of `importance_raw`.  A boosted
-tree's leaf holds its one score as a Python float, not a 1-element array,
-whether the leaf was fitted or loaded from a model document.
+Every fitted tree is a table of parallel node arrays (see `nodes`).
+`_grow` appends a tree's nodes to Python lists of its own, the learner
+sets the leaf values, and a GBDT fit joins every tree's lists into arrays
+once, at its end: no node object is made during a fit.  A `TreeModel` is
+one table whose root is node 0 and whose `value` is (nodes, K), each
+leaf's class counts; its class count is the width of `value`, and it
+stores `d`, since a tree need not split on every feature.  A `GbdtModel`
+keeps all rounds x K trees in one table with `value` of shape (nodes,),
+each leaf's score, and a (rounds, K) array of root ids; its round count is
+the length of `roots`, its class count the size of `init_scores` and its
+width that of `importance_raw`.  Each model checks its table when built,
+so a model made by hand fails then, with a ValueError naming the fault,
+and not at predict.
+
+Both predict through `nodes.route`, which moves every row down every tree
+at once.  GBDT then adds each round's shrunk leaf scores to the priors in
+round order: every score takes the adds the fit made, in the fit's order,
+so its bits do not depend on the router.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import Dataset, FeatureSchema
+from .nodes import NodeArrays, TreeNode, checked, join, route
 from .numeric import check_hyperparameters, cross_entropy, feature_rows, one_hot, softmax
-
-
-@dataclass(slots=True)
-class TreeNode:
-    """Internal node (feature, threshold, children) or leaf (value).
-
-    Internal nodes route x[feature] <= threshold to the left child.  A leaf
-    of the classification tree stores its per-class training counts as a
-    float64 vector; a leaf of a boosted regression tree stores its single
-    additive score as a Python float.
-    """
-
-    feature: int = -1
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    value: np.ndarray | float | None = None
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.value is not None
-
-
-def _first_leaf(node: TreeNode) -> TreeNode:
-    while not node.is_leaf:
-        node = node.left
-    return node
 
 
 @dataclass(frozen=True, eq=False)
 class TreeModel:
-    """A classification tree; `d` is stored, since a tree need not split on every feature."""
+    """A classification tree: one node table whose root is node 0, `value` of shape (nodes, K)."""
 
-    root: TreeNode
+    nodes: NodeArrays
     max_depth: int
     min_samples_leaf: int
     d: int
+    _depth: int = field(init=False, repr=False)  # split levels: the router's step count
+
+    def __post_init__(self):
+        nodes, _, depth = checked(self.nodes, [0], self.d, value_ndim=2)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "_depth", depth)
 
     @property
     def n_classes(self) -> int:
-        return _first_leaf(self.root).value.size  # a leaf holds one count per class
+        return self.nodes.value.shape[1]
+
+    @property
+    def root(self) -> TreeNode:
+        return TreeNode(self.nodes, 0)
 
 
 @dataclass(frozen=True, eq=False)
 class GbdtModel:
-    """A boosted ensemble: `rounds` is len(trees), `n_classes` and `d` the sizes of its arrays."""
+    """A boosted ensemble: one node table for all its trees, `value` of shape (nodes,).
+
+    `roots[r, c]` is the root id of round r's tree for class c; the round
+    count is len(roots), `n_classes` and `d` the sizes of `init_scores` and
+    `importance_raw`.
+    """
 
     shrinkage: float
-    trees: tuple[tuple[TreeNode, ...], ...]  # rounds x n_classes
+    nodes: NodeArrays
+    roots: np.ndarray
     init_scores: np.ndarray
     importance_raw: np.ndarray
     max_depth: int
     min_samples_leaf: int
     loss_history: tuple[float, ...] = ()
+    _depth: int = field(init=False, repr=False)  # split levels of the deepest tree: the router's step count
 
     def __post_init__(self):
-        if any(len(group) != self.n_classes for group in self.trees):
-            raise ValueError("each round must hold one tree per class")
+        roots = np.asarray(self.roots)
+        if roots.ndim != 2 or roots.shape[1] != self.n_classes:
+            raise ValueError(f"each round must hold one tree per class: 'roots' must have shape "
+                             f"(rounds, {self.n_classes}), got {roots.shape}")
+        nodes, roots, depth = checked(self.nodes, roots, self.d, value_ndim=1)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "_depth", depth)
 
     @property
     def d(self) -> int:
@@ -124,6 +133,11 @@ class GbdtModel:
     @property
     def n_classes(self) -> int:
         return self.init_scores.size
+
+    @property
+    def trees(self) -> tuple[tuple[TreeNode, ...], ...]:
+        """The root view of each round's tree for each class, rounds x n_classes."""
+        return tuple(tuple(TreeNode(self.nodes, r) for r in group) for group in self.roots.tolist())
 
 
 @dataclass(frozen=True)
@@ -134,26 +148,12 @@ class ImportanceReport:
     total: float
 
 
-def tree_apply(root: TreeNode, x: np.ndarray) -> np.ndarray:
-    """Each row's leaf value, routed in vectorized index batches.
-
-    The result is shaped from a leaf: (n, K) for a tree's count vectors,
-    (n,) for a boosted tree's float scores.
-    """
-    x = np.asarray(x, dtype=float)
-    out = np.empty((x.shape[0], *np.shape(_first_leaf(root).value)))
-    # an explicit stack, as in _grow: a recursive closure's reference cycle
-    # would keep out and x alive until the next garbage collection
-    pending = [(root, np.arange(x.shape[0]))]
-    while pending:
-        node, idx = pending.pop()
-        if node.is_leaf:
-            out[idx] = node.value
-            continue
-        mask = x[idx, node.feature] <= node.threshold
-        pending.append((node.right, idx[~mask]))
-        pending.append((node.left, idx[mask]))
-    return out
+# Node ids GBDT's predict routes at once, in whole rounds (at least one), so
+# each array of the router holds at most 8192 ids (64 KB) or one round's
+# K x n.  A 60-row fixture fold goes 45 of its 200 rounds at a time: its
+# predict held at most ~0.45 MB, against ~1.4 MB for all 600 trees at once,
+# in about the same time (tracemalloc and timeit, one Xeon core).
+_ROUTED_IDS = 8192
 
 
 def _presort(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -247,16 +247,19 @@ def _best_split(rows: np.ndarray, vals: np.ndarray, stat: np.ndarray, total, min
 
 
 def _grow(x, presorted, stat, max_depth, min_leaf, importance, work):
-    """Grow one tree depth-first on the shared split kernel; return (root, leaves).
+    """Grow one tree depth-first on the shared split kernel; return (table, leaves).
 
     `presorted` is `_presort(x)`, `stat` the (s, n) float64 per-row
-    statistic and `work` a `_SplitWorkspace` for (s, d, n).  A node becomes
-    a leaf, listed in `leaves` as (node, its rows in ascending order) for
-    the learner to gather its statistic and set its value, at the depth
-    limit, below twice the leaf floor, when its statistic is constant, or
-    when no split has a positive gain.  The first two are known at the
-    parent's split, so such a child is listed there and never pushed; only
-    a child that may split gets a sorted block and goes on the stack.  A
+    statistic and `work` a `_SplitWorkspace` for (s, d, n).  `table` is
+    the tree's four node lists (feature, threshold, left, right), with ids
+    local to the tree and the root node 0: each node starts as a leaf and
+    is rewritten as a split when it splits.  A node stays a leaf, listed in
+    `leaves` as (node id, its rows in ascending order) for the learner to
+    gather its statistic and set its value, at the depth limit, below twice
+    the leaf floor, when its statistic is constant, or when no split has a
+    positive gain.  The first two are known at the parent's split, so such
+    a child is listed there and never pushed; only a child that may split
+    gets a sorted block and goes on the stack.  A
     split routes its rows by one column of x (a view, contiguous when x is
     F-ordered, as `clean_and_encode` builds it, strided for a fold's
     C-ordered rows), and each side keeps the node's ascending row order, so
@@ -280,11 +283,11 @@ def _grow(x, presorted, stat, max_depth, min_leaf, importance, work):
     """
     n, d = x.shape
     columns = x.T  # a view: each split routes its rows by one column of it
-    root = TreeNode()
+    table = feature, threshold, left, right = [-1], [0.0], [0], [0]  # the root, a leaf until it splits
     if max_depth == 0 or n < 2 * min_leaf:
-        return root, [(root, np.arange(n))]
+        return table, [(0, np.arange(n))]
     leaves = []
-    pending = [(root, np.arange(n), presorted, 0, 0)]
+    pending = [(0, np.arange(n), presorted, 0, 0)]
     while pending:
         node, idx, (rows, vals), depth, base = pending.pop()
         node_stat = stat.take(idx, axis=1)
@@ -295,11 +298,17 @@ def _grow(x, presorted, stat, max_depth, min_leaf, importance, work):
         if found is None:
             leaves.append((node, idx))
             continue
-        gain, node.feature, node.threshold = found
-        importance[node.feature] += gain
-        mask = columns[node.feature].take(idx) <= node.threshold
+        gain, j, thr = found
+        importance[j] += gain
+        mask = columns[j].take(idx) <= thr
         sides = (idx[mask], idx[~mask])
-        children = node.left, node.right = TreeNode(), TreeNode()
+        children = (len(feature), len(feature) + 1)  # two new leaves
+        feature[node], threshold[node] = j, thr
+        left[node], right[node] = children
+        feature += (-1, -1)
+        threshold += (0.0, 0.0)
+        left += children
+        right += children
         grows = [depth + 1 < max_depth and side.size >= 2 * min_leaf for side in sides]
         if grows[0] or grows[1]:
             flat_rows, flat_vals = rows.ravel(), vals.ravel()
@@ -323,7 +332,7 @@ def _grow(x, presorted, stat, max_depth, min_leaf, importance, work):
                      flat_vals.take(members, out=arena_vals[span], mode="clip").reshape(shape))
             blocks.append((children[c], side, block, depth + 1, start))
         pending += reversed(blocks)  # the left child is popped first: splits in preorder
-    return root, leaves
+    return table, leaves
 
 
 def fit_tree(dataset: Dataset, max_depth: int = 5, min_samples_leaf: int = 2) -> TreeModel:
@@ -337,15 +346,16 @@ def fit_tree(dataset: Dataset, max_depth: int = 5, min_samples_leaf: int = 2) ->
         raise ValueError("empty dataset")
     k = dataset.schema.n_classes
     counts = one_hot(dataset.y, k).T.copy()  # float64 counts: exact, so Gini gains are too
-    root, leaves = _grow(
+    table, leaves = _grow(
         dataset.x, _presort(dataset.x), counts, max_depth, min_samples_leaf,
         importance=np.zeros(dataset.d),  # the lone tree reports no importance
         work=_SplitWorkspace(k, dataset.d, dataset.n),
     )
+    value = np.zeros((len(table[0]), k))
     for leaf, rows in leaves:
-        leaf.value = counts.take(rows, axis=1).sum(axis=1)
+        value[leaf] = counts.take(rows, axis=1).sum(axis=1)
     return TreeModel(
-        root=root,
+        nodes=NodeArrays(*table, value),
         max_depth=max_depth,
         min_samples_leaf=min_samples_leaf,
         d=dataset.d,
@@ -354,7 +364,8 @@ def fit_tree(dataset: Dataset, max_depth: int = 5, min_samples_leaf: int = 2) ->
 
 def predict_tree_batch(model: TreeModel, x) -> np.ndarray:
     """Each row's leaf majority class, ties to the lowest class."""
-    return np.argmax(tree_apply(model.root, feature_rows(x, model.d)), axis=1).astype(np.int64)
+    leaves = route(feature_rows(x, model.d), model.nodes, np.zeros(1, dtype=np.intp), model._depth)[0]
+    return np.argmax(model.nodes.value.take(leaves, axis=0), axis=1).astype(np.int64)
 
 
 def fit_gbdt(
@@ -388,16 +399,16 @@ def fit_gbdt(
     importance = np.zeros(dataset.d)
     presorted = _presort(x)  # x never changes, so one sort serves every tree
     work = _SplitWorkspace(1, dataset.d, n)
-    all_trees = []
+    tables = []
     probs = softmax(scores)
     history = [cross_entropy(probs, y)]
     for _ in range(rounds):
         residuals = (onehot - probs).T.copy()  # contiguous rows, as the kernel gathers from
-        group = []
         step = np.empty((n, k))
         for c in range(k):
-            root, leaves = _grow(x, presorted, residuals[c : c + 1], max_depth, min_samples_leaf,
-                                 importance, work)
+            table, leaves = _grow(x, presorted, residuals[c : c + 1], max_depth, min_samples_leaf,
+                                  importance, work)
+            value = [0.0] * len(table[0])
             res, col = residuals[c], step[:, c]
             for leaf, rows in leaves:
                 # |r|(1 - |r|) in one temporary, then Python floats: the same
@@ -407,17 +418,18 @@ def fit_gbdt(
                 a *= 1.0 - a
                 denom = float(np.add.reduce(a))
                 gamma = (k - 1) / k * float(np.add.reduce(r)) / denom if denom >= 1e-150 else 0.0
-                leaf.value = gamma
+                value[leaf] = gamma
                 col[rows] = gamma
-            group.append(root)
+            tables.append((*table, value))
         scores += shrinkage * step
-        all_trees.append(tuple(group))
         probs = softmax(scores)
         history.append(cross_entropy(probs, y))
 
+    nodes, roots = join(tables)
     return GbdtModel(
         shrinkage=shrinkage,
-        trees=tuple(all_trees),
+        nodes=nodes,
+        roots=roots.reshape(rounds, k),
         init_scores=init,
         importance_raw=importance,
         max_depth=max_depth,
@@ -427,12 +439,21 @@ def fit_gbdt(
 
 
 def predict_gbdt_batch(model: GbdtModel, x) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's label and softmax of its accumulated ensemble scores."""
+    """Each row's label and softmax of its accumulated ensemble scores.
+
+    The trees of a block of rounds are routed at once; the scores then take
+    each round's shrunk leaf scores in round order, so each score sees the
+    adds the fit made, in the fit's order.
+    """
     x = feature_rows(x, model.d)
-    scores = np.tile(model.init_scores.astype(float), (x.shape[0], 1))
-    for group in model.trees:
-        for c, root in enumerate(group):
-            scores[:, c] += model.shrinkage * tree_apply(root, x)
+    n, k = x.shape[0], model.n_classes
+    scores = np.tile(model.init_scores.astype(float), (n, 1))
+    block = max(1, _ROUTED_IDS // (k * n or 1))  # rounds routed at once
+    for start in range(0, len(model.roots), block):
+        leaves = route(x, model.nodes, model.roots[start : start + block].ravel(), model._depth)
+        steps = model.shrinkage * model.nodes.value.take(leaves)  # (rounds * K, n), round-major
+        for step in steps.reshape(len(steps) // k, k, n):
+            scores += step.T
     probs = softmax(scores)
     return np.argmax(probs, axis=1).astype(np.int64), probs
 

@@ -91,6 +91,16 @@ class TestConfusionMatrix:
         with pytest.raises(ValueError, match="labels must be integers"):
             confusion_matrix(np.array(truths), np.array(preds))
 
+    @pytest.mark.parametrize("truths, preds", [
+        ([True, 2, 0], [1, 2, 0]),
+        ([1, 2, 0], (0, np.False_, 2)),
+        ([1, 2, 0], [True, False, True]),
+    ])
+    def test_bool_element_of_a_list_rejected(self, truths, preds):
+        # np.asarray promotes [True, 2, 0] to int64, which read True as class 1
+        with pytest.raises(ValueError, match="labels must be integers"):
+            confusion_matrix(truths, preds)
+
 
 class TestClassMetrics:
     def test_stores_the_class_id_and_four_counts(self):

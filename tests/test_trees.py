@@ -1,20 +1,24 @@
 import gc
 import hashlib
+import importlib.util
 import json
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import FIXTURE_DIR, make_dataset
 from mppkit.data import Dataset, generate_synthetic, load_dataset, load_schema
+from mppkit.evaluation import MODELS
+from mppkit.nodes import NodeArrays, TreeNode, route
 from mppkit.numeric import SeededRng, cross_entropy, one_hot, softmax
 from mppkit.serialize import from_document, to_document
 from mppkit.trees import (
     GbdtModel,
     TreeModel,
-    TreeNode,
+    _ROUTED_IDS,
     _SplitWorkspace,
     _best_split,
     _presort,
@@ -23,7 +27,6 @@ from mppkit.trees import (
     fit_tree,
     predict_gbdt_batch,
     predict_tree_batch,
-    tree_apply,
 )
 
 
@@ -152,10 +155,8 @@ class TestPredictTree:
         assert predict_tree_batch(model, np.array([[2.7]])).tolist() == [1]
 
     def test_tied_counts_take_lowest_class(self):
-        node = TreeNode(value=np.array([5.0, 5.0, 0.0]))
-        from mppkit.trees import TreeModel
-
-        model = TreeModel(root=node, max_depth=0, min_samples_leaf=1, d=1)
+        model = TreeModel(node_table([-1], [0.0], [0], [0], [[5.0, 5.0, 0.0]]), max_depth=0,
+                          min_samples_leaf=1, d=1)
         assert predict_tree_batch(model, np.array([[0.0]])).tolist() == [0]
 
     def test_dimension_mismatch(self):
@@ -240,10 +241,21 @@ class TestFitGbdt:
         assert all(len(group) == 3 for group in model.trees)
 
 
+def node_table(feature, threshold, left, right, value):
+    """A NodeArrays of the given per-node lists, ids as intp."""
+    ids = (np.array(a, dtype=np.intp) for a in (feature, left, right))
+    feature, left, right = ids
+    return NodeArrays(feature, np.array(threshold, dtype=float), left, right, np.array(value, dtype=float))
+
+
+EMPTY_TABLE = node_table([], [], [], [], [])
+
+
 def _init_only_model(priors, d=2):
     return GbdtModel(
         shrinkage=0.1,
-        trees=(),
+        nodes=EMPTY_TABLE,
+        roots=np.empty((0, len(priors)), dtype=np.intp),
         init_scores=np.log(np.asarray(priors, dtype=float)),
         importance_raw=np.zeros(d),
         max_depth=3,
@@ -266,9 +278,9 @@ class TestShapeFacts:
     """Each model keeps a shape fact once: in the arrays or leaves that define it."""
 
     def test_tree_class_count_is_its_leaf_width(self):
-        root = TreeNode(feature=0, threshold=0.5, left=TreeNode(value=np.array([1.0, 0.0, 2.0])),
-                        right=TreeNode(value=np.array([0.0, 3.0, 0.0])))
-        model = TreeModel(root=root, max_depth=1, min_samples_leaf=1, d=2)
+        nodes = node_table([0, -1, -1], [0.5, 0.0, 0.0], [1, 1, 2], [2, 1, 2],
+                           [[0.0] * 3, [1.0, 0.0, 2.0], [0.0, 3.0, 0.0]])
+        model = TreeModel(nodes=nodes, max_depth=1, min_samples_leaf=1, d=2)
         assert (model.n_classes, model.d) == (3, 2)
         schema = make_dataset(np.zeros((1, 2)), [0]).schema
         doc = to_document(model, schema)
@@ -279,20 +291,22 @@ class TestShapeFacts:
         x = np.array([[0.0, 9.0], [1.0, 9.0]])
         assert predict_tree_batch(model, x).tolist() == predict_tree_batch(clone, x).tolist() == [2, 1]
         with pytest.raises(TypeError, match="n_classes"):
-            TreeModel(root=root, max_depth=1, min_samples_leaf=1, d=2, n_classes=2)
+            TreeModel(nodes=nodes, max_depth=1, min_samples_leaf=1, d=2, n_classes=2)
 
     def test_gbdt_shape_facts_are_its_array_sizes(self):
         model = _init_only_model([0.5, 0.25, 0.25], d=4)
         assert (len(model.trees), model.n_classes, model.d) == (0, 3, 4)
         for removed in ("rounds", "n_classes", "d"):
             with pytest.raises(TypeError, match=removed):
-                GbdtModel(0.1, (), model.init_scores, model.importance_raw, 3, 2, **{removed: 3})
+                GbdtModel(0.1, EMPTY_TABLE, model.roots, model.init_scores, model.importance_raw, 3, 2,
+                          **{removed: 3})
 
     def test_gbdt_round_must_hold_one_tree_per_class(self):
         model = _init_only_model([0.5, 0.25, 0.25])
-        group = (TreeNode(value=0.0),) * 2
-        with pytest.raises(ValueError, match="each round must hold one tree per class"):
-            GbdtModel(0.1, (group,), model.init_scores, model.importance_raw, 3, 2)
+        leaves = node_table([-1, -1], [0.0, 0.0], [0, 1], [0, 1], [0.0, 0.0])
+        for roots in ([[0, 1]], [0, 1, 1]):
+            with pytest.raises(ValueError, match="each round must hold one tree per class"):
+                GbdtModel(0.1, leaves, roots, model.init_scores, model.importance_raw, 3, 2)
 
     def test_gbdt_leaves_hold_floats_fitted_and_loaded(self):
         ds = generate_synthetic(60, 3, {0}, seed=4)
@@ -304,7 +318,9 @@ class TestShapeFacts:
             assert all(type(leaf.value) is float for leaf in leaves)
         assert to_document(clone, ds.schema) == to_document(model, ds.schema)
         assert np.array_equal(predict_gbdt_batch(clone, ds.x)[1], predict_gbdt_batch(model, ds.x)[1])
-        assert tree_apply(model.trees[0][0], ds.x).shape == (60,)
+        leaves = route(ds.x, model.nodes, model.roots.ravel(), model._depth)
+        assert leaves.shape == (12, 60)  # 4 rounds x 3 classes, one leaf id per row
+        assert model.nodes.value.take(leaves).shape == (12, 60)
 
 
 class TestPredictGbdt:
@@ -388,30 +404,203 @@ class TestFeatureImportance:
             feature_importance(model, other.schema)
 
 
-class TestTreeApply:
-    def test_matches_scalar_routing(self):
-        ds = generate_synthetic(100, 4, {0, 1}, seed=14, noise=0.1)
-        model = fit_tree(ds, max_depth=4)
-        table = tree_apply(model.root, ds.x)
-        for i in range(0, 100, 13):
-            node = model.root
-            while not node.is_leaf:
-                node = node.left if ds.x[i, node.feature] <= node.threshold else node.right
-            assert np.array_equal(table[i], node.value)
+def walk_leaf(node, row):
+    """Reference router: the leaf view `row` reaches from `node`, one node at a time, recursively."""
+    if node.is_leaf:
+        return node
+    return walk_leaf(node.left if row[node.feature] <= node.threshold else node.right, row)
 
-    def test_result_freed_without_the_cycle_collector(self):
+
+def assert_router_matches_walk(model, x):
+    """The model's predictions equal, bit for bit, those of each row walked through each tree.
+
+    A tree predicts the first largest of its leaf's counts; a boosted model
+    the softmax of the priors plus every tree's shrunk leaf score, added in
+    round and class order.
+    """
+    if isinstance(model, TreeModel):
+        counts = np.array([walk_leaf(model.root, row).value for row in x])
+        leaves = route(x, model.nodes, np.zeros(1, dtype=np.intp), model._depth)[0]
+        assert model.nodes.value[leaves].tobytes() == counts.tobytes()
+        assert predict_tree_batch(model, x).tolist() == np.argmax(counts, axis=1).tolist()
+        return
+    scores = np.tile(model.init_scores, (len(x), 1))
+    for i, row in enumerate(x):
+        for group in model.trees:
+            for c, root in enumerate(group):
+                scores[i, c] += model.shrinkage * walk_leaf(root, row).value
+    probs = softmax(scores)
+    labels, got = predict_gbdt_batch(model, x)
+    assert got.tobytes() == probs.tobytes()
+    assert labels.tolist() == np.argmax(probs, axis=1).tolist()
+
+
+FITS = {"tree": fit_tree, "gbdt": lambda ds, **kw: fit_gbdt(ds, rounds=8, **kw)}
+
+
+class TestRouter:
+    """`_route` moves every row down every tree at once; a recursive walk is its reference."""
+
+    @pytest.fixture(scope="class")
+    def dataset(self):
+        return generate_synthetic(100, 4, {0, 1}, seed=14, noise=0.1)
+
+    @pytest.mark.parametrize("name", sorted(FITS))
+    def test_matches_the_walk(self, dataset, name):
+        assert_router_matches_walk(FITS[name](dataset, max_depth=4), dataset.x)
+
+    @pytest.mark.parametrize("name", sorted(FITS))
+    def test_single_leaf_model_matches_the_walk(self, dataset, name):
+        model = FITS[name](dataset, max_depth=0)
+        roots = [model.root] if name == "tree" else [root for group in model.trees for root in group]
+        assert model._depth == 0 and all(root.is_leaf for root in roots)
+        assert_router_matches_walk(model, dataset.x)
+
+    @pytest.mark.parametrize("name", sorted(FITS))
+    def test_reloaded_model_matches_the_walk(self, dataset, name):
+        model = FITS[name](dataset, max_depth=4)
+        clone = from_document(json.loads(json.dumps(to_document(model, dataset.schema))))
+        assert_router_matches_walk(clone, dataset.x)
+        assert MODELS[name].predict(clone, dataset.x).tobytes() == MODELS[name].predict(model, dataset.x).tobytes()
+
+    def test_blocks_of_rounds_match_the_walk(self, dataset):
+        # 70 rounds of 3 trees on 100 rows are routed 27 rounds (8100 ids) at
+        # a time: blocks of 27, 27 and 16 rounds
+        model = fit_gbdt(dataset, rounds=70, max_depth=3)
+        assert _ROUTED_IDS // (3 * 100) == 27
+        assert_router_matches_walk(model, dataset.x)
+
+    def test_leaf_ids_per_tree_and_row(self, dataset):
+        model = fit_gbdt(dataset, rounds=3, max_depth=2)
+        leaves = route(dataset.x, model.nodes, model.roots.ravel(), model._depth)
+        assert leaves.shape == (9, 100)
+        for t, root in enumerate(model.roots.ravel()):
+            for i in range(0, 100, 13):
+                assert walk_leaf(TreeNode(model.nodes, int(root)), dataset.x[i])._id == leaves[t, i]
+
+    def test_no_rows(self, dataset):
+        for name, fit in FITS.items():
+            assert MODELS[name].predict(fit(dataset, max_depth=3), np.empty((0, 4))).shape == (0,)
+
+    def test_result_freed_without_the_cycle_collector(self, dataset):
         # routing must leave no reference cycle that holds the result until
         # the next garbage collection
-        ds = generate_synthetic(100, 4, {0, 1}, seed=14, noise=0.1)
-        model = fit_tree(ds, max_depth=4)
+        model = fit_tree(dataset, max_depth=4)
         gc.disable()
         try:
-            table = tree_apply(model.root, ds.x)
-            freed = weakref.ref(table)
-            del table
+            leaves = route(dataset.x, model.nodes, np.zeros(1, dtype=np.intp), model._depth)
+            freed = weakref.ref(leaves)
+            del leaves
             assert freed() is None
         finally:
             gc.enable()
+
+
+class TestBuiltByHand:
+    """A model checks its node arrays when built: a bad table fails then, naming the fault, not at predict."""
+
+    # node 0 splits on feature 0 into leaves 1 and 2
+    SPLIT = {"feature": [0, -1, -1], "threshold": [0.5, 0.0, 0.0], "left": [1, 1, 2], "right": [2, 1, 2]}
+
+    def tree(self, d=2, **changes):
+        # the changed entries go in as given, lists or arrays of any dtype
+        nodes = node_table(**self.SPLIT, value=[[0.0] * 3, [3.0, 0.0, 0.0], [0.0, 2.0, 0.0]])
+        return TreeModel(nodes._replace(**changes), max_depth=1, min_samples_leaf=1, d=d)
+
+    def gbdt(self, d=3, roots=((0, 0),), **changes):
+        nodes = node_table(**self.SPLIT, value=[0.0, 0.5, -0.5])
+        return GbdtModel(0.1, nodes._replace(**changes), np.array(roots, dtype=np.intp), np.log([0.5, 0.5]),
+                         np.zeros(d), max_depth=1, min_samples_leaf=1)
+
+    def test_models_built_by_hand_predict(self):
+        x = np.array([[0.0, 9.0, 9.0], [1.0, 9.0, 9.0]])
+        assert predict_tree_batch(self.tree(), x[:, :2]).tolist() == [0, 1]
+        labels, probs = predict_gbdt_batch(self.gbdt(), x)
+        assert labels.tolist() == [0, 0] and probs[0, 0] == probs[0, 1] == 0.5
+        assert self.gbdt(roots=((0, 1),)).trees[0][1].value == 0.5
+
+    def test_arrays_are_read_only(self):
+        nodes = node_table(**self.SPLIT, value=[0.0, 0.5, -0.5])
+        model = GbdtModel(0.1, nodes, np.array([[0, 0]]), np.log([0.5, 0.5]), np.zeros(3), 1, 1)
+        nodes.feature[0] = 5  # a writable array is copied: the caller's array is not the model's
+        assert model.nodes.feature[0] == 0
+        for array in (*model.nodes, model.roots):
+            assert not array.flags.writeable
+        assert not self.tree().root.left.value.flags.writeable
+        # a read-only array of the right dtype, as a fit builds, is kept
+        assert TreeModel(model.nodes._replace(value=np.zeros((3, 2))), 1, 1, 3).nodes.feature is model.nodes.feature
+
+    def test_tree_split_feature_outside_its_width(self):
+        with pytest.raises(ValueError, match=r"node 0 splits on feature 7, outside 0\.\.1"):
+            self.tree(feature=[7, -1, -1])
+
+    def test_tree_leaves_of_two_widths(self):
+        with pytest.raises(ValueError, match="inhomogeneous shape"):
+            self.tree(value=[[0.0] * 3, [3.0, 0.0, 2.0], [0.0, 2.0]])
+        with pytest.raises(ValueError, match=r"'value' must have 2 dimension\(s\) and 3 rows, got shape \(3,\)"):
+            self.tree(value=[1.0, 2.0, 3.0])
+
+    def test_gbdt_split_feature_beyond_its_importance(self):
+        with pytest.raises(ValueError, match=r"node 0 splits on feature 5, outside 0\.\.2"):
+            self.gbdt(feature=[5, -1, -1])
+
+    @pytest.mark.parametrize(("changes", "message"), [
+        ({"threshold": [0.5, 0.0]}, "must be 1-D and of one length"),
+        ({"left": [[1, 1, 2]]}, "must be 1-D and of one length"),
+        ({"feature": [0.0, -1.0, -1.0]}, "node array 'feature' must hold integers, got dtype float64"),
+        ({"left": [3, 1, 2]}, "node array 'left' holds an id outside the 3 nodes"),
+        ({"right": [-1, 1, 2]}, "node array 'right' holds an id outside the 3 nodes"),
+        ({"right": [2, 0, 2]}, r"node 1 splits on feature -1, outside 0\.\."),  # its own left child only
+        ({"feature": [0, 0, -1], "left": [1, 0, 2], "right": [2, 2, 2]}, "child ids form a cycle"),
+        ({"feature": [-1, -1, -1]}, r"node 0 splits on feature -1, outside 0\.\."),
+        ({"left": [0, 1, 2]}, "child ids form a cycle"),  # the root is its own left child
+    ])
+    def test_bad_table(self, changes, message):
+        with pytest.raises(ValueError, match=message):
+            self.tree(**changes)
+        with pytest.raises(ValueError, match=message):
+            self.gbdt(**changes)
+
+    def test_shared_children_are_walked_once(self):
+        # node i < 40 sends both sides to node i + 1: 2**40 paths, 41 nodes
+        m = 41
+        nodes = node_table([0] * (m - 1) + [-1], [0.5] * (m - 1) + [0.0], list(range(1, m)) + [m - 1],
+                           list(range(1, m)) + [m - 1], [[0.0, 0.0]] * (m - 1) + [[0.0, 1.0]])
+        model = TreeModel(nodes, max_depth=m, min_samples_leaf=1, d=1)
+        assert model._depth == m - 1
+        assert predict_tree_batch(model, np.array([[0.0], [1.0]])).tolist() == [1, 1]
+
+    def test_gbdt_roots(self):
+        with pytest.raises(ValueError, match="node array 'roots' holds an id outside the 3 nodes"):
+            self.gbdt(roots=((0, 3),))
+        with pytest.raises(ValueError, match=r"'roots' must have shape \(rounds, 2\), got \(1, 3\)"):
+            self.gbdt(roots=((0, 1, 2),))
+        with pytest.raises(ValueError, match=r"'value' must have 1 dimension\(s\) and 3 rows"):
+            self.gbdt(value=[[0.0]] * 3)
+
+
+def _load_tracer():
+    """perfbench's tracer module, loaded from its file and left unchanged."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracer", Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_tracer_counts_the_nodes_of_the_arrays():
+    tracer = _load_tracer()
+    ds = generate_synthetic(120, 4, {0, 1}, seed=3, noise=0.1)
+    for model in (fit_gbdt(ds, rounds=6), fit_tree(ds, max_depth=5)):
+        nodes = model.nodes
+        splits = int((nodes.left != np.arange(nodes.left.size)).sum())
+        assert 0 < splits < nodes.left.size
+        if isinstance(model, TreeModel):
+            assert tracer._tree_counts(model.root) == (splits, nodes.left.size - splits)
+            assert tracer.COUNTERS["trees.fit_tree"](model) == {"trees.tree_split_nodes": splits}
+        else:
+            assert tracer._gbdt_counts(model) == {"trees.gbdt_trees": 18, "trees.gbdt_split_nodes": splits,
+                                                  "trees.gbdt_leaves": nodes.left.size - splits}
 
 
 _AFTER_ONE = float(np.nextafter(1.0, 2.0))
@@ -540,18 +729,26 @@ class TestSplitKernel:
         assert self._kernel(np.ones((4, 2)), stat, 1) is None  # constant columns
 
 
-def per_node_sort_grow(x, stat, max_depth, min_leaf, importance, leaf_value):
+def per_node_sort_grow(x, stat, max_depth, min_leaf, importance, leaf_value, table, split_value):
     """Reference for `_grow`: each node stably argsorts its own rows afresh.
 
     The stopping rules and node statistic are `_grow`'s, and the split comes
     from `_best_split` on a freshly sorted block, with its gain added to
     `importance` in preorder; a leaf's value is `leaf_value(its rows)`.  So a
     difference from `_grow` can only come from the sorted blocks a child
-    inherits from its parent, or from how a split routes its rows.
+    inherits from its parent, or from how a split routes its rows.  The
+    tree's nodes are appended in preorder to `table`, five per-node lists
+    in `NodeArrays` order, a split's value being `split_value`; the root's
+    id is returned.
     """
     work = _SplitWorkspace(stat.shape[0], x.shape[1], x.shape[0])
 
+    def add(*entries):
+        for column, entry in zip(table, entries):
+            column.append(entry)
+
     def grow(idx, depth):
+        i = len(table[0])
         node_stat = stat[:, idx]
         found = None
         if depth < max_depth and idx.size >= 2 * min_leaf and (node_stat != node_stat[:, :1]).any():
@@ -559,11 +756,15 @@ def per_node_sort_grow(x, stat, max_depth, min_leaf, importance, leaf_value):
             rows, vals = idx[order], np.take_along_axis(x[idx].T, order, axis=1)
             found = _best_split(rows, vals, stat, node_stat.sum(axis=1), min_leaf, work)
         if found is None:
-            return TreeNode(value=leaf_value(idx))
+            add(-1, 0.0, i, i, leaf_value(idx))
+            return i
         gain, feature, threshold = found
         importance[feature] += gain
         mask = x[idx, feature] <= threshold
-        return TreeNode(feature, threshold, grow(idx[mask], depth + 1), grow(idx[~mask], depth + 1))
+        add(feature, threshold, i, i, split_value)
+        table[2][i] = grow(idx[mask], depth + 1)
+        table[3][i] = grow(idx[~mask], depth + 1)
+        return i
 
     return grow(np.arange(x.shape[0]), 0)
 
@@ -572,9 +773,10 @@ def per_node_sort_tree(dataset, max_depth, min_leaf):
     """Reference for `fit_tree` on `per_node_sort_grow`: a leaf holds its class counts."""
     k = dataset.schema.n_classes
     counts = one_hot(dataset.y, k).T.copy()
-    root = per_node_sort_grow(dataset.x, counts, max_depth, min_leaf, np.zeros(dataset.d),
-                              lambda idx: counts[:, idx].sum(axis=1))
-    return TreeModel(root, max_depth, min_leaf, dataset.d)
+    table = ([], [], [], [], [])
+    per_node_sort_grow(dataset.x, counts, max_depth, min_leaf, np.zeros(dataset.d),
+                       lambda idx: counts[:, idx].sum(axis=1), table, np.zeros(k))
+    return TreeModel(NodeArrays(*table), max_depth, min_leaf, dataset.d)
 
 
 def per_node_sort_gbdt(dataset, rounds, max_depth, min_leaf, shrinkage=0.1):
@@ -589,7 +791,7 @@ def per_node_sort_gbdt(dataset, rounds, max_depth, min_leaf, shrinkage=0.1):
     init = np.log(np.maximum(np.bincount(y, minlength=k).astype(float), 1e-12) / n)
     scores = np.tile(init, (n, 1))
     importance = np.zeros(dataset.d)
-    history, trees = [], []
+    history, roots, table = [], [], ([], [], [], [], [])
     for _ in range(rounds):
         probs = softmax(scores)
         history.append(cross_entropy(probs, y))
@@ -606,11 +808,12 @@ def per_node_sort_gbdt(dataset, rounds, max_depth, min_leaf, shrinkage=0.1):
                 step[idx, c] = gamma
                 return float(gamma)
 
-            group.append(per_node_sort_grow(x, r_c[None, :], max_depth, min_leaf, importance, leaf_value))
-        trees.append(tuple(group))
+            group.append(per_node_sort_grow(x, r_c[None, :], max_depth, min_leaf, importance, leaf_value,
+                                            table, 0.0))
+        roots.append(group)
         scores += shrinkage * step
     history.append(cross_entropy(softmax(scores), y))
-    return GbdtModel(shrinkage, tuple(trees), init, importance, max_depth, min_leaf, tuple(history))
+    return GbdtModel(shrinkage, NodeArrays(*table), roots, init, importance, max_depth, min_leaf, tuple(history))
 
 
 def _depth(node):
@@ -654,6 +857,14 @@ class TestInheritedBlocks:
         expected = per_node_sort_gbdt(tied_dataset, 5, max_depth, min_leaf)
         assert to_document(model, tied_dataset.schema) == to_document(expected, tied_dataset.schema)
         assert max(_depth(root) for group in model.trees for root in group) >= min(max_depth, 10)
+
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    @pytest.mark.parametrize("fit", [fit_tree, fit_gbdt])
+    def test_router_matches_the_walk_at_depth_40(self, tied_dataset, fit, min_leaf):
+        kwargs = {"rounds": 5} if fit is fit_gbdt else {}
+        model = fit(tied_dataset, max_depth=40, min_samples_leaf=min_leaf, **kwargs)
+        assert model._depth >= 10
+        assert_router_matches_walk(model, tied_dataset.x)
 
     @pytest.mark.parametrize("fit", [fit_tree, fit_gbdt])
     def test_memory_layout_does_not_matter(self, tied_dataset, fit):
