@@ -11,20 +11,22 @@ matrix the toolkit produces.  A binary feature may optionally declare its
 code mapping, e.g. ``"mapping": {"yes": 1, "no": 0}``; without one, the two
 observed codes are mapped low -> 0, high -> 1.
 
-Loading streams the file: ``load_raw`` reads BLOCK_ROWS rows at a time and
-encodes each schema column of the block to float64 (``float`` for ordinal
-and continuous cells, a code index for binary ones, nan for a blank or
-unparsable cell), keeping the text only of the present cells an error
-message may quote; a cell is blank when it is nan and has no such text.
-A column block is parsed in one pass of C-level calls; only a block
-holding padded, whitespace-only or unparsable cells, or a binary code not
-yet seen, takes the per-cell path.  Each column's numbers are written into
-one float64 buffer that grows in place (doubling, trimmed at the end of the
-file), so no list of blocks is joined into a second copy.
-``clean_and_encode`` then works on whole columns: drop unlabelled rows
-straight into the row of the feature matrix that column becomes, map
-binary codes, impute, and pick the error to report.  The Dataset adopts
-that matrix without copying it.  Every file is read as UTF-8 with an
+Loading streams the file: ``load_raw`` first counts its line terminators,
+a bound on its rows, and allocates one float64 buffer with a row of that
+many cells for each feature, in schema order, and one for the label.  It
+then reads BLOCK_ROWS rows at a time and encodes each schema column of the
+block into its row of the buffer (``float`` for ordinal and continuous
+cells, a code index for binary ones, nan for a blank or unparsable cell),
+keeping the text only of the present cells an error message may quote; a
+cell is blank when it is nan and has no such text.  A column block is
+parsed in one pass of C-level calls; only a block holding padded,
+whitespace-only or unparsable cells, or a binary code not yet seen, takes
+the per-cell path.
+``clean_and_encode`` then works on whole columns: take the labels off
+their row, compact each feature row, less its unlabelled cells, in place
+to the front of the buffer, map binary codes, impute, and pick the error
+to report.  The Dataset adopts that front of the buffer as its feature
+matrix, so every number is held once.  Every file is read as UTF-8 with an
 optional leading byte-order mark, as spreadsheet "CSV UTF-8" exports write;
 `read_json` reads the JSON ones: schema manifest, config, model documents;
 it refuses an object that repeats a key, as the loader refuses a header
@@ -39,6 +41,7 @@ import json
 import math
 import numbers
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -205,23 +208,36 @@ def load_schema(path) -> FeatureSchema:
     return FeatureSchema.from_manifest(read_json(path, "schema manifest", DataError))
 
 
-@dataclass
+@dataclass(eq=False)
 class RawTable:
     """A parsed CSV: its header and encoded schema columns.
 
-    Cell text is not kept beyond the cells a message may quote: the label
-    column and each feature column (in schema order) are RawColumns, one
-    float64 buffer each, and other columns are dropped after the ragged-row
-    check.  The row count is the label column's length.
+    Cell text is not kept beyond the cells a message may quote: each
+    feature column (in schema order) and the label column is a RawColumn
+    whose values are one row of `buffer`, the flat float64 array that
+    `load_raw` sized by the file's line count.  Other columns are dropped
+    after the ragged-row check.  The row count is the label column's
+    length.  `clean_and_encode` consumes the table: it takes the buffer
+    and the columns, and leaves `buffer` None.
     """
 
     header: list[str]
-    label: RawColumn
+    buffer: np.ndarray | None
+    label: RawColumn | None
     features: tuple[RawColumn, ...]
 
     @property
     def n_rows(self) -> int:
         return self.label.values.size
+
+    def _take(self) -> tuple[np.ndarray, RawColumn, tuple[RawColumn, ...]]:
+        """The buffer, label and feature columns, handed over once: the table keeps none of them."""
+        if self.buffer is None:
+            raise ValueError("this RawTable was cleaned already: clean_and_encode consumes "
+                             "the table it is given, so load the file again")
+        taken = (self.buffer, self.label, self.features)
+        self.buffer, self.label, self.features = None, None, ()
+        return taken
 
 
 @dataclass(frozen=True, eq=False)
@@ -258,7 +274,7 @@ class Dataset:
             raise DataError(
                 f"column count {x.shape[1]} does not match schema feature count {self.schema.d}"
             )
-        if x.size and not np.all(np.isfinite(x)):
+        if not all(np.isfinite(column).all() for column in x.T):  # no n*d mask
             raise DataError("feature matrix contains missing or non-finite values")
         if y.size and (y.min() < 0 or y.max() >= self.schema.n_classes):
             raise DataError(f"labels must lie in 0..{self.schema.n_classes - 1}")
@@ -311,11 +327,12 @@ def load_raw(path, schema: FeatureSchema) -> RawTable:
     path = Path(path)
     if not path.is_file():
         raise DataError(f"dataset file not found: {path}")
+    bound = _line_bound(path)
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:  # skips a leading BOM
             reader = csv.reader(fh)
             try:
-                return _encode_rows(path, reader, schema)
+                return _encode_rows(path, reader, schema, bound)
             except csv.Error as exc:
                 raise DataError(f"{path}: row {reader.line_num}: {exc}") from None
     except UnicodeDecodeError:
@@ -325,7 +342,27 @@ def load_raw(path, schema: FeatureSchema) -> RawTable:
         raise
 
 
-def _encode_rows(path: Path, reader, schema: FeatureSchema) -> RawTable:
+def _line_bound(path: Path) -> int:
+    """The line terminators of file `path`, a bound on the records after its header.
+
+    csv ends a record at a newline, a carriage return followed by a newline
+    (counted once), or a lone carriage return, or at the end of the file;
+    so its records number at most one more than these terminators.  A CRLF
+    split between two read chunks counts twice: the bound may only be over.
+    """
+    count = 0
+    with path.open("rb") as fh:
+        # chunks below glibc's 128 KiB mmap threshold: freeing a larger one
+        # raises that threshold, so later mid-sized arrays stay in the heap
+        # (1 MiB chunks raised a fixture run's peak RSS by ~0.35 MB)
+        while chunk := fh.read(1 << 16):
+            count += chunk.count(b"\n")
+            if returns := chunk.count(b"\r"):  # the CRLF search costs more than both counts
+                count += returns - chunk.count(b"\r\n")
+    return count
+
+
+def _encode_rows(path: Path, reader, schema: FeatureSchema, bound: int) -> RawTable:
     try:
         header = [cell.strip() for cell in next(reader)]
     except StopIteration:
@@ -339,42 +376,77 @@ def _encode_rows(path: Path, reader, schema: FeatureSchema) -> RawTable:
         raise DataError(f"{path}: header names column {repeated[0]!r} more than once")
 
     n_classes = schema.n_classes
+    buffer = np.empty((schema.d + 1) * bound)
+    rows = buffer.reshape(schema.d + 1, bound)  # features in schema order, then the label
     label = RawColumn(
         header.index(schema.label_name),
         lambda v: (v >= 0) & (v < n_classes) & (np.floor(v) == v),
         binary=False,
+        row=rows[-1],
     )
     features = [
-        RawColumn(header.index(spec.name), np.isfinite, binary=spec.kind == "binary")
-        for spec in schema.features
+        RawColumn(header.index(spec.name), np.isfinite, binary=spec.kind == "binary", row=row)
+        for spec, row in zip(schema.features, rows)
     ]
     n_rows = 0
     for block in _row_blocks(path, reader, len(header)):
+        if n_rows + len(block) > bound:
+            raise DataError(f"{path}: holds more rows than the {bound} lines counted before "
+                            f"reading it; did it change while it was read?")
         columns = list(zip(*block))
         for column in (label, *features):
             column.add(columns[column.index], n_rows)
         n_rows += len(block)
     return RawTable(
         header=header,
+        buffer=buffer,
         label=label.finish(n_rows),
         features=tuple(column.finish(n_rows) for column in features),
     )
 
 
 def _row_blocks(path: Path, reader, width: int):
-    """Yield the data rows in lists of up to BLOCK_ROWS, skipping blank lines."""
-    block: list[list[str]] = []
-    for cells in reader:
-        if len(cells) != width:
-            if not cells:
-                continue  # blank line
-            raise DataError(f"{path}: row {reader.line_num}: expected {width} cells, got {len(cells)}")
-        block.append(cells)
-        if len(block) == BLOCK_ROWS:
+    """Yield the data rows in lists of up to BLOCK_ROWS, skipping blank lines.
+
+    A block is checked by its set of row widths; only a block holding a
+    ragged row, or one the reader fails in, re-reads the file row by row
+    (`_first_ragged_row`), so that the first ragged row in file order is
+    named by its physical line and beats any later error.
+    """
+    while True:
+        try:
+            block = list(islice(reader, BLOCK_ROWS))
+        except (csv.Error, UnicodeDecodeError):
+            if (error := _first_ragged_row(path, width)) is not None:
+                raise error from None
+            raise
+        if not block:
+            return
+        widths = set(map(len, block))
+        if widths != {width}:
+            if widths - {0, width}:
+                raise _first_ragged_row(path, width) or DataError(
+                    f"{path}: its rows changed while it was read")
+            block = [cells for cells in block if cells]  # drop blank lines
+        if block:
             yield block
-            block = []
-    if block:
-        yield block
+
+
+def _first_ragged_row(path: Path, width: int) -> DataError | None:
+    """The error naming the first row of `path` with neither 0 nor `width` cells, or None.
+
+    The scan stops quietly where the reader fails: a ragged row after that
+    point was never reached by the first read either.
+    """
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            for cells in reader:
+                if cells and len(cells) != width:
+                    return DataError(f"{path}: row {reader.line_num}: expected {width} cells, got {len(cells)}")
+        except (csv.Error, UnicodeDecodeError):
+            pass
+    return None
 
 
 class RawColumn:
@@ -382,7 +454,8 @@ class RawColumn:
 
     `values` holds each row's number (for a binary column, the index of
     its code in `codes`) and nan where the cell is blank or does not
-    parse: one float64 buffer that grows in place, trimmed by `finish`.
+    parse: the column's row of its RawTable's buffer, cut to the rows
+    read by `finish`.
     `texts` keeps, by row, the stripped text of each present cell that a
     message may quote: one that does not parse or is non-finite, and for
     the label column one outside the class range.  So a cell is blank
@@ -390,31 +463,27 @@ class RawColumn:
     no entry for its row.
     """
 
-    def __init__(self, index: int, valid, binary: bool):
+    def __init__(self, index: int, valid, binary: bool, row: np.ndarray):
         self.index = index
         self.valid = valid  # values -> mask of the cells no message needs to quote
         # binary: stripped code -> its index in the finished `codes`; a blank maps to nan
         self.codes = {"": math.nan} if binary else None
-        self.values = np.empty(BLOCK_ROWS)
+        self.values = row
         self.texts: dict[int, str] = {}
 
     def add(self, cells: tuple[str, ...], start: int) -> None:
         try:  # fast path: blank cells are "" and every other cell is clean
-            if self.codes is None:
-                parsed = map(float, map(_BLANK_AS_NAN.get, cells, cells))
+            if self.codes is None:  # numpy parses each str with float()
+                values = np.array(list(map(_BLANK_AS_NAN.get, cells, cells)), dtype=np.float64)
             else:
-                parsed = map(self.codes.__getitem__, cells)
-            values = np.fromiter(parsed, np.float64, len(cells))
+                values = np.fromiter(map(self.codes.__getitem__, cells), np.float64, len(cells))
         except (ValueError, KeyError):  # padding, whitespace-only, a new code or bad text
             values = np.fromiter(map(self._cell_value, cells), np.float64, len(cells))
         for i in np.flatnonzero(~self.valid(values)).tolist():  # blank, or present to quote
             text = cells[i].strip()
             if text:
                 self.texts[start + i] = text
-        end = start + len(cells)
-        if end > self.values.size:  # realloc in place; no view of the buffer outlives add()
-            self.values.resize(max(end, 2 * self.values.size), refcheck=False)
-        self.values[start:end] = values
+        self.values[start : start + len(cells)] = values
 
     def _cell_value(self, cell: str) -> float:
         if self.codes is None:
@@ -425,8 +494,8 @@ class RawColumn:
         return self.codes.setdefault(cell.strip(), float(len(self.codes) - 1))
 
     def finish(self, n_rows: int) -> "RawColumn":
-        """Trim the buffer to `n_rows` and freeze the binary codes to a tuple in index order."""
-        self.values.resize(n_rows, refcheck=False)
+        """Cut `values` to the `n_rows` rows read and freeze the binary codes to a tuple in index order."""
+        self.values = self.values[:n_rows]
         if self.codes is not None:
             self.codes = tuple(self.codes)[1:]
         return self
@@ -500,27 +569,34 @@ def clean_and_encode(raw: RawTable, schema: FeatureSchema) -> Dataset:
     label; per feature in schema order, an entirely missing column, then
     its binary codes, then its first unparsable cell; the first non-finite
     cell in row-major order.
+
+    It consumes `raw`: each feature row is compacted in place to the front
+    of the table's buffer, which becomes the dataset's matrix, so a second
+    call on one table raises ValueError.
     """
-    kept = raw.label.present()
+    buffer, label, features = raw._take()
+    kept = label.present()
     if not kept.any():
         raise DataError("no rows with a label")
     row_number = np.cumsum(kept)  # position of each raw row among the labelled rows
 
-    for r, text in raw.label.texts.items():  # every row with text is labelled
+    for r, text in label.texts.items():  # every row with text is labelled
         if _parses(text):
             raise DataError(f"row {row_number[r]}: label {text!r} outside 0..{schema.n_classes - 1}")
         raise DataError(
             f"row {row_number[r]}, column {schema.label_name!r}: cannot parse {text!r} as a number"
         )
-    labels = raw.label.values[kept].astype(np.int64)
+    labels = label.values[kept].astype(np.int64)
 
-    columns = np.empty((schema.d, labels.size))
+    # row j of `columns` ends at or before row j + 1 of the buffer starts, so
+    # compacting row j overwrites no source still to be read
+    columns = buffer[: schema.d * labels.size].reshape(schema.d, labels.size)
     non_finite = []
-    for j, (spec, column) in enumerate(zip(schema.features, raw.features)):
+    for j, (spec, column) in enumerate(zip(schema.features, features)):
         present = column.present()[kept]
         if not present.any():
             raise DataError(f"column {spec.name!r} is entirely missing")
-        values = np.compress(kept, column.values, out=columns[j])  # a view of row j
+        values = np.compress(kept, column.values, out=columns[j])  # numpy buffers an overlap
         if spec.kind == "binary":
             values[present] = _encode_binary(values[present], column.codes, spec)
         quoted = [(row_number[r], text) for r, text in column.texts.items() if kept[r]]

@@ -103,7 +103,8 @@ class GbdtModel:
 
     `roots[r, c]` is the root id of round r's tree for class c; the round
     count is len(roots), `n_classes` and `d` the sizes of `init_scores` and
-    `importance_raw`.
+    `importance_raw`, each kept as a read-only 1-D float64 array of finite
+    numbers.
     """
 
     shrinkage: float
@@ -117,6 +118,8 @@ class GbdtModel:
     _depth: int = field(init=False, repr=False)  # split levels of the deepest tree: the router's step count
 
     def __post_init__(self):
+        for name in ("init_scores", "importance_raw"):
+            object.__setattr__(self, name, _finite_vector(getattr(self, name), name))
         roots = np.asarray(self.roots)
         if roots.ndim != 2 or roots.shape[1] != self.n_classes:
             raise ValueError(f"each round must hold one tree per class: 'roots' must have shape "
@@ -138,6 +141,20 @@ class GbdtModel:
     def trees(self) -> tuple[tuple[TreeNode, ...], ...]:
         """The root view of each round's tree for each class, rounds x n_classes."""
         return tuple(tuple(TreeNode(self.nodes, r) for r in group) for group in self.roots.tolist())
+
+
+def _finite_vector(values, name: str) -> np.ndarray:
+    """`values` as a read-only 1-D float64 array of finite numbers; else a ValueError naming `name`."""
+    try:
+        array = np.array(values, dtype=np.float64)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{name!r} must hold numbers: {exc}") from None
+    if array.ndim != 1:
+        raise ValueError(f"{name!r} must be 1-D, got shape {array.shape}")
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name!r} must hold finite numbers")
+    array.flags.writeable = False
+    return array
 
 
 @dataclass(frozen=True)

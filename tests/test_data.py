@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from mppkit import data
 from mppkit.data import (
     DataError,
     Dataset,
@@ -149,10 +150,45 @@ class TestLoadRaw:
         ds = load_dataset(path, schema_of([("a", "continuous")]))
         assert ds.x.ravel().tolist() == [1.0, 2.0] and ds.y.tolist() == [0, 1]
 
+    def test_rows_past_the_counted_lines_are_refused(self, tmp_path, monkeypatch):
+        # as when the file gains rows between the line count and the parse
+        schema = schema_of([("a", "continuous")])
+        path = write_csv(tmp_path, "a,label\n" + "1,0\n" * 600)
+        monkeypatch.setattr(data, "_line_bound", lambda path: 599)
+        with pytest.raises(DataError, match=r"data\.csv: holds more rows than the 599 lines counted"):
+            load_raw(path, schema)
+
+    @pytest.mark.parametrize("text, bound", [
+        ("a,label\n1,0\n2,1\n", 3), ("a,label\r\n1,0\r\n2,1", 2), ("a,label\r1,0\r\r2,1\r", 4),
+        ("a,label", 0), ("", 0), ('a,label\n"1\r\n",0\n', 3),
+    ])
+    def test_line_bound_counts_each_terminator_once(self, tmp_path, text, bound):
+        path = tmp_path / "data.csv"
+        path.write_bytes(text.encode("utf-8"))
+        assert data._line_bound(path) == bound
+
     def test_ragged_row_reports_line(self, tmp_path):
         schema = schema_of([("a", "continuous")])
         path = write_csv(tmp_path, "a,label\n1,0\n2,1,9\n")
         with pytest.raises(DataError, match="row 3"):
+            load_raw(path, schema)
+
+    @pytest.mark.parametrize("late", [
+        '"' + "9" * 131073 + '",1,x\n',  # a field over the reader's limit
+        "\udce9,1,x\n",  # a byte that is not UTF-8, past the decoder's first chunk
+    ])
+    def test_ragged_row_beats_a_later_failure_in_its_block(self, tmp_path, late):
+        schema = schema_of([("a", "continuous")])
+        lines = ["a,label,note", "1,0,x", "2,1,x,9"] + ["1,0," + "x" * 90] * 200
+        path = tmp_path / "data.csv"
+        path.write_bytes(("\n".join(lines) + "\n" + late).encode("utf-8", "surrogateescape"))
+        with pytest.raises(DataError, match=r"data\.csv: row 3: expected 3 cells, got 4"):
+            load_raw(path, schema)
+
+    def test_reader_failure_beats_a_later_ragged_row_in_its_block(self, tmp_path):
+        schema = schema_of([("a", "continuous")])
+        path = write_csv(tmp_path, 'a,label\n1,0\n"' + "9" * 131073 + '",1\n2,1,9\n')
+        with pytest.raises(DataError, match=r"data\.csv: row 3: field larger than field limit"):
             load_raw(path, schema)
 
     def test_missing_file(self, tmp_path):
@@ -318,33 +354,79 @@ class TestCleanAndEncode:
 
     def test_peak_memory_above_input(self, tmp_path):
         # the matrix is built once: no second copy of it, and no per-column copy
-        rng = SeededRng(3)
-        n, per_kind = 20_000, 10
-        kinds = ["binary"] * per_kind + ["ordinal"] * per_kind + ["continuous"] * per_kind
-        schema = schema_of([(f"f{j}", kind) for j, kind in enumerate(kinds)])
-        draws = rng.random((n, len(kinds)))
-        blank = rng.random((n, len(kinds))) < 0.02
-        lines = [",".join(schema.feature_names + ["label"])]
-        for i in range(n):
-            cells = []
-            for j, kind in enumerate(kinds):
-                v = draws[i, j]
-                if blank[i, j]:
-                    cells.append("")
-                elif kind == "binary":
-                    cells.append("yes" if v < 0.5 else "no")
-                else:
-                    cells.append(str(int(v * 5)) if kind == "ordinal" else repr(float(v)))
-            lines.append(",".join(cells + [str(i % 3)]))
-        raw = load_raw(write_csv(tmp_path, "\n".join(lines) + "\n"), schema)
+        n, d = 20_000, 30
+        path, schema = mixed_kinds_csv(tmp_path, n)
+        raw = load_raw(path, schema)
         tracemalloc.start()
         try:
             ds = clean_and_encode(raw, schema)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert ds.x.shape == (n, len(kinds))
+        assert ds.x.shape == (n, d)
         assert peak <= 1.75 * ds.x.nbytes, f"peak {peak / ds.x.nbytes:.2f}x the matrix"
+
+    def test_cleaning_compacts_in_place(self, tmp_path):
+        # the matrix is the front of load_raw's buffer: cleaning allocates only
+        # labels, masks and one column's temporaries (about 0.17x the matrix)
+        path, schema = mixed_kinds_csv(tmp_path, 20_000)
+        raw = load_raw(path, schema)
+        peak, ds = traced_peak(clean_and_encode, raw, schema)
+        assert ds.x.flags.f_contiguous
+        assert peak <= 0.5 * ds.x.nbytes, f"peak {peak / ds.x.nbytes:.2f}x the matrix"
+
+    def test_loading_holds_every_number_once(self, tmp_path):
+        # one (d + 1) x n float64 buffer, plus a block of cell text in flight
+        # and cleaning's temporaries (about 1.34x the buffer)
+        n, d = 20_000, 30
+        path, schema = mixed_kinds_csv(tmp_path, n)
+        peak, ds = traced_peak(load_dataset, path, schema)
+        assert ds.x.shape == (n, d)
+        buffer = (d + 1) * n * 8
+        assert peak <= 1.5 * buffer, f"peak {peak / buffer:.2f}x the buffer"
+
+    def test_a_raw_table_is_cleaned_once(self, tmp_path):
+        schema = schema_of([("v", "continuous")])
+        raw = load_raw(write_csv(tmp_path, "v,label\n1,0\n,1\n3,2\n"), schema)
+        ds = clean_and_encode(raw, schema)
+        assert raw.buffer is None and raw.label is None and raw.features == ()
+        with pytest.raises(ValueError, match="RawTable was cleaned already"):
+            clean_and_encode(raw, schema)
+        assert ds.x[:, 0].tolist() == [1.0, 2.0, 3.0]
+
+
+def mixed_kinds_csv(tmp_path, n):
+    """A CSV of n rows: 10 yes/no binary, 10 ordinal and 10 continuous columns, 2% blank."""
+    rng = SeededRng(3)
+    per_kind = 10
+    kinds = ["binary"] * per_kind + ["ordinal"] * per_kind + ["continuous"] * per_kind
+    schema = schema_of([(f"f{j}", kind) for j, kind in enumerate(kinds)])
+    draws = rng.random((n, len(kinds)))
+    blank = rng.random((n, len(kinds))) < 0.02
+    lines = [",".join(schema.feature_names + ["label"])]
+    for i in range(n):
+        cells = []
+        for j, kind in enumerate(kinds):
+            v = draws[i, j]
+            if blank[i, j]:
+                cells.append("")
+            elif kind == "binary":
+                cells.append("yes" if v < 0.5 else "no")
+            else:
+                cells.append(str(int(v * 5)) if kind == "ordinal" else repr(float(v)))
+        lines.append(",".join(cells + [str(i % 3)]))
+    return write_csv(tmp_path, "\n".join(lines) + "\n"), schema
+
+
+def traced_peak(call, *args):
+    """The tracemalloc peak of `call(*args)`, in bytes, and its result."""
+    np.median(np.zeros(1))  # its first call imports numpy.ma: keep that out of the peak
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
 
 
 class TestDatasetInvariants:

@@ -106,16 +106,20 @@ def csv_files(draw):
     elif shape == "blank line":
         rows.insert(at, [])
 
+    # the loader sizes its buffer by counting these terminators: CRLF once, a lone CR too
+    terminator = draw(st.sampled_from(["\n", "\r\n", "\r"]))
     out = io.StringIO()
-    csv.writer(out, lineterminator=draw(st.sampled_from(["\n", "\r\n"]))).writerows(
+    csv.writer(out, lineterminator=terminator).writerows(
         [[draw(st.sampled_from([h, f" {h} "])) for h in header]] + rows
     )
     blob = out.getvalue().encode("utf-8")
+    if rnd.random() < 0.25:  # a last row without a terminator
+        blob = blob.removesuffix(terminator.encode("utf-8"))
     trouble = rnd.choice(["none"] * 27 + ["empty", "header only", "latin-1 byte"])
     if trouble == "empty":
         blob = b""
     elif trouble == "header only":
-        blob = blob.split(b"\n")[0] + b"\n"
+        blob = blob.split(terminator.encode("utf-8"))[0] + terminator.encode("utf-8")
     elif trouble == "latin-1 byte":
         cut = rnd.randrange(len(blob) + 1)
         blob = blob[:cut] + b"\xe9" + blob[cut:]

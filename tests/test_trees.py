@@ -308,6 +308,36 @@ class TestShapeFacts:
             with pytest.raises(ValueError, match="each round must hold one tree per class"):
                 GbdtModel(0.1, leaves, roots, model.init_scores, model.importance_raw, 3, 2)
 
+    def gbdt_with(self, **changes):
+        model = _init_only_model([0.5, 0.25, 0.25])
+        fields = {"init_scores": model.init_scores, "importance_raw": model.importance_raw, **changes}
+        return GbdtModel(0.1, EMPTY_TABLE, model.roots, max_depth=3, min_samples_leaf=2, **fields)
+
+    def test_gbdt_vectors_given_as_lists_become_read_only_arrays(self):
+        model = _init_only_model([0.5, 0.25, 0.25])
+        listed = self.gbdt_with(init_scores=model.init_scores.tolist(), importance_raw=[0, 0])
+        for name in ("init_scores", "importance_raw"):
+            array = getattr(listed, name)
+            assert array.dtype == np.float64 and not array.flags.writeable
+            assert np.array_equal(array, getattr(model, name))
+        x = np.zeros((2, 2))
+        assert np.array_equal(predict_gbdt_batch(listed, x)[1], predict_gbdt_batch(model, x)[1])
+        with pytest.raises(ValueError, match="'init_scores' must hold numbers"):
+            self.gbdt_with(init_scores=["a", "b", "c"])
+
+    @pytest.mark.parametrize("name", ["init_scores", "importance_raw"])
+    def test_gbdt_vectors_must_be_one_dimensional(self, name):
+        with pytest.raises(ValueError, match=rf"'{name}' must be 1-D, got shape \(1, 2\)"):
+            self.gbdt_with(**{name: np.zeros((1, 2))})
+
+    @pytest.mark.parametrize("name", ["init_scores", "importance_raw"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_gbdt_vectors_must_be_finite(self, name, bad):
+        values = np.zeros(3 if name == "init_scores" else 2)
+        values[1] = bad
+        with pytest.raises(ValueError, match=f"'{name}' must hold finite numbers"):
+            self.gbdt_with(**{name: values})
+
     def test_gbdt_leaves_hold_floats_fitted_and_loaded(self):
         ds = generate_synthetic(60, 3, {0}, seed=4)
         model = fit_gbdt(ds, rounds=4)
