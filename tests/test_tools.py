@@ -37,12 +37,22 @@ SCALE_DIGESTS = {
     # before softmax summed rows of fewer than 8 classes column by column
     "synthetic-960x20/logistic-cv": "559d0a8a19f75c25906d063a49aa0dc12c89038ea96823ec23de773139e5183d",
     "synthetic-960x20/logistic-cv/predict": "81a29616e96d11bf064aadad3f8076b4f24234138dc675924616df2c05bc02e7",
+    # GBDT's five fixture fold models, the fixture_run workload's CV, and its
+    # fits on a set whose columns are mostly value ties (binary and 5-level
+    # codes), the only fits whose split search often peaks on a tied position:
+    # recorded before the split kernel built its tie mask only on demand
+    "fixture/gbdt-cv": "ea13d9411297c0b18943e142102f30a6a1f0da2b5320ca11de7e7fccfb7a1408",
+    "fixture/gbdt-cv/predict": "4c9a6afcf83f4fb58eb6c8d439de2ebcbdddb684e80068634338c931621b1d12",
+    "synthetic-960x20-mixed/gbdt": "8a213ef9685bbdf909642a8f7101cbb1e79b5250cfa720cbfce26a9a046b22d1",
+    "synthetic-960x20-mixed/gbdt/predict": "304ebfe439792dbf6a81c37ccbe896db2ee57e5a8ca126d93cb04b43ac49b3d8",
+    "synthetic-960x20-mixed/tree": "679b8049d6ad52e28a44eb87b1f28a3db949c427c286ec832a863e4934b247a0",
+    "synthetic-960x20-mixed/tree/predict": "af6bb2df6a139718fcb5dcd80e96481148405ac623b359c1350ee7024dc844a2",
 }
 
 
 def test_model_digests_prints_every_fit_then_every_predict():
-    # the bit-identity check of every model and predict path: 14 fits, then
-    # the 14 fits' /predict lines, each "<label> <sha256>", in this order
+    # the bit-identity check of every model and predict path: 17 fits, then
+    # the 17 fits' /predict lines, each "<label> <sha256>", in this order
     result = subprocess.run(
         [sys.executable, str(MODEL_DIGESTS)], capture_output=True, text=True, env=cli_env(), timeout=300,
     )
@@ -50,7 +60,8 @@ def test_model_digests_prints_every_fit_then_every_predict():
     fits = [f"fixture/{name}" for name in ("logistic", "svm", "tree", "gbdt", "mlp")]
     fits += ["synthetic-2000x20/gbdt", "synthetic-960x20/tree", "synthetic-960x20/mlp",
              "synthetic-960x20/logistic", "synthetic-960x20/svm", "fixture/mlp-cv", "synthetic-960x20/mlp-cv",
-             "synthetic-960x20/svm-cv", "synthetic-960x20/logistic-cv"]
+             "synthetic-960x20/svm-cv", "synthetic-960x20/logistic-cv", "fixture/gbdt-cv",
+             "synthetic-960x20-mixed/gbdt", "synthetic-960x20-mixed/tree"]
     lines = result.stdout.splitlines()
     assert [line.split(" ")[0] for line in lines] == fits + [f"{label}/predict" for label in fits]
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines)

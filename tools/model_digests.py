@@ -7,12 +7,17 @@ Fits, through ``mppkit.evaluation.fit_predictor`` (the fit the CV driver
 makes for each fold), the fixture's five models on the whole fixture with
 their default hyperparameters and the fixture config's seed, a 200-round
 GBDT on a 2000x20 synthetic set, and a tree, an MLP, a logistic model (which
-pins softmax on inputs of many rows) and an SVM on a 960x20 one.  The ``-cv``
+pins softmax on inputs of many rows) and an SVM on a 960x20 one.  The
+``-mixed`` set is that 960x20 set with its columns recoded to the paper's
+feature mix (binary, 5-level ordinal, continuous), so most sorted positions
+of two columns in three are value ties; its GBDT and tree fits are the ones
+that pin the split kernel's tie handling.  The ``-cv``
 lines are 5-fold CVs through ``mppkit.evaluation.fold_fits`` (the folds
 ``cross_validate`` fits, each seeded off the fold plan's seed): the MLP's on
-the fixture and on the 960x20 set, whose folds train in lockstep, and the
-SVM's and the logistic model's on the 960x20 set, the fold models of the
-``gd_960`` benchmark workload.  Each is
+the fixture and on the 960x20 set, whose folds train in lockstep, the SVM's
+and the logistic model's on the 960x20 set, the fold models of the
+``gd_960`` benchmark workload, and GBDT's on the fixture, the fold models of
+the ``fixture_run`` workload.  Each is
 one document list of the fold models, in fold order, and the out-of-fold
 labels.  It prints ``<name> <sha256 of the sorted-key JSON
 document>`` for each fit, then ``<name>/predict <sha256 of the label bytes>``
@@ -35,7 +40,7 @@ sys.path.insert(0, str(REPO / "src"))
 
 import numpy as np
 
-from mppkit.data import generate_synthetic, load_dataset, load_schema, stratified_kfold
+from mppkit.data import Dataset, FeatureSchema, FeatureSpec, generate_synthetic, load_dataset, load_schema, stratified_kfold
 from mppkit.evaluation import MODELS, fit_predictor, fold_fits, resolve_params
 from mppkit.serialize import to_document
 
@@ -66,16 +71,28 @@ def _cv_digests(name: str, dataset) -> tuple[str, str]:
     return _sha256(docs, labels)
 
 
+def _mixed(dataset) -> Dataset:
+    """`dataset` with column j recoded binary (j % 3 == 0), 5-level ordinal (1) or left continuous (2)."""
+    kinds = ("binary", "ordinal", "continuous")
+    x = dataset.x.copy()
+    x[:, 0::3] = x[:, 0::3] >= 0.5
+    x[:, 1::3] = np.floor(x[:, 1::3] * 5.0)
+    features = tuple(FeatureSpec(spec.name, kinds[j % 3]) for j, spec in enumerate(dataset.schema.features))
+    return Dataset(FeatureSchema(features, dataset.schema.label_name, dataset.schema.n_classes), x, dataset.y)
+
+
 def main() -> None:
     fixture = load_dataset(FIXTURE_DIR / "fixture.csv", load_schema(FIXTURE_DIR / "fixture_schema.json"))
     fits = [(f"fixture/{name}", name, fixture) for name in MODELS]
     big = generate_synthetic(2000, 20, {0, 1, 2}, seed=SEED, noise=0.05)
     mid = generate_synthetic(960, 20, {0, 1, 2}, seed=SEED, noise=0.05)
+    mixed = _mixed(mid)
     fits += [("synthetic-2000x20/gbdt", "gbdt", big), ("synthetic-960x20/tree", "tree", mid),
              ("synthetic-960x20/mlp", "mlp", mid), ("synthetic-960x20/logistic", "logistic", mid),
              ("synthetic-960x20/svm", "svm", mid), ("fixture/mlp-cv", "mlp", fixture),
              ("synthetic-960x20/mlp-cv", "mlp", mid), ("synthetic-960x20/svm-cv", "svm", mid),
-             ("synthetic-960x20/logistic-cv", "logistic", mid)]
+             ("synthetic-960x20/logistic-cv", "logistic", mid), ("fixture/gbdt-cv", "gbdt", fixture),
+             ("synthetic-960x20-mixed/gbdt", "gbdt", mixed), ("synthetic-960x20-mixed/tree", "tree", mixed)]
     predictions = []
     for label, name, dataset in fits:
         digests = _cv_digests if label.endswith("-cv") else _digests
