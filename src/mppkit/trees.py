@@ -11,36 +11,35 @@ bits may differ between CPUs.
 
 Both learners grow on one exact split kernel, `_best_split`, which scores
 every (feature, threshold) of a node in one vectorized pass over a
-presorted column block, as in XGBoost's exact greedy search (Chen &
+presorted block of row ids, as in XGBoost's exact greedy search (Chen &
 Guestrin, 2016, section 4.1).  Each column is stably argsorted once per fit
 (once per ensemble, since x never changes); a child inherits its parent's
 sorted rows filtered by the split mask, written into a two-generation arena
 that `_grow` reuses at every depth.  The filter keeps order and a stable
 sort breaks value ties by row index, so every node sees exactly the order
 a fresh stable argsort of its members gives: trees match a per-node sort
-bit for bit.
+bit for bit.  Values are read from x's columns, C-contiguous once per fit.
 
-The kernel allocates nothing of block size (d times the node's rows): it
-writes every intermediate, and `_grow` every child block, into views of one
-`_SplitWorkspace` per fit (per ensemble for boosting), as XGBoost keeps its
-split statistics in reused buffers (section 4.2).  The one block-sized
-temporary left is the positions of a child's members in its parent's
-block; routing a split allocates only arrays of the node's row count (its
-mask over one column of x, its two sides, its gathered statistic).  Only a
-child that may still split (below the depth limit, with at least twice the
-leaf floor) gets a sorted block and a place on the pending stack; any other
-child becomes a leaf at its parent's split, and the learner gathers its
-statistic and sets its value.  The Gini statistic is float64 one-hot
-counts: every partial sum is an integer below 2**53, so Gini gains are
-exact and one float kernel serves both learners.  A threshold is the
-midpoint of the two values it separates, or the lower value where the
-midpoint overflows or rounds up to the upper one.
+The kernel writes every intermediate, and `_grow` every child block, into
+views of one `_SplitWorkspace` per fit (per ensemble for boosting), as
+XGBoost keeps its split statistics in reused buffers (section 4.2).  It
+takes the first maximum gain over the positions that leave both sides the
+leaf floor (numpy copies that window), and gathers the node's sorted
+values to mask tied positions only when that maximum sits on one.  Only
+a child that may still split (below the depth limit, with at least twice
+the leaf floor) gets a sorted block and a place on the pending stack.  The
+Gini statistic is float64 one-hot counts: every partial sum is an integer
+below 2**53, so Gini gains are exact and one float kernel serves both
+learners.  A threshold is the midpoint of the two values it separates, or
+the lower value where the midpoint overflows or rounds up to the upper.
 
 At fixture scale (a few hundred rows) a node's blocks hold a few thousand
 elements, so a numpy call's fixed cost of about a microsecond is worth as
-much as its element work: the split path calls array methods and ufuncs
-rather than their `np.` function wrappers, and routes, gathers and sums
-with as few calls as it can while keeping every sum in the same order.
+much as its element work: the split path calls array methods, keeps
+scalars (node term, importance, leaf values) on Python floats, and routes,
+gathers and sums with as few calls as it can, every sum in the same order.
+GBDT keeps each class's residual row beside its |r|(1-|r|) row, so one
+gather and one row sum give a leaf both of its sums.
 
 Every fitted tree is a table of parallel node arrays (see `nodes`).
 `_grow` appends a tree's nodes to Python lists of its own, the learner
@@ -174,9 +173,9 @@ _ROUTED_IDS = 8192
 
 
 def _presort(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-feature stable sort of every row: (rows, values), each of shape (d, n)."""
-    rows = np.argsort(x.T, axis=1, kind="stable")
-    return rows, np.take_along_axis(x.T, rows, axis=1)
+    """(columns, rows): x's columns as C-contiguous rows and each one's stable sort order, both (d, n)."""
+    columns = np.ascontiguousarray(x.T)  # a view when x is F-ordered, as `clean_and_encode` builds it
+    return columns, columns.argsort(axis=1, kind="stable")
 
 
 class _SplitWorkspace:
@@ -189,81 +188,88 @@ class _SplitWorkspace:
     `nr[-m:]` = m-1..1 plus a sentinel 1 for the last position (everything
     left), which is never a candidate but keeps its division finite.
 
-    `rows` and `vals` are the child-block arena: two generations of d*n
-    elements each, where `_grow` writes the sorted blocks of the children
-    of a depth-t node into generation t % 2 (see `_grow`).  The kernel's
-    blocks and the arena are views of one array, so a fit makes one large
-    allocation, not one per node.  Keep it one array: with `blocks`, `vals`
-    and `rows` as three `np.empty` arrays, 20 `fit_tree` fits on a 960x20
-    input (one Xeon core, numpy 2.4, glibc 2.36; minor faults from
-    `getrusage`) took ~435 page faults per fit, against ~22 with one array,
-    for bit-identical models.
+    `rows` is the child-block arena: two generations of d*n row ids, where
+    `_grow` writes the sorted blocks of the children of a depth-t node into
+    generation t % 2 (see `_grow`).  The kernel's blocks and the arena are
+    views of one array: as separate `np.empty` arrays, 20 `fit_tree` fits
+    on a 960x20 input (one Xeon core, numpy 2.4, glibc 2.36; minor faults
+    from `getrusage`) took ~435 page faults per fit, against ~22 with one
+    array, for bit-identical models.
     """
 
     def __init__(self, s: int, d: int, n: int):
-        kernel, arena = 2 * s * d * n, 2 * d * n
-        words = np.empty(kernel + 2 * arena)  # float64 and intp are both 8 bytes
+        kernel = 2 * s * d * n
+        words = np.empty(kernel + 2 * d * n)  # float64 and intp are both 8 bytes
         self.blocks = words[:kernel].reshape(2, s * d * n)
-        self.vals = words[kernel : kernel + arena].reshape(2, d * n)
-        self.rows = words[kernel + arena :].view(np.intp).reshape(2, d * n)
+        self.rows = words[kernel:].view(np.intp).reshape(2, d * n)
         self.tied, self.keep = np.empty((2, d * n), dtype=bool)
         self.go_left = np.empty(n, dtype=bool)
+        self.starts = np.arange(0, d * n, n)[:, None]  # each column's offset in the flat (d, n) columns
         self.nl = np.arange(1.0, n + 1.0)
         self.nr = np.append(np.arange(n - 1.0, 0.0, -1.0), 1.0)
 
 
-def _best_split(rows: np.ndarray, vals: np.ndarray, stat: np.ndarray, total, min_leaf: int,
+def _best_split(rows: np.ndarray, columns: np.ndarray, stat: np.ndarray, total, min_leaf: int,
                 work: _SplitWorkspace):
     """Exhaustive best (gain, feature, threshold) over midpoint candidates, or None.
 
-    `rows` and `vals` hold the node's members sorted by each feature, shape
-    (d, m), C-contiguous; `stat` is the per-row float64 statistic, shape
-    (s, n), C-contiguous, and `total` its node sum, shape (s,).  With S the
-    sum of squared statistic sums, the gain is Sl/nl + Sr/nr - Sp/m: Gini
-    decrease for one-hot class counts, squared-error decrease for a residual
-    row.  Counts are integers below 2**53 in float64, so equal partitions
-    give bit-identical gains and the tie-breaks (lowest feature, then lowest
-    threshold) are meaningful.  Only strictly positive gains qualify.
-
-    Every full-size intermediate lives in `work`: position i of feature j
-    sends the first i + 1 sorted rows left, and the last position (all
-    rows left) is masked out with the leaf floor.
+    `rows` holds the node's members sorted by each feature, (d, m), and
+    `columns` x's columns, (d, n); `stat` is the per-row float64 statistic,
+    (s, n), all C-contiguous, and `total` its node sum, shape (s,).  With S
+    the sum of squared statistic sums, the gain is Sl/nl + Sr/nr - Sp/m:
+    Gini decrease for one-hot class counts, squared-error decrease for a
+    residual row.  Counts are integers below 2**53 in float64, so equal
+    partitions give bit-identical gains and the tie-breaks (lowest feature,
+    then lowest threshold) are meaningful.  Only positive gains qualify.
+    Sp is summed on Python floats, as numpy would for one residual row, and
+    exactly, in any order, for counts.
     """
     s = stat.shape[0]
     d, m = rows.shape
-    left = work.blocks[0, : s * d * m].reshape(s, d, m)
-    right = work.blocks[1, : s * d * m].reshape(s, d, m)
+    if m < 2 * min_leaf:
+        return None
+    both = work.blocks[:, : s * d * m]
+    left, right = both.reshape(2, s, d, m)
     # array methods, not their np. wrappers: see the module docstring
     stat.take(rows, axis=1, out=right, mode="clip")  # rows are in range: clip never clips
     right.cumsum(axis=2, out=left)
     # right sums as sl - total: exactly -(total - sl), so their squares match
     np.subtract(left, total[:, None, None], out=right)
-    for sums, counts in ((left, work.nl[:m]), (right, work.nr[-m:])):
-        np.multiply(sums, sums, out=sums)
-        for row in sums[1:]:
-            sums[0] += row
-        sums[0] /= counts
-    gains = left[0]
-    gains += right[0]
-    gains -= np.add.reduce(total * total) / m
-    flat_vals, flat_gains = vals.ravel(), gains.ravel()
-    tied = work.tied[: d * m - 1]  # position p compares sorted values p + 1 and p
-    np.less_equal(flat_vals[1:], flat_vals[:-1], out=tied)
-    np.copyto(flat_gains[:-1], -np.inf, where=tied)
-    gains[:, : min_leaf - 1] = -np.inf
-    gains[:, m - min_leaf :] = -np.inf
-    j, i = divmod(int(flat_gains.argmax()), m)  # feature-major: first max wins
-    gain = float(gains[j, i])
+    np.multiply(both, both, out=both)
+    gains, other = left[0], right[0]
+    for r in range(1, s):  # each side's squares summed in row order
+        gains += left[r]
+        other += right[r]
+    gains /= work.nl[:m]
+    other /= work.nr[-m:]
+    gains += other
+    gains -= sum([t * t for t in total.tolist()]) / m
+    # position i sends i + 1 rows left; the window leaves both sides the leaf floor
+    first, stop = min_leaf - 1, m - min_leaf
+    window = gains[:, first:stop]
+    j, i = divmod(int(window.argmax()), stop - first)  # feature-major: first max wins
+    i += first
+    lo, hi = columns.item(j, rows.item(j, i)), columns.item(j, rows.item(j, i + 1))
+    # equal values have no threshold between them; a first maximum on an
+    # untied position is also the first among the untied ones
+    if hi <= lo:  # a tie: mask every tied position and look again
+        vals = columns.ravel().take(rows + work.starts)
+        tied = work.tied[: window.size].reshape(window.shape)
+        np.less_equal(vals[:, first + 1 : stop + 1], vals[:, first:stop], out=tied)
+        np.copyto(window, -np.inf, where=tied)
+        j, i = divmod(int(window.argmax()), stop - first)
+        i += first
+        lo, hi = vals.item(j, i), vals.item(j, i + 1)
+    gain = gains.item(j, i)
     if not gain > 0:
         return None
-    lo, hi = float(vals[j, i]), float(vals[j, i + 1])
     thr = (lo + hi) / 2.0
     if not lo <= thr < hi:  # the midpoint overflowed or rounded up to hi
         thr = lo
     return gain, j, thr
 
 
-def _grow(x, presorted, stat, max_depth, min_leaf, importance, work):
+def _grow(presorted, stat, max_depth, min_leaf, importance, work):
     """Grow one tree depth-first on the shared split kernel; return (table, leaves).
 
     `presorted` is `_presort(x)`, `stat` the (s, n) float64 per-row
@@ -272,19 +278,15 @@ def _grow(x, presorted, stat, max_depth, min_leaf, importance, work):
     local to the tree and the root node 0: each node starts as a leaf and
     is rewritten as a split when it splits.  A node stays a leaf, listed in
     `leaves` as (node id, its rows in ascending order) for the learner to
-    gather its statistic and set its value, at the depth limit, below twice
-    the leaf floor, when its statistic is constant, or when no split has a
-    positive gain.  The first two are known at the parent's split, so such
-    a child is listed there and never pushed; only a child that may split
-    gets a sorted block and goes on the stack.  A
-    split routes its rows by one column of x (a view, contiguous when x is
-    F-ordered, as `clean_and_encode` builds it, strided for a fold's
-    C-ordered rows), and each side keeps the node's ascending row order, so
-    a node's statistic, summed in that order, has the same bits however the
-    tree was grown.  Each split adds its gain to `importance[feature]`, in
-    preorder.  The pending nodes sit on an explicit stack, not in a
-    recursive closure, whose reference cycle would keep `work` alive until
-    the next garbage collection.
+    set its value, at the depth limit, below twice the leaf floor (both
+    known at the parent's split, which lists such a child and never pushes
+    it), when its statistic is constant, or when no split has a positive
+    gain.  A split routes its rows by one of `columns`, and each side keeps
+    the node's ascending row order, so a node's statistic, summed in that
+    order, has the same bits however the tree was grown.  Each split adds
+    its gain to `importance[feature]`, in preorder.  The pending nodes sit
+    on an explicit stack, not in a recursive closure, whose reference cycle
+    would keep `work` alive until the next garbage collection.
 
     Child blocks go into the workspace's two-generation arena.  Each pending
     node carries a flat offset `base` and owns [base, base + d*m) of both
@@ -298,20 +300,20 @@ def _grow(x, presorted, stat, max_depth, min_leaf, importance, work):
     consumed when the parent split.  Two generations of d*n elements
     therefore serve a tree of any depth.
     """
-    n, d = x.shape
-    columns = x.T  # a view: each split routes its rows by one column of it
+    columns, root_rows = presorted
+    d, n = columns.shape
     table = feature, threshold, left, right = [-1], [0.0], [0], [0]  # the root, a leaf until it splits
     if max_depth == 0 or n < 2 * min_leaf:
         return table, [(0, np.arange(n))]
     leaves = []
-    pending = [(0, np.arange(n), presorted, 0, 0)]
+    pending = [(0, np.arange(n), root_rows, 0, 0)]
     while pending:
-        node, idx, (rows, vals), depth, base = pending.pop()
+        node, idx, rows, depth, base = pending.pop()
         node_stat = stat.take(idx, axis=1)
         found = None
-        if (node_stat != node_stat[:, :1]).any():
+        if np.count_nonzero(node_stat != node_stat[:, :1]):
             total = np.add.reduce(node_stat, axis=1)  # in node order, as the learner sums a leaf
-            found = _best_split(rows, vals, stat, total, min_leaf, work)
+            found = _best_split(rows, columns, stat, total, min_leaf, work)
         if found is None:
             leaves.append((node, idx))
             continue
@@ -328,11 +330,11 @@ def _grow(x, presorted, stat, max_depth, min_leaf, importance, work):
         right += children
         grows = [depth + 1 < max_depth and side.size >= 2 * min_leaf for side in sides]
         if grows[0] or grows[1]:
-            flat_rows, flat_vals = rows.ravel(), vals.ravel()
+            flat_rows = rows.ravel()
             work.go_left[idx] = mask
             keep = work.keep[: flat_rows.size]
             work.go_left.take(flat_rows, out=keep, mode="clip")  # rows are in range: clip never clips
-            arena_rows, arena_vals = work.rows[depth % 2], work.vals[depth % 2]
+            arena = work.rows[depth % 2]
         blocks = []
         for c, side in enumerate(sides):
             if not grows[c]:
@@ -342,12 +344,9 @@ def _grow(x, presorted, stat, max_depth, min_leaf, importance, work):
                 np.logical_not(keep, out=keep)
             # filtering keeps each feature's sorted order, so the child
             # block is the one a fresh stable sort of its rows gives
-            members = keep.nonzero()[0]
             start = base + c * d * sides[0].size
-            span, shape = slice(start, start + members.size), (d, side.size)
-            block = (flat_rows.take(members, out=arena_rows[span], mode="clip").reshape(shape),
-                     flat_vals.take(members, out=arena_vals[span], mode="clip").reshape(shape))
-            blocks.append((children[c], side, block, depth + 1, start))
+            block = flat_rows.take(keep.nonzero()[0], out=arena[start : start + d * side.size], mode="clip")
+            blocks.append((children[c], side, block.reshape(d, side.size), depth + 1, start))
         pending += reversed(blocks)  # the left child is popped first: splits in preorder
     return table, leaves
 
@@ -364,8 +363,8 @@ def fit_tree(dataset: Dataset, max_depth: int = 5, min_samples_leaf: int = 2) ->
     k = dataset.schema.n_classes
     counts = one_hot(dataset.y, k).T.copy()  # float64 counts: exact, so Gini gains are too
     table, leaves = _grow(
-        dataset.x, _presort(dataset.x), counts, max_depth, min_samples_leaf,
-        importance=np.zeros(dataset.d),  # the lone tree reports no importance
+        _presort(dataset.x), counts, max_depth, min_samples_leaf,
+        importance=[0.0] * dataset.d,  # the lone tree reports no importance
         work=_SplitWorkspace(k, dataset.d, dataset.n),
     )
     value = np.zeros((len(table[0]), k))
@@ -412,29 +411,27 @@ def fit_gbdt(
     counts = np.bincount(y, minlength=k).astype(np.float64)
     init = np.log(np.maximum(counts, 1e-12) / n)
     scores = np.tile(init, (n, 1))
-    onehot = one_hot(y, k)
-    importance = np.zeros(dataset.d)
+    onehot = one_hot(y, k).T
+    importance = [0.0] * dataset.d
     presorted = _presort(x)  # x never changes, so one sort serves every tree
     work = _SplitWorkspace(1, dataset.d, n)
     tables = []
     probs = softmax(scores)
     history = [cross_entropy(probs, y)]
+    pairs = np.empty((k, 2, n))  # per class, r and |r|(1 - |r|): contiguous rows (module docstring)
+    residuals, weights = pairs[:, 0], pairs[:, 1]
     for _ in range(rounds):
-        residuals = (onehot - probs).T.copy()  # contiguous rows, as the kernel gathers from
+        np.subtract(onehot, probs.T, out=residuals)
+        np.abs(residuals, out=weights)
+        weights *= 1.0 - weights
         step = np.empty((n, k))
         for c in range(k):
-            table, leaves = _grow(x, presorted, residuals[c : c + 1], max_depth, min_samples_leaf,
-                                  importance, work)
+            pair, col = pairs[c], step[:, c]
+            table, leaves = _grow(presorted, pair[:1], max_depth, min_samples_leaf, importance, work)
             value = [0.0] * len(table[0])
-            res, col = residuals[c], step[:, c]
             for leaf, rows in leaves:
-                # |r|(1 - |r|) in one temporary, then Python floats: the same
-                # IEEE operations as on numpy scalars, at a fraction of the cost
-                r = res.take(rows)
-                a = np.abs(r)
-                a *= 1.0 - a
-                denom = float(np.add.reduce(a))
-                gamma = (k - 1) / k * float(np.add.reduce(r)) / denom if denom >= 1e-150 else 0.0
+                total, denom = np.add.reduce(pair.take(rows, axis=1), axis=1).tolist()
+                gamma = (k - 1) / k * total / denom if denom >= 1e-150 else 0.0
                 value[leaf] = gamma
                 col[rows] = gamma
             tables.append((*table, value))

@@ -167,6 +167,25 @@ class TestPredictTree:
 
 
 class TestFitGbdt:
+    def test_leaf_sums_of_one_gather_match_row_sums(self):
+        # fit_gbdt gathers a leaf's residuals and |r|(1 - |r|) in one take of
+        # both rows and sums them with one axis-1 reduce; that keeps the leaf
+        # values' bits only while numpy blocks each row's pairwise sum as it
+        # blocks a 1-D sum of the same length
+        rng = SeededRng(41)
+        n = 2000
+        r = np.asarray(rng.random(n)) * 2.0 - 1.0
+        pair = np.stack([r, np.abs(r) * (1.0 - np.abs(r))])
+        orders_differ = 0
+        for length in range(1, n + 1):  # 7, 8, 9, 128 and 129 cross numpy's blocking
+            rows = np.sort(rng.permutation(n)[:length])
+            sums = np.add.reduce(pair.take(rows, axis=1), axis=1)
+            rowwise = [np.add.reduce(pair[0].take(rows)), np.add.reduce(pair[1].take(rows))]
+            assert sums.tobytes() == np.array(rowwise).tobytes(), length
+            orders_differ += sums[0] != np.cumsum(pair[0].take(rows))[-1]
+        # the data tells pairwise from left-to-right summation, so a change of order shows
+        assert orders_differ >= 100, orders_differ
+
     def test_separable_planted_feature(self):
         ds = generate_synthetic(300, 10, {0}, seed=7)
         model = fit_gbdt(ds, rounds=100, shrinkage=0.1)
@@ -693,6 +712,34 @@ def brute_force_split(x, stat, min_leaf):
     return best
 
 
+def first_window_max(x, stat, min_leaf):
+    """Where the kernel's first argmax lands before any tie is masked: (gain, tied), or None.
+
+    Scores every sorted position that leaves both sides the leaf floor, tied
+    positions (the next sorted value equals this one) included, with
+    `brute_force_split`'s arithmetic, and keeps the first maximum: lowest
+    feature, then lowest position.  `tied` says whether it sits on a tie,
+    i.e. whether the kernel has to mask ties and look again.
+    """
+    n, d = x.shape
+    total = stat.sum(axis=1)
+    parent = sum(v * v for v in total) / n
+    best = None
+    for j in range(d):
+        order = sorted(range(n), key=lambda i: (x[i, j], i))
+        sl = [0.0] * stat.shape[0]
+        for p in range(n - 1):  # position p sends order[: p + 1] left
+            sl = [acc + stat[c, order[p]] if p else stat[c, order[p]] for c, acc in enumerate(sl)]
+            nl, nr = p + 1, n - p - 1
+            if nl < min_leaf or nr < min_leaf:
+                continue
+            sr = [total[c] - sl[c] for c in range(stat.shape[0])]
+            gain = sum(v * v for v in sl) / nl + sum(v * v for v in sr) / nr - parent
+            if best is None or gain > best[0]:
+                best = (gain, bool(x[order[p + 1], j] == x[order[p], j]))
+    return best
+
+
 def _tied_matrix(rng, n, d):
     # few distinct values (heavy ties) and a duplicated column (exact gain ties)
     x = np.floor(np.asarray(rng.random((n, d))) * 4) / 2
@@ -704,9 +751,9 @@ class TestSplitKernel:
     MIN_LEAVES = (1, 2, 3, 5)
 
     def _kernel(self, x, stat, min_leaf):
-        rows, vals = _presort(x)
         work = _SplitWorkspace(stat.shape[0], x.shape[1], x.shape[0])
-        return _best_split(rows, vals, stat, stat.sum(axis=1), min_leaf, work)
+        columns, rows = _presort(x)
+        return _best_split(rows, columns, stat, stat.sum(axis=1), min_leaf, work)
 
     def test_gini_counts_match_brute_force(self):
         rng = SeededRng(31)
@@ -758,6 +805,49 @@ class TestSplitKernel:
         assert self._kernel(x, stat[:, [0, 0, 1, 1]], 3) is None  # leaf floor too high
         assert self._kernel(np.ones((4, 2)), stat, 1) is None  # constant columns
 
+    def test_too_few_rows_for_two_leaves(self):
+        # with m < 2 * min_leaf no position leaves both sides the floor: the
+        # window the argmax runs over is empty, and the kernel says None
+        for m in range(1, 10):
+            x = np.arange(float(m))[:, None]
+            stat = np.array([[(-1.0) ** i for i in range(m)]])
+            for min_leaf in range(m // 2 + 1, 7):
+                assert self._kernel(x, stat, min_leaf) is None, (m, min_leaf)
+
+    def test_first_maximum_on_a_tie_is_skipped(self):
+        # sorted stats 3 | -3, 2, -2 score 12 at the tied position between the
+        # two zeros; masked, the best split is 0 0 1 | 2, scoring 4/3 + 4
+        x = np.array([[0.0], [0.0], [1.0], [2.0]])
+        stat = np.array([[3.0, -3.0, 2.0, -2.0]])
+        assert first_window_max(x, stat, 1) == (12.0, True)
+        assert self._kernel(x, stat, 1) == (4.0 / 3.0 + 4.0, 0, 1.5)
+
+    @pytest.mark.parametrize("s", [1, 3])
+    def test_both_argmax_paths_match_brute_force(self, s):
+        # the tie mask is built only when the unmasked first maximum sits on a
+        # tied position; both paths must give the brute-force split
+        rng = SeededRng(33 + s)
+        paths = {"untied maximum": 0, "tied maximum": 0, "tied maximum, split elsewhere": 0}
+        for trial in range(150):
+            n = 2 + int(rng.integers(0, 15))
+            x = _tied_matrix(rng, n, 2 + int(rng.integers(0, 3)))
+            if s == 3:
+                stat = one_hot(np.asarray(rng.integers(0, 3, n)), 3).T.copy()
+            else:
+                stat = (np.asarray(rng.random(n)) - 0.5)[None, :]
+            for min_leaf in range(1, 6):
+                expected = brute_force_split(x, stat, min_leaf)
+                assert self._kernel(x, stat, min_leaf) == expected, (trial, min_leaf)
+                first = first_window_max(x, stat, min_leaf)
+                if first is None:  # fewer than 2 * min_leaf rows
+                    continue
+                if not first[1]:
+                    paths["untied maximum"] += 1
+                    continue
+                paths["tied maximum"] += 1
+                paths["tied maximum, split elsewhere"] += expected is not None
+        assert min(paths.values()) >= 10, paths
+
 
 def per_node_sort_grow(x, stat, max_depth, min_leaf, importance, leaf_value, table, split_value):
     """Reference for `_grow`: each node stably argsorts its own rows afresh.
@@ -783,8 +873,7 @@ def per_node_sort_grow(x, stat, max_depth, min_leaf, importance, leaf_value, tab
         found = None
         if depth < max_depth and idx.size >= 2 * min_leaf and (node_stat != node_stat[:, :1]).any():
             order = np.argsort(x[idx].T, axis=1, kind="stable")
-            rows, vals = idx[order], np.take_along_axis(x[idx].T, order, axis=1)
-            found = _best_split(rows, vals, stat, node_stat.sum(axis=1), min_leaf, work)
+            found = _best_split(idx[order], np.ascontiguousarray(x.T), stat, node_stat.sum(axis=1), min_leaf, work)
         if found is None:
             add(-1, 0.0, i, i, leaf_value(idx))
             return i
