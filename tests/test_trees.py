@@ -748,48 +748,51 @@ def _tied_matrix(rng, n, d):
 
 
 class TestSplitKernel:
-    MIN_LEAVES = (1, 2, 3, 5)
+    MIN_LEAVES = (1, 2, 3, 4, 5)
+    # each must occur at least 10 times: a "tie" is a split on column 0, whose
+    # copy, the last column, scores the same gain; a "tied maximum" (the
+    # unmasked first maximum sits on a tie) makes the kernel mask ties
+    OUTCOMES = ("split", "none", "tie", "untied maximum", "tied maximum", "split after a tied maximum")
 
     def _kernel(self, x, stat, min_leaf):
         work = _SplitWorkspace(stat.shape[0], x.shape[1], x.shape[0])
         columns, rows = _presort(x)
         return _best_split(rows, columns, stat, stat.sum(axis=1), min_leaf, work)
 
+    def _check(self, x, stat, outcomes, trial):
+        for min_leaf in self.MIN_LEAVES:
+            expected = brute_force_split(x, stat, min_leaf)
+            assert self._kernel(x, stat, min_leaf) == expected, (trial, min_leaf)
+            first = first_window_max(x, stat, min_leaf)
+            if first is not None:
+                outcomes["tied maximum" if first[1] else "untied maximum"] += 1
+            if expected is None:
+                outcomes["none"] += 1
+                continue
+            outcomes["split"] += 1
+            outcomes["tie"] += expected[1] == 0
+            outcomes["split after a tied maximum"] += first[1]
+
     def test_gini_counts_match_brute_force(self):
         rng = SeededRng(31)
-        outcomes = {"split": 0, "none": 0, "tie": 0}
+        outcomes = dict.fromkeys(self.OUTCOMES, 0)
         for trial in range(120):
             n = 2 + int(rng.integers(0, 15))
             x = _tied_matrix(rng, n, 2 + int(rng.integers(0, 3)))
             y = rng.integers(0, 3, n)
             stat = np.zeros((3, n))
             stat[y, np.arange(n)] = 1.0
-            for min_leaf in self.MIN_LEAVES:
-                expected = brute_force_split(x, stat, min_leaf)
-                assert self._kernel(x, stat, min_leaf) == expected, (trial, min_leaf)
-                if expected is None:
-                    outcomes["none"] += 1
-                    continue
-                outcomes["split"] += 1
-                # the duplicated last column scores the same gain as column 0
-                outcomes["tie"] += expected[1] == 0
+            self._check(x, stat, outcomes, trial)
         assert min(outcomes.values()) >= 10, outcomes
 
     def test_residuals_match_brute_force(self):
         rng = SeededRng(32)
-        outcomes = {"split": 0, "none": 0, "tie": 0}
+        outcomes = dict.fromkeys(self.OUTCOMES, 0)
         for trial in range(120):
             n = 2 + int(rng.integers(0, 15))
             x = _tied_matrix(rng, n, 2 + int(rng.integers(0, 3)))
             stat = (np.asarray(rng.random(n)) - 0.5)[None, :]
-            for min_leaf in self.MIN_LEAVES:
-                expected = brute_force_split(x, stat, min_leaf)
-                assert self._kernel(x, stat, min_leaf) == expected, (trial, min_leaf)
-                if expected is None:
-                    outcomes["none"] += 1
-                    continue
-                outcomes["split"] += 1
-                outcomes["tie"] += expected[1] == 0
+            self._check(x, stat, outcomes, trial)
         assert min(outcomes.values()) >= 10, outcomes
 
     def test_duplicate_columns_pick_lowest_feature(self):
@@ -821,32 +824,6 @@ class TestSplitKernel:
         stat = np.array([[3.0, -3.0, 2.0, -2.0]])
         assert first_window_max(x, stat, 1) == (12.0, True)
         assert self._kernel(x, stat, 1) == (4.0 / 3.0 + 4.0, 0, 1.5)
-
-    @pytest.mark.parametrize("s", [1, 3])
-    def test_both_argmax_paths_match_brute_force(self, s):
-        # the tie mask is built only when the unmasked first maximum sits on a
-        # tied position; both paths must give the brute-force split
-        rng = SeededRng(33 + s)
-        paths = {"untied maximum": 0, "tied maximum": 0, "tied maximum, split elsewhere": 0}
-        for trial in range(150):
-            n = 2 + int(rng.integers(0, 15))
-            x = _tied_matrix(rng, n, 2 + int(rng.integers(0, 3)))
-            if s == 3:
-                stat = one_hot(np.asarray(rng.integers(0, 3, n)), 3).T.copy()
-            else:
-                stat = (np.asarray(rng.random(n)) - 0.5)[None, :]
-            for min_leaf in range(1, 6):
-                expected = brute_force_split(x, stat, min_leaf)
-                assert self._kernel(x, stat, min_leaf) == expected, (trial, min_leaf)
-                first = first_window_max(x, stat, min_leaf)
-                if first is None:  # fewer than 2 * min_leaf rows
-                    continue
-                if not first[1]:
-                    paths["untied maximum"] += 1
-                    continue
-                paths["tied maximum"] += 1
-                paths["tied maximum, split elsewhere"] += expected is not None
-        assert min(paths.values()) >= 10, paths
 
 
 def per_node_sort_grow(x, stat, max_depth, min_leaf, importance, leaf_value, table, split_value):
