@@ -223,6 +223,12 @@ def _best_split(rows: np.ndarray, columns: np.ndarray, stat: np.ndarray, total, 
     then lowest threshold) are meaningful.  Only positive gains qualify.
     Sp is summed on Python floats, as numpy would for one residual row, and
     exactly, in any order, for counts.
+
+    Position i of feature j sends the first i + 1 sorted rows left; the
+    argmax runs over the positions that leave both sides the leaf floor
+    (none when m < 2 * min_leaf).  Tied positions (equal values, with no
+    threshold between) are masked only when the first maximum sits on one,
+    as an untied first maximum is also the first among the untied ones.
     """
     s = stat.shape[0]
     d, m = rows.shape
@@ -244,14 +250,11 @@ def _best_split(rows: np.ndarray, columns: np.ndarray, stat: np.ndarray, total, 
     other /= work.nr[-m:]
     gains += other
     gains -= sum([t * t for t in total.tolist()]) / m
-    # position i sends i + 1 rows left; the window leaves both sides the leaf floor
     first, stop = min_leaf - 1, m - min_leaf
     window = gains[:, first:stop]
     j, i = divmod(int(window.argmax()), stop - first)  # feature-major: first max wins
     i += first
     lo, hi = columns.item(j, rows.item(j, i)), columns.item(j, rows.item(j, i + 1))
-    # equal values have no threshold between them; a first maximum on an
-    # untied position is also the first among the untied ones
     if hi <= lo:  # a tie: mask every tied position and look again
         vals = columns.ravel().take(rows + work.starts)
         tied = work.tied[: window.size].reshape(window.shape)
