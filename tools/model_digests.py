@@ -40,7 +40,8 @@ sys.path.insert(0, str(REPO / "src"))
 
 import numpy as np
 
-from mppkit.data import Dataset, FeatureSchema, FeatureSpec, generate_synthetic, load_dataset, load_schema, stratified_kfold
+from mppkit.data import (Dataset, FeatureSchema, FeatureSpec, generate_synthetic, load_dataset, load_schema,
+                         stratified_kfold)
 from mppkit.evaluation import MODELS, fit_predictor, fold_fits, resolve_params
 from mppkit.serialize import to_document
 
